@@ -3,7 +3,9 @@
 An :class:`Index` maps a tuple of column values (the *key*) to the set of
 row ids carrying that key.  It maintains both a hash map (O(1) equality
 probes — the access path pr-filter evaluation leans on) and a lazily
-rebuilt sorted key list for range scans and ordered iteration.
+rebuilt sorted key list for range scans and ordered iteration.  A bulk
+:meth:`Index.rebuild` fills only the hash map; the sorted list is built on
+the first ordered access.
 """
 
 from __future__ import annotations
@@ -46,10 +48,7 @@ class Index:
                 insort(self._sorted, (_ordered(key), key))
             return
         if self.unique and not any(v is None for v in key):
-            raise IntegrityError(
-                f"UNIQUE constraint failed: index {self.name} "
-                f"({', '.join(self.columns)}) key {key!r}"
-            )
+            raise self._unique_error(key)
         bucket.append(rowid)
 
     def check_insert(self, key: tuple) -> None:
@@ -57,10 +56,13 @@ class Index:
         if not self.unique or any(v is None for v in key):
             return
         if self._map.get(key):
-            raise IntegrityError(
-                f"UNIQUE constraint failed: index {self.name} "
-                f"({', '.join(self.columns)}) key {key!r}"
-            )
+            raise self._unique_error(key)
+
+    def _unique_error(self, key: tuple) -> IntegrityError:
+        return IntegrityError(
+            f"UNIQUE constraint failed: index {self.name} "
+            f"({', '.join(self.columns)}) key {key!r}"
+        )
 
     def delete(self, key: tuple, rowid: int) -> None:
         bucket = self._map.get(key)
@@ -74,16 +76,29 @@ class Index:
             del self._map[key]
             self._sorted_valid = False  # lazy removal
 
-    def clear(self) -> None:
-        self._map.clear()
-        self._sorted.clear()
-        self._sorted_valid = True
-
     def rebuild(self, rows: Iterable[tuple[int, tuple]], key_of) -> None:
-        """Recreate from scratch given an iterable of (rowid, row)."""
-        self.clear()
+        """Recreate from scratch given an iterable of (rowid, row).
+
+        One pass over the rows fills a fresh hash map; the sorted key list
+        is left invalid and built once by :meth:`_ensure_sorted` on the
+        first ordered access.  On a UNIQUE violation the index keeps its
+        previous contents.
+        """
+        new_map: dict[tuple, list[int]] = {}
+        get = new_map.get
+        unique = self.unique
         for rowid, row in rows:
-            self.insert(key_of(row), rowid)
+            key = key_of(row)
+            bucket = get(key)
+            if bucket is None:
+                new_map[key] = [rowid]
+            elif unique and not any(v is None for v in key):
+                raise self._unique_error(key)
+            else:
+                bucket.append(rowid)
+        self._map = new_map
+        self._sorted = []
+        self._sorted_valid = False
 
     # -- copy-on-write snapshots ---------------------------------------------------
 

@@ -6,7 +6,14 @@ A file-backed database ``<path>`` consists of:
   :func:`write_snapshot` (on checkpoint/close), and
 * ``<path>.wal`` — a JSON-lines log of committed mutations since the last
   snapshot.  On open the snapshot is loaded and the WAL replayed, so a
-  crash between checkpoints loses nothing that was committed.
+  crash between checkpoints loses nothing that was committed.  Replay cuts
+  the WAL back to its last commit marker, so an uncommitted or torn tail
+  never ends up in front of a later commit.
+
+A checkpoint with nothing to fold (no commit since the last one, no WAL
+on disk, a snapshot already written) writes nothing, so a read-only
+session closes without touching the file.  Open decodes the snapshot and
+rebuilds every index in one pass over its table's rows.
 
 Mutation records accumulate on the :class:`~repro.minidb.storage.Transaction`
 (as plain tuples) and reach the WAL file only at commit, so rollback
@@ -23,6 +30,7 @@ import base64
 import json
 import os
 import threading
+from operator import itemgetter
 from typing import Any
 
 from ..obs.logsetup import get_logger
@@ -46,24 +54,33 @@ _WAL_GROUP_COMMITS = _M.counter("minidb.wal.group_commits")
 _WAL_PIGGYBACKED = _M.counter("minidb.wal.piggybacked_fsyncs")
 
 
-def _encode_value(v: Any) -> Any:
+# BLOBs travel as {"__blob__": "<base64>"}.  The codec hooks run inside
+# the C encoder/decoder only for bytes values and JSON objects, so rows and
+# WAL records are handed to json as they are (tuples encode as lists).
+
+
+def _encode_blob(v: Any) -> dict:
     if isinstance(v, bytes):
         return {"__blob__": base64.b64encode(v).decode("ascii")}
-    return v
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _decode_value(v: Any) -> Any:
-    if isinstance(v, dict) and "__blob__" in v:
-        return base64.b64decode(v["__blob__"])
-    return v
+def _decode_blob(obj: dict) -> Any:
+    if "__blob__" in obj:
+        return base64.b64decode(obj["__blob__"])
+    return obj
 
 
-def _encode_row(row: tuple) -> list:
-    return [_encode_value(v) for v in row]
+_encode = json.JSONEncoder(default=_encode_blob).encode
+_decode = json.JSONDecoder(object_hook=_decode_blob).decode
 
 
-def _decode_row(row: list) -> tuple:
-    return tuple(_decode_value(v) for v in row)
+def _key_getter(positions: list[int]):
+    """Row -> index key tuple, without a per-row generator."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda row: (row[p],)
+    return itemgetter(*positions)
 
 
 def _table_meta_to_dict(meta: TableMeta) -> dict:
@@ -78,7 +95,7 @@ def _table_meta_to_dict(meta: TableMeta) -> dict:
                 "primary_key": c.primary_key,
                 "autoincrement": c.autoincrement,
                 "unique": c.unique,
-                "default": _encode_value(c.default),
+                "default": c.default,
                 "has_default": c.has_default,
                 "references": list(c.references) if c.references else None,
             }
@@ -103,7 +120,7 @@ def _table_meta_from_dict(d: dict) -> TableMeta:
             primary_key=c["primary_key"],
             autoincrement=c["autoincrement"],
             unique=c["unique"],
-            default=_decode_value(c["default"]),
+            default=c["default"],
             has_default=c["has_default"],
             references=tuple(c["references"]) if c["references"] else None,
         )
@@ -140,12 +157,13 @@ def write_snapshot(db: Database, path: str) -> None:
                 "meta": _table_meta_to_dict(table.meta),
                 "next_rowid": table.next_rowid,
                 "next_auto": table.next_auto,
-                "rows": {str(rid): _encode_row(row) for rid, row in table.rows.items()},
+                "rows": table.rows,  # int rowids encode as their str()
             }
         )
+    data = _encode(doc)  # one shot through the C encoder
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -155,7 +173,7 @@ def load_snapshot(db: Database, path: str) -> None:
     """Populate an empty Database from a snapshot file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _decode(fh.read())
     except (OSError, ValueError) as exc:
         raise OperationalError(f"cannot read database file {path}: {exc}") from exc
     if doc.get("version") != _FORMAT_VERSION:
@@ -168,7 +186,8 @@ def load_snapshot(db: Database, path: str) -> None:
         table = Table(meta)
         table.next_rowid = tdoc["next_rowid"]
         table.next_auto = tdoc["next_auto"]
-        table.rows = {int(rid): _decode_row(row) for rid, row in tdoc["rows"].items()}
+        rows = tdoc["rows"]
+        table.rows = dict(zip(map(int, rows), map(tuple, rows.values())))
         table.bump_version()
         db.tables[meta.name.lower()] = table
         if meta.primary_key:
@@ -185,7 +204,7 @@ def load_snapshot(db: Database, path: str) -> None:
     for key, table in db.tables.items():
         for idx in db.indexes_on(table.meta.name):
             positions = [table.meta.column_index(c) for c in idx.columns]
-            idx.rebuild(table.scan(), lambda row, p=positions: tuple(row[i] for i in p))
+            idx.rebuild(table.scan(), _key_getter(positions))
 
 
 class Journal:
@@ -216,17 +235,13 @@ class Journal:
         op = rec[0]
         if op == "insert":
             _, table, rowid, row = rec
-            return {"op": "insert", "table": table, "rowid": rowid, "row": _encode_row(row)}
+            return {"op": "insert", "table": table, "rowid": rowid, "row": row}
         if op == "insert_batch":
             _, table, rows = rec
-            return {
-                "op": "insert_batch",
-                "table": table,
-                "rows": [[rowid, _encode_row(row)] for rowid, row in rows],
-            }
+            return {"op": "insert_batch", "table": table, "rows": rows}
         if op == "update":
             _, table, rowid, row = rec
-            return {"op": "update", "table": table, "rowid": rowid, "row": _encode_row(row)}
+            return {"op": "update", "table": table, "rowid": rowid, "row": row}
         if op == "delete":
             _, table, rowid = rec
             return {"op": "delete", "table": table, "rowid": rowid}
@@ -252,8 +267,8 @@ class Journal:
         """
         if not records:
             return
-        lines = [json.dumps(self._encode_record(rec)) for rec in records]
-        lines.append(json.dumps({"op": "commit"}))
+        lines = [_encode(self._encode_record(rec)) for rec in records]
+        lines.append(_encode({"op": "commit"}))
         data = "\n".join(lines) + "\n"
         with self._append_lock:
             fh = self._handle()
@@ -282,18 +297,26 @@ class Journal:
     # -- recovery / checkpoint ----------------------------------------------------------
 
     def replay(self) -> int:
-        """Apply committed WAL records to the database; returns count applied."""
+        """Apply committed WAL records to the database; returns count applied.
+
+        Whatever follows the last commit marker — an uncommitted batch or
+        a torn line — is cut off before any new commit can be appended
+        behind it (see :meth:`_cut_tail`).
+        """
         if not os.path.exists(self.wal_path):
             return 0
         applied = 0
         batch: list[dict] = []
-        with open(self.wal_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
+        offset = committed_end = 0
+        newline_missing = False
+        with open(self.wal_path, "rb") as fh:
+            for raw in fh:
+                offset += len(raw)
+                line = raw.strip()
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec = _decode(line.decode("utf-8"))
                 except ValueError:
                     break  # torn write at the tail: ignore the partial batch
                 if rec.get("op") == "commit":
@@ -301,12 +324,37 @@ class Journal:
                         self._apply(r)
                         applied += 1
                     batch.clear()
+                    committed_end = offset
+                    newline_missing = not raw.endswith(b"\n")
                 else:
                     batch.append(rec)
+        self._cut_tail(committed_end, newline_missing)
         if applied:
             _WAL_REPLAYED.add(applied)
             _log.info("replayed %d WAL record(s) from %s", applied, self.wal_path)
         return applied
+
+    def _cut_tail(self, end: int, newline_missing: bool) -> None:
+        """Truncate the WAL to *end* bytes (just past its last commit marker).
+
+        Left in place, an uncommitted record would be replayed as part of
+        the next commit appended after it, and a torn line would swallow
+        that commit's first record.  A WAL with no commit is removed.
+        """
+        size = os.path.getsize(self.wal_path)
+        if end == 0:
+            os.remove(self.wal_path)
+        elif end < size or newline_missing:
+            with open(self.wal_path, "r+b") as fh:
+                fh.truncate(end)
+                if newline_missing:  # a commit line torn just before its newline
+                    fh.seek(end)
+                    fh.write(b"\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+        if end < size:
+            _log.info("cut %s back to its last commit marker (%d of %d bytes kept)",
+                      self.wal_path, end, size)
 
     def _apply(self, rec: dict) -> None:
         op = rec["op"]
@@ -320,16 +368,16 @@ class Journal:
         if table is None:
             raise OperationalError(f"WAL references missing table {rec['table']}")
         if op == "insert":
-            self._apply_insert(table, rec["rowid"], _decode_row(rec["row"]))
+            self._apply_insert(table, rec["rowid"], tuple(rec["row"]))
         elif op == "insert_batch":
-            for rowid, erow in rec["rows"]:
-                self._apply_insert(table, rowid, _decode_row(erow))
+            for rowid, row in rec["rows"]:
+                self._apply_insert(table, rowid, tuple(row))
         elif op == "update":
             rowid = rec["rowid"]
             old = table.rows.get(rowid)
             if old is not None:
                 self.db._unindex_row(table, rowid, old)
-            row = _decode_row(rec["row"])
+            row = tuple(rec["row"])
             table.rows[rowid] = row
             table.bump_version()
             self.db._index_row(table, rowid, row, check=False)
@@ -358,9 +406,17 @@ class Journal:
         """Fold the WAL into a fresh snapshot and truncate it.
 
         Taken under both commit locks so an in-flight commit can never
-        append to a WAL that is about to be removed.
+        append to a WAL that is about to be removed.  Returns without
+        writing when there is nothing to fold: no commit since the last
+        checkpoint, no WAL on disk and a snapshot already in place.
         """
         with self._append_lock, self._fsync_lock:
+            if (
+                self._written_seq == 0
+                and not os.path.exists(self.wal_path)
+                and os.path.exists(self.path)
+            ):
+                return
             if self._fh is not None and not self._fh.closed:
                 self._fh.close()
             self._fh = None

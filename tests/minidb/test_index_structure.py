@@ -142,3 +142,101 @@ class TestPropertyBased:
         # ordered iteration covers exactly the reference contents
         all_ref = sorted(r for bucket in ref.values() for r in bucket)
         assert sorted(idx.iter_ordered()) == all_ref
+
+
+_values = st.one_of(
+    st.none(),
+    st.integers(-3, 3),
+    st.floats(-3, 3, allow_nan=False).map(lambda f: round(f, 1)),
+    st.text("ab", max_size=2),
+)
+
+
+@st.composite
+def _index_cases(draw):
+    width = draw(st.integers(1, 3))
+    key = st.tuples(*[_values] * width)
+    keys = draw(st.lists(key, max_size=40))
+    unique = draw(st.booleans())
+    if unique:  # keep NULL-bearing duplicates, drop other repeats
+        seen, kept = set(), []
+        for k in keys:
+            if None in k or k not in seen:
+                kept.append(k)
+                seen.add(k)
+        keys = kept
+    probes = draw(st.lists(key, min_size=2, max_size=4))
+    return width, unique, keys, probes
+
+
+def _observe(idx: Index, width: int, probes: list) -> list:
+    """Everything the read side of an index can say, in one comparable list."""
+    out = [
+        [idx.lookup(p) for p in probes],
+        list(idx.iter_ordered()),
+        list(idx.iter_ordered(descending=True)),
+        list(idx.distinct_keys()),
+        idx.max_key(),
+        len(idx),
+    ]
+    low, high = probes[0], probes[1]
+    for lo, hi in ((low, high), (low, None), (None, high), (low[:1], low[:1])):
+        for lo_inc in (True, False):
+            for hi_inc in (True, False):
+                out.append(list(idx.range_scan(lo, hi, lo_inc, hi_inc)))
+    if width > 1:
+        out.append(list(idx.range_scan(low[:1], high[:1])))
+    return out
+
+
+class TestRebuildEquivalence:
+    """``rebuild`` (one pass, lazy sort) answers exactly like ``insert``."""
+
+    @staticmethod
+    def _pair(width, unique, keys):
+        cols = [f"c{i}" for i in range(width)]
+        built = Index("i", "t", cols, unique=unique)
+        built.rebuild(((rid, k) for rid, k in enumerate(keys)), lambda row: row)
+        inserted = Index("i", "t", cols, unique=unique)
+        for rid, k in enumerate(keys):
+            inserted.insert(k, rid)
+        return built, inserted
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_index_cases())
+    def test_rebuild_matches_inserts(self, case):
+        width, unique, keys, probes = case
+        built, inserted = self._pair(width, unique, keys)
+        assert _observe(built, width, probes) == _observe(inserted, width, probes)
+
+    @settings(max_examples=75, deadline=None)
+    @given(case=_index_cases())
+    def test_rebuild_matches_inserts_after_freeze_detach(self, case):
+        width, unique, keys, probes = case
+        built, inserted = self._pair(width, unique, keys)
+        expected = _observe(inserted, width, probes)
+        snap = built.freeze()
+        built.detach()
+        assert _observe(snap, width, probes) == expected
+        assert _observe(built, width, probes) == expected
+        # Writes to the detached index leave the frozen snapshot alone.
+        built.insert(tuple([None] * width), len(keys))
+        assert _observe(snap, width, probes) == expected
+
+    def test_rebuild_unique_violation_names_index(self):
+        rows = [(1, ("a", 1)), (2, (None, 1)), (3, (None, 1)), (4, ("a", 1))]
+        idx = Index("uq_ab", "t", ["a", "b"], unique=True)
+        with pytest.raises(IntegrityError, match="index uq_ab") as exc:
+            idx.rebuild(iter(rows), lambda row: row)
+        ref = Index("uq_ab", "t", ["a", "b"], unique=True)
+        ref.insert(("a", 1), 1)
+        with pytest.raises(IntegrityError) as ref_exc:
+            ref.insert(("a", 1), 4)
+        assert str(exc.value) == str(ref_exc.value)
+
+    def test_rebuild_sorts_lazily(self):
+        idx = Index("i", "t", ["a"])
+        idx.rebuild(iter([(1, (3,)), (2, (1,)), (3, (2,))]), lambda row: row)
+        assert idx._sorted == [] and not idx._sorted_valid
+        assert list(idx.iter_ordered()) == [2, 3, 1]
+        assert idx._sorted_valid
