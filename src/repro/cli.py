@@ -78,7 +78,8 @@ def cmd_init(args) -> int:
 
 def cmd_load(args) -> int:
     from .core.pload import resolve_workers
-    from .ptdf.lint import context_from_store, has_errors, lint_files
+    from .ptdf.lint import PTdfLintError, load_gate
+    from .ptdf.parser import parse_document_file
 
     try:
         workers = resolve_workers(args.workers)
@@ -99,23 +100,30 @@ def cmd_load(args) -> int:
         obs.trace.enable()
     store = _open_store(args, initialize=True)
     try:
-        if not args.force:
-            diagnostics = lint_files(args.files, context_from_store(store))
-            for diag in diagnostics:
+        # Every file is parsed once, up front: the lint gate checks these
+        # documents and the loader applies the same records, so a parse
+        # error anywhere (even under --force) writes nothing.
+        docs = [parse_document_file(path) for path in args.files]
+        try:
+            diagnostics = load_gate(docs, store, lint=not args.force)
+        except PTdfLintError as exc:
+            for diag in exc.diagnostics:
                 print(diag, file=sys.stderr)
-            if has_errors(diagnostics):
-                print(
-                    "load refused: the files above have lint errors "
-                    "(use --force to load anyway)",
-                    file=sys.stderr,
-                )
-                store.close()
-                return 1
+            print(
+                "load refused: the files above have lint errors "
+                "(use --force to load anyway)",
+                file=sys.stderr,
+            )
+            return 1
+        for diag in diagnostics:
+            print(diag, file=sys.stderr)
         records_loaded = obs.metrics.counter("ptdf.load.records")
-        for path in args.files:
+        for i, path in enumerate(args.files):
+            doc, docs[i] = docs[i], None
             before = records_loaded.value
             t0 = obs.now()
-            stats = store.load_file(path)
+            with obs.trace.span("load.file", cat="core", file=path):
+                stats = store.load_records(doc.records)
             elapsed = obs.now() - t0
             if not args.quiet:
                 print(
@@ -130,8 +138,8 @@ def cmd_load(args) -> int:
                     file=sys.stderr,
                 )
         store.commit()
-        store.close()
     finally:
+        store.close()
         if args.trace:
             spans = obs.trace.save(args.trace)
             obs.trace.disable()

@@ -42,7 +42,8 @@ from ..ptdf.format import (
     ResourceTypeRec,
     split_name,
 )
-from ..ptdf.parser import parse_file, parse_string
+from ..ptdf.lint import load_gate
+from ..ptdf.parser import parse_document, parse_document_file
 from . import schema as schema_mod
 from .filters import (
     ByAttributes,
@@ -602,25 +603,18 @@ class PTDataStore:
     def load_string(
         self, text: str, bulk: Optional[bool] = None, lint: bool = False
     ) -> LoadStats:
-        if lint:
-            self._lint_or_raise(lambda linter: linter.lint_string(text))
-        return self.load_records(parse_string(text), bulk=bulk)
+        doc = parse_document(text.split("\n"))
+        load_gate([doc], self, lint)
+        return self.load_records(doc.records, bulk=bulk)
 
     def load_file(
         self, path: str, bulk: Optional[bool] = None, lint: bool = False
     ) -> LoadStats:
-        if lint:
-            self._lint_or_raise(lambda linter: linter.lint_file(path))
+        """Parse *path* once; with *lint*, refuse it on lint errors first."""
+        doc = parse_document_file(path)
+        load_gate([doc], self, lint)
         with _trace.span("load.file", cat="core", file=path):
-            return self.load_records(parse_file(path), bulk=bulk)
-
-    def _lint_or_raise(self, run) -> None:
-        """Refuse a load whose input has lint errors (``lint=True`` paths)."""
-        from ..ptdf.lint import Linter, PTdfLintError, context_from_store, has_errors
-
-        diagnostics = run(Linter(context_from_store(self)))
-        if has_errors(diagnostics):
-            raise PTdfLintError(diagnostics)
+            return self.load_records(doc.records, bulk=bulk)
 
     # ------------------------------------------------------------------- lookups
 

@@ -11,18 +11,25 @@ contents guarantee is the oracle; the differential test asserts it).
 Pipeline
 --------
 
-1. **Parse** (parallel): each worker parses one file into records.
+1. **Parse** (parallel): each worker parses one file into a
+   :class:`~repro.ptdf.parser.ParsedDocument`, collecting parse errors.
 2. **Context fold** (parent, cheap): :func:`repro.ptdf.lint.fold_declarations`
    accumulates each file's declarations, producing for every file the
    exact :class:`LintContext` a sequential ``lint_files`` run would have
    reached before it.
-3. **Lint** (parallel): each worker lints one file against its folded
-   context.  Cross-file *reference* checks (PT001/PT006) behave exactly
-   as in sequential linting; the only divergence is that cross-file
-   *stateful* warnings (PT005 duplicate attributes, PT008 unit
-   mismatches spanning two files) are reported per file only.
+3. **Lint** (parallel): each worker lints one parsed document against
+   its folded context.  Cross-file *reference* checks (PT001/PT006) and
+   cross-file PT004 type changes behave exactly as in sequential
+   linting; the only divergence is that cross-file *stateful* warnings
+   (PT005 duplicate attributes, PT008 unit mismatches spanning two
+   files) are reported per file only.
 4. **Load** (parent, serial): records apply in file order through the
    store's bulk loader — serial or sharded — so ids are deterministic.
+
+The serial path (``workers <= 1``) runs the same steps in process: every
+file is parsed once, the lint gate checks the parsed documents, and the
+loader applies those same records.  Either way, nothing is written until
+every file has parsed (and, with linting on, passed the gate).
 
 Any worker failure surfaces as a structured :class:`ParallelLoadError`
 naming the phase and file; a crashed worker process (killed, OOM) maps
@@ -45,13 +52,14 @@ from ..obs.tracing import trace as _trace
 from ..ptdf.lint import (
     Diagnostic,
     LintContext,
+    Linter,
     PTdfLintError,
     context_from_store,
     fold_declarations,
     has_errors,
-    lint_files,
+    load_gate,
 )
-from ..ptdf.parser import PTdfParseError, parse_file
+from ..ptdf.parser import ParsedDocument, parse_document_file
 from .datastore import LoadStats
 
 _log = get_logger("pload")
@@ -105,23 +113,12 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     return workers
 
 
-def _parse_task(path: str) -> list:
-    return list(parse_file(path))
+def _parse_task(path: str) -> ParsedDocument:
+    return parse_document_file(path)
 
 
-def _lint_task(path: str, context: LintContext) -> list[Diagnostic]:
-    from ..ptdf.lint import lint_file
-
-    return lint_file(path, context)
-
-
-def _copy_context(ctx: LintContext) -> LintContext:
-    return LintContext(
-        types=set(ctx.types),
-        resources=set(ctx.resources),
-        executions=set(ctx.executions),
-        applications=set(ctx.applications),
-    )
+def _lint_task(doc: ParsedDocument, context: LintContext) -> list[Diagnostic]:
+    return Linter(context).lint_document(doc)
 
 
 def load_files(
@@ -158,82 +155,46 @@ def load_files(
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=mp_context
         ) as pool:
-            parsed, parse_diags = _parse_phase(pool, paths, lint)
+            docs = _run_phase(
+                pool, "parse", _FILES_PARSED, _PARSE_SECONDS,
+                [(path, (path,)) for path in paths], _parse_task,
+            )
             if lint:
-                contexts: list[LintContext] = []
-                ctx = (
-                    context_from_store(store)
-                    if getattr(store, "_type_ids", None) is not None
-                    else LintContext()
-                )
-                lintable = []
-                for path, records in zip(paths, parsed):
-                    if records is None:
-                        continue
-                    lintable.append((path, _copy_context(ctx)))
-                    fold_declarations(ctx, records)
-                diagnostics: list[Diagnostic] = list(parse_diags)
+                ctx = context_from_store(store)
+                tasks = []
+                for path, doc in zip(paths, docs):
+                    tasks.append((path, (doc, ctx.copy())))
+                    fold_declarations(ctx, doc)
+                diagnostics: list[Diagnostic] = []
                 for file_diags in _run_phase(
-                    pool, "lint", _FILES_LINTED, _LINT_SECONDS,
-                    [
-                        (path, (path, context))
-                        for path, context in lintable
-                    ],
+                    pool, "lint", _FILES_LINTED, _LINT_SECONDS, tasks,
                     _lint_task,
                 ):
                     diagnostics.extend(file_diags)
                 if has_errors(diagnostics):
                     raise PTdfLintError(diagnostics)
-        total = LoadStats()
-        for path, records in zip(paths, parsed):
-            stats = store.load_records(records)
-            total += stats
-            if on_file is not None:
-                on_file(path, stats)
+            else:
+                for path, doc in zip(paths, docs):
+                    if doc.errors:
+                        raise ParallelLoadError("parse", path, str(doc.errors[0]))
+        return _apply(store, paths, docs, on_file)
+
+
+def _apply(
+    store,
+    paths: Sequence[str],
+    docs: list,
+    on_file: Optional[Callable[[str, LoadStats], None]],
+) -> LoadStats:
+    """Load gated documents in file order, dropping each once applied."""
+    total = LoadStats()
+    for i, path in enumerate(paths):
+        doc, docs[i] = docs[i], None
+        stats = store.load_records(doc.records)
+        total += stats
+        if on_file is not None:
+            on_file(path, stats)
     return total
-
-
-def _parse_phase(
-    pool: ProcessPoolExecutor, paths: Sequence[str], lint: bool
-) -> tuple[list, list[Diagnostic]]:
-    """Parse every file in workers.
-
-    With linting on, a malformed file becomes a PT000 diagnostic (its
-    slot in the returned list is ``None``) so the combined lint report
-    matches what sequential ``lint_files`` would have said; without
-    linting it fails fast as a :class:`ParallelLoadError`.
-    """
-    t0 = _now()
-    futures = [(path, pool.submit(_parse_task, path)) for path in paths]
-    parsed: list = []
-    diags: list[Diagnostic] = []
-    for path, future in futures:
-        try:
-            parsed.append(future.result())
-        except BrokenProcessPool as exc:
-            if _M.enabled:
-                _WORKER_FAILURES.inc()
-            raise ParallelLoadError(
-                "parse", path, f"worker process died: {exc}"
-            ) from exc
-        except PTdfParseError as exc:
-            if not lint:
-                raise ParallelLoadError("parse", path, str(exc)) from exc
-            diags.append(
-                Diagnostic(
-                    path, getattr(exc, "lineno", 0) or 0, "error", "PT000",
-                    str(exc),
-                )
-            )
-            parsed.append(None)
-        except Exception as exc:
-            if _M.enabled:
-                _WORKER_FAILURES.inc()
-            raise ParallelLoadError("parse", path, str(exc)) from exc
-    if _M.enabled:
-        _FILES_PARSED.add(len(paths))
-        _PARSE_SECONDS.observe(_now() - t0)
-    return parsed, diags
 
 
 def _run_phase(
@@ -275,14 +236,6 @@ def _load_serial(
     lint: bool,
     on_file: Optional[Callable[[str, LoadStats], None]],
 ) -> LoadStats:
-    if lint:
-        diagnostics = lint_files(paths, context_from_store(store))
-        if has_errors(diagnostics):
-            raise PTdfLintError(diagnostics)
-    total = LoadStats()
-    for path in paths:
-        stats = store.load_file(path)
-        total += stats
-        if on_file is not None:
-            on_file(path, stats)
-    return total
+    docs = [parse_document_file(path) for path in paths]
+    load_gate(docs, store, lint)
+    return _apply(store, paths, docs, on_file)

@@ -47,7 +47,8 @@ from ..obs.logsetup import get_logger
 from ..obs.metrics import metrics as _M
 from ..obs.tracing import trace as _trace
 from ..ptdf.format import Record
-from ..ptdf.parser import parse_file, parse_string
+from ..ptdf.lint import load_gate
+from ..ptdf.parser import parse_document, parse_document_file
 from . import schema as schema_mod
 from .datastore import LoadStats, PTDataStore
 from .filters import FamilySpec, PrFilter
@@ -237,15 +238,15 @@ class ShardedPTDataStore:
         return stats
 
     def load_string(self, text: str, lint: bool = False) -> LoadStats:
-        if lint:
-            self.catalog._lint_or_raise(lambda linter: linter.lint_string(text))
-        return self.load_records(parse_string(text))
+        doc = parse_document(text.split("\n"))
+        load_gate([doc], self.catalog, lint)
+        return self.load_records(doc.records)
 
     def load_file(self, path: str, lint: bool = False) -> LoadStats:
-        if lint:
-            self.catalog._lint_or_raise(lambda linter: linter.lint_file(path))
+        doc = parse_document_file(path)
+        load_gate([doc], self.catalog, lint)
         with _trace.span("shard.load.file", cat="core", file=path):
-            return self.load_records(parse_file(path))
+            return self.load_records(doc.records)
 
     def ensure_shard_indexes(self) -> None:
         """Build the deferred per-shard secondary indexes where missing.

@@ -24,7 +24,10 @@ PT003     error     type-depth mismatch: a Resource's name depth differs
                     from its type-path depth (the loader refuses this)
 PT004     error/    duplicate resource or execution definition; an error
           warning   when re-declared with a *different* type (the loader
-                    silently keeps the first), a warning when identical
+                    silently keeps the first), also across the files of
+                    one lint run; a warning when identical within one
+                    file.  A context seeded from a store knows names
+                    only, so a type change against stored data passes
 PT005     warning   duplicate (resource, attribute) definition
 PT006     error     unknown execution: a Resource binding or PerfResult
                     names an execution never declared
@@ -48,13 +51,17 @@ so later files may reference resources declared by earlier ones — exactly
 how ``ptrack load a.ptdf b.ptdf`` behaves.  Seed the context from an
 existing store with :func:`context_from_store` to lint an incremental
 load against data already in the database.
+
+The linter works on :class:`~repro.ptdf.parser.ParsedDocument` objects,
+so a load parses each file once: :func:`load_gate` lints the documents
+the loader then applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from difflib import get_close_matches
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from .basetypes import all_base_type_paths
 from .format import (
@@ -62,14 +69,13 @@ from .format import (
     ExecutionRec,
     PerfResultRec,
     PerfResultSeriesRec,
-    Record,
     ResourceAttributeRec,
     ResourceConstraintRec,
     ResourceRec,
     ResourceTypeRec,
     split_name,
 )
-from .parser import split_fields, _parse_record
+from .parser import ParsedDocument, PTdfParseError, parse_document, parse_document_file
 
 SEVERITIES = ("error", "warning")
 
@@ -111,12 +117,25 @@ class LintContext:
     initialised with them); everything else starts empty.  Linting a file
     folds its declarations back into the context, so one context threaded
     through several files models a sequential multi-file load.
+    ``resource_types`` maps each explicitly declared resource to its first
+    ``(type, source, line)`` so PT004 catches a type change in a later
+    file; contexts seeded from a store leave it empty.
     """
 
     types: set[str] = field(default_factory=lambda: set(all_base_type_paths()))
     resources: set[str] = field(default_factory=set)
     executions: set[str] = field(default_factory=set)
     applications: set[str] = field(default_factory=set)
+    resource_types: dict[str, tuple[str, str, int]] = field(default_factory=dict)
+
+    def copy(self) -> "LintContext":
+        return LintContext(
+            types=set(self.types),
+            resources=set(self.resources),
+            executions=set(self.executions),
+            applications=set(self.applications),
+            resource_types=dict(self.resource_types),
+        )
 
 
 def context_from_store(store: Any) -> LintContext:
@@ -129,7 +148,7 @@ def context_from_store(store: Any) -> LintContext:
     )
 
 
-def fold_declarations(context: LintContext, records: Iterable[Record]) -> LintContext:
+def fold_declarations(context: LintContext, doc: ParsedDocument) -> LintContext:
     """Fold a document's declarations into *context* — no diagnostics.
 
     Exactly the context mutation :meth:`Linter._check` performs after
@@ -139,9 +158,10 @@ def fold_declarations(context: LintContext, records: Iterable[Record]) -> LintCo
     each ResourceType path; applications gain Application names *and*
     Execution application references (the loader auto-creates those);
     executions gain Execution names; resources gain each Resource name
-    and all its ancestors.  Mutates and returns *context*.
+    and all its ancestors, and ``resource_types`` each Resource's first
+    declared type and line.  Mutates and returns *context*.
     """
-    for rec in records:
+    for lineno, rec in zip(doc.linenos, doc.records):
         if isinstance(rec, ApplicationRec):
             context.applications.add(rec.name)
         elif isinstance(rec, ResourceTypeRec):
@@ -151,6 +171,9 @@ def fold_declarations(context: LintContext, records: Iterable[Record]) -> LintCo
             context.applications.add(rec.application)
         elif isinstance(rec, ResourceRec):
             context.resources.update(_ancestors(rec.name))
+            context.resource_types.setdefault(
+                rec.name, (rec.type, doc.source, lineno)
+            )
     return context
 
 
@@ -195,48 +218,37 @@ class Linter:
 
     # ------------------------------------------------------------------ front ends
 
+    def lint_document(self, doc: ParsedDocument) -> list[Diagnostic]:
+        """Diagnostics for a parsed document: its parse errors as PT000,
+        then the checks over the records that did parse, in line order."""
+        diagnostics = [self._parse_error(err) for err in doc.errors]
+        diagnostics.extend(self._check(doc))
+        diagnostics.sort(key=lambda d: d.line)
+        return diagnostics
+
     def lint_lines(
         self, lines: Iterable[str], source: str = "<string>"
     ) -> list[Diagnostic]:
-        diagnostics: list[Diagnostic] = []
-        records: list[tuple[int, Record]] = []
-        for lineno, raw in enumerate(lines, start=1):
-            try:
-                fields = split_fields(raw)
-            except ValueError as exc:
-                diagnostics.append(self._parse_error(source, lineno, exc))
-                continue
-            if not fields:
-                continue
-            try:
-                records.append((lineno, _parse_record(fields)))
-            except ValueError as exc:
-                diagnostics.append(self._parse_error(source, lineno, exc))
-        diagnostics.extend(self._check(records, source))
-        diagnostics.sort(key=lambda d: d.line)
-        return diagnostics
+        return self.lint_document(parse_document(lines, source))
 
     def lint_string(self, text: str, source: str = "<string>") -> list[Diagnostic]:
         return self.lint_lines(text.split("\n"), source)
 
     def lint_file(self, path: str) -> list[Diagnostic]:
-        with open(path, "r", encoding="utf-8") as fh:
-            return self.lint_lines(fh, source=str(path))
+        return self.lint_document(parse_document_file(path))
 
     # ------------------------------------------------------------------ internals
 
     @staticmethod
-    def _parse_error(source: str, lineno: int, exc: ValueError) -> Diagnostic:
-        message = str(exc)
-        fieldno = getattr(exc, "field", None)
-        if fieldno is not None:
-            message = f"{message} (field {fieldno})"
-        return Diagnostic(source, lineno, "error", "PT000", message)
+    def _parse_error(err: PTdfParseError) -> Diagnostic:
+        message = err.message
+        if err.field is not None:
+            message = f"{message} (field {err.field})"
+        return Diagnostic(err.source, err.lineno, "error", "PT000", message)
 
-    def _check(
-        self, records: list[tuple[int, Record]], source: str
-    ) -> list[Diagnostic]:
+    def _check(self, doc: ParsedDocument) -> list[Diagnostic]:
         ctx = self.context
+        source = doc.source
         out: list[Diagnostic] = []
 
         # Pass 1: collect whole-file declarations.  Types and applications
@@ -248,7 +260,7 @@ class Linter:
         explicit_apps = set(ctx.applications)
         all_resources: dict[str, int] = {}  # name (incl. ancestors) -> line
         all_executions: dict[str, int] = {}
-        for lineno, rec in records:
+        for lineno, rec in zip(doc.linenos, doc.records):
             if isinstance(rec, ApplicationRec):
                 decl_applications.add(rec.name)
                 explicit_apps.add(rec.name)
@@ -271,7 +283,7 @@ class Linter:
         self._all_executions = all_executions
         first_resource: dict[str, tuple[int, str]] = {}  # name -> (line, type)
         first_execution: dict[str, int] = {}
-        for lineno, rec in records:
+        for lineno, rec in zip(doc.linenos, doc.records):
             if isinstance(rec, ResourceTypeRec):
                 continue
             if isinstance(rec, ExecutionRec):
@@ -375,6 +387,8 @@ class Linter:
         ctx.resources = decl_resources
         ctx.executions = decl_executions
         ctx.applications = decl_applications
+        for name, (line, type_path) in first_resource.items():
+            ctx.resource_types.setdefault(name, (type_path, source, line))
         return out
 
     def _check_resource(
@@ -449,6 +463,17 @@ class Linter:
                 )
         else:
             first_resource[rec.name] = (lineno, rec.type)
+            earlier = self.context.resource_types.get(rec.name)
+            if earlier is not None and earlier[0] != rec.type:
+                prev_type, prev_source, prev_line = earlier
+                out.append(
+                    Diagnostic(
+                        source, lineno, "error", "PT004",
+                        f"resource {rec.name!r} re-declared with type "
+                        f"{rec.type!r}; {prev_source}:{prev_line} declared "
+                        f"it as {prev_type!r} (the loader keeps the first)",
+                    )
+                )
         return out
 
     def _ref(
@@ -489,15 +514,45 @@ def lint_file(path: str, context: Optional[LintContext] = None) -> list[Diagnost
     return Linter(context).lint_file(path)
 
 
+def lint_documents(
+    docs: Iterable[ParsedDocument], context: Optional[LintContext] = None
+) -> list[Diagnostic]:
+    """Lint several documents as one sequential load (shared declarations)."""
+    linter = Linter(context)
+    out: list[Diagnostic] = []
+    for doc in docs:
+        out.extend(linter.lint_document(doc))
+    return out
+
+
 def lint_files(
     paths: Iterable[str], context: Optional[LintContext] = None
 ) -> list[Diagnostic]:
     """Lint several files as one sequential load (shared declarations)."""
-    linter = Linter(context)
-    out: list[Diagnostic] = []
-    for path in paths:
-        out.extend(linter.lint_file(path))
-    return out
+    return lint_documents((parse_document_file(p) for p in paths), context)
+
+
+def load_gate(
+    docs: Sequence[ParsedDocument], store: Any, lint: bool
+) -> list[Diagnostic]:
+    """Check a load's parsed documents before anything is written.
+
+    With *lint*, lint them as one sequential load against *store*'s
+    declarations and raise
+    :class:`PTdfLintError` on any error, parse errors included as PT000;
+    otherwise return the diagnostics (warnings only).  Without *lint*,
+    raise the first parse error, so even a forced load writes nothing
+    unless every document parsed.
+    """
+    if not lint:
+        for doc in docs:
+            if doc.errors:
+                raise doc.errors[0]
+        return []
+    diagnostics = lint_documents(docs, context_from_store(store))
+    if has_errors(diagnostics):
+        raise PTdfLintError(diagnostics)
+    return diagnostics
 
 
 def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:

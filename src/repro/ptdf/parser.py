@@ -8,6 +8,7 @@ or trailing, when not inside quotes).  Blank lines are ignored.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .format import (
@@ -49,6 +50,7 @@ class PTdfParseError(ValueError):
         if field is not None:
             text = f"{text} (field {field})"
         super().__init__(text)
+        self.message = message
         self.source = source
         self.lineno = lineno
         self.col = col
@@ -58,7 +60,7 @@ class PTdfParseError(ValueError):
 class _FieldError(ValueError):
     """Internal: a tokenise/record error that knows where on the line it is.
 
-    ``parse_lines`` promotes these to :class:`PTdfParseError`, preserving
+    ``_numbered_records`` promotes these to :class:`PTdfParseError`, preserving
     the column/field position alongside the file/line context.
     """
 
@@ -71,7 +73,14 @@ class _FieldError(ValueError):
 
 
 def split_fields(line: str) -> list[str]:
-    """Tokenise one PTdf line honouring quotes, escapes and # comments."""
+    """Tokenise one PTdf line honouring quotes, escapes and # comments.
+
+    A line with no quote and no ``#`` splits exactly as ``str.split()``
+    would (both break on ``str.isspace`` characters), so only quoted or
+    commented lines walk the characters.
+    """
+    if '"' not in line and "#" not in line:
+        return line.split()
     fields: list[str] = []
     buf: list[str] = []
     in_quotes = False
@@ -122,7 +131,7 @@ def split_fields(line: str) -> list[str]:
     return fields
 
 
-def _parse_record(fields: list[str]) -> Record:
+def _parse_record(fields: list[str], memo: dict) -> Record:
     kind = fields[0]
     args = fields[1:]
     if kind == "Application":
@@ -147,7 +156,7 @@ def _parse_record(fields: list[str]) -> Record:
         return ResourceAttributeRec(args[0], args[1], args[2], attr_type)
     if kind == "PerfResult":
         _need(args, 6, kind)
-        sets = _resource_sets(args[1])
+        sets = _resource_sets(args[1], memo)
         try:
             value = float(args[4])
         except ValueError:
@@ -157,7 +166,7 @@ def _parse_record(fields: list[str]) -> Record:
         return PerfResultRec(args[0], sets, args[2], args[3], value, args[5])
     if kind == "PerfResultSeries":
         _need(args, 8, kind)
-        sets = _resource_sets(args[1])
+        sets = _resource_sets(args[1], memo)
         try:
             start_time = float(args[5])
             bin_width = float(args[6])
@@ -187,12 +196,21 @@ def _parse_record(fields: list[str]) -> Record:
     raise _FieldError(f"unknown PTdf record kind {kind!r}", field=1)
 
 
-def _resource_sets(text: str) -> tuple[ResourceSet, ...]:
-    """Parse a resourceSet field, pinning errors to field 3 of the line."""
-    try:
-        return parse_resource_set_field(text)
-    except ValueError as exc:
-        raise _FieldError(str(exc), field=3) from None
+def _resource_sets(text: str, memo: dict) -> tuple[ResourceSet, ...]:
+    """Parse a resourceSet field, pinning errors to field 3 of the line.
+
+    *memo* maps field text to its parsed sets for one document: a focus
+    repeats once per metric, and the sets are immutable, so repeats share
+    one tuple.
+    """
+    sets = memo.get(text)
+    if sets is None:
+        try:
+            sets = parse_resource_set_field(text)
+        except ValueError as exc:
+            raise _FieldError(str(exc), field=3) from None
+        memo[text] = sets
+    return sets
 
 
 def _need(args: list[str], count: int, kind: str) -> None:
@@ -200,25 +218,69 @@ def _need(args: list[str], count: int, kind: str) -> None:
         raise ValueError(f"{kind} takes {count} fields, got {len(args)}")
 
 
-def parse_lines(lines: Iterable[str], source: str = "<string>") -> Iterator[Record]:
-    """Parse an iterable of PTdf lines, yielding records lazily."""
+def _numbered_records(
+    lines: Iterable[str],
+    source: str,
+    errors: Optional[list[PTdfParseError]] = None,
+) -> Iterator[tuple[int, Record]]:
+    """The one tokenise -> record loop: yield ``(lineno, record)`` pairs.
+
+    A malformed line raises :class:`PTdfParseError`, or, when *errors* is
+    a list, is appended to it and skipped so the remaining lines are
+    still parsed.
+    """
+    memo: dict[str, tuple[ResourceSet, ...]] = {}
     for lineno, raw in enumerate(lines, start=1):
         try:
             fields = split_fields(raw)
+            if not fields:
+                continue
+            record = _parse_record(fields, memo)
         except ValueError as exc:
-            raise PTdfParseError(
+            error = PTdfParseError(
                 str(exc), source, lineno,
                 col=getattr(exc, "col", None), field=getattr(exc, "field", None),
-            ) from None
-        if not fields:
+            )
+            if errors is None:
+                raise error from None
+            errors.append(error)
             continue
-        try:
-            yield _parse_record(fields)
-        except ValueError as exc:
-            raise PTdfParseError(
-                str(exc), source, lineno,
-                col=getattr(exc, "col", None), field=getattr(exc, "field", None),
-            ) from None
+        yield lineno, record
+
+
+@dataclass
+class ParsedDocument:
+    """A whole PTdf document: its records, their line numbers, its errors.
+
+    This is what a load reads a file into, once: the lint gate checks
+    ``zip(linenos, records)`` and the loader applies ``records``.
+    """
+
+    source: str
+    records: list[Record]
+    linenos: list[int]
+    errors: list[PTdfParseError]
+
+
+def parse_document(lines: Iterable[str], source: str = "<string>") -> ParsedDocument:
+    """Parse every line of a document, collecting (not raising) errors."""
+    doc = ParsedDocument(source, [], [], [])
+    for lineno, record in _numbered_records(lines, source, doc.errors):
+        doc.linenos.append(lineno)
+        doc.records.append(record)
+    return doc
+
+
+def parse_document_file(path: str) -> ParsedDocument:
+    """Parse one PTdf file from disk into a :class:`ParsedDocument`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_document(fh, source=os.fspath(path))
+
+
+def parse_lines(lines: Iterable[str], source: str = "<string>") -> Iterator[Record]:
+    """Parse an iterable of PTdf lines, yielding records lazily."""
+    for _, record in _numbered_records(lines, source):
+        yield record
 
 
 def parse_string(text: str, source: str = "<string>") -> list[Record]:

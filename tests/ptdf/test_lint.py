@@ -212,3 +212,66 @@ def test_cli_load_accepts_clean_files(capsys):
 
     assert main(["load", corpus_path("clean.ptdf")]) == 0
     assert "1 results" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------------ PT004 across files
+
+
+@pytest.fixture()
+def retyped(tmp_path):
+    """``/m`` declared as a grid in one file and as an execution in another."""
+    a = tmp_path / "a.ptdf"
+    a.write_text("Resource /m grid\n")
+    same = tmp_path / "b.ptdf"
+    same.write_text("Resource /m grid\n")
+    c = tmp_path / "c.ptdf"
+    c.write_text("Application x\nResource /m execution\n")
+    return str(a), str(same), str(c)
+
+
+def test_type_change_across_files_is_pt004(retyped):
+    a, _, c = retyped
+    diags = lint_files([a, c])
+    (diag,) = by_code(diags, "PT004")
+    assert diag.severity == "error" and (diag.source, diag.line) == (c, 2)
+    assert f"{a}:1" in diag.message and "'grid'" in diag.message
+
+
+def test_same_type_across_files_stays_silent(retyped):
+    a, same, _ = retyped
+    assert lint_files([a, same]) == []
+
+
+def test_store_seeded_context_is_name_only(retyped):
+    a, _, c = retyped
+    store = PTDataStore()
+    store.load_file(a)
+    assert by_code(lint_file(c, context_from_store(store)), "PT004") == []
+    store.close()
+
+
+def test_parallel_gate_sees_type_change_across_files(retyped):
+    from repro.core.pload import load_files
+    from repro.ptdf.lint import PTdfLintError
+
+    a, _, c = retyped
+    store = PTDataStore()
+    with pytest.raises(PTdfLintError) as exc_info:
+        load_files(store, [a, c], workers=2, lint=True)
+    assert [d.line for d in by_code(exc_info.value.diagnostics, "PT004")] == [2]
+    assert store.count_rows("resource_item") == 0
+    store.close()
+
+
+def test_fold_declarations_matches_linting(retyped):
+    from repro.ptdf.lint import fold_declarations
+    from repro.ptdf.parser import parse_document_file
+
+    a, _, c = retyped
+    linted = LintContext()
+    lint_files([a, c], linted)
+    folded = LintContext()
+    for path in (a, c):
+        fold_declarations(folded, parse_document_file(path))
+    assert folded == linted
+    assert folded.resource_types["/m"] == ("grid", a, 1)

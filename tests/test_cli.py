@@ -90,6 +90,41 @@ class TestParallelShardedLoad:
         assert "lint errors" in capsys.readouterr().err
 
 
+class TestLoadParsesEverythingFirst:
+    """A parse error in any file writes nothing, with or without --force."""
+
+    @staticmethod
+    def _row_counts(db):
+        from repro.core.datastore import PTDataStore
+        from repro.core.schema import TABLE_NAMES
+
+        store = PTDataStore(database=db)
+        try:
+            return {t: store.count_rows(t) for t in TABLE_NAMES}
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("force", [True, False])
+    def test_unterminated_quote_in_second_file(self, tmp_path, capsys, force):
+        good = tmp_path / "a.ptdf"
+        good.write_text(
+            "Application IRS\nExecution run1 IRS\n"
+            "Resource /run1 execution run1\n"
+            'PerfResult run1 /run1(primary) t "CPU time" 1.5 seconds\n'
+        )
+        bad = tmp_path / "b.ptdf"
+        bad.write_text('Application "unterminated\n')
+        db = str(tmp_path / "s.json")
+        assert main(["init", "--db", db]) == 0
+        before = self._row_counts(db)
+        flags = ["--force"] if force else []
+        assert main(["load", *flags, "--db", db, str(good), str(bad)]) == 1
+        assert "unterminated quoted field" in capsys.readouterr().err
+        assert self._row_counts(db) == before
+        assert main(["load", "--db", db, str(good)]) == 0
+        assert self._row_counts(db)["performance_result"] == 1
+
+
 class TestLs:
     @pytest.mark.parametrize("what", ["applications", "metrics", "tools", "types"])
     def test_listings(self, study, capsys, what):
