@@ -22,6 +22,7 @@ hash-join build/probe activity) are flushed from the operator bodies.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Any, Iterator, Optional
 
 from ..obs.clock import now as _now
@@ -950,13 +951,18 @@ class LimitOp(Operator):
 
 
 class VecScan(Operator):
-    """Batch scan over a table's columnar segment store.
+    """Batch leaf over one access path.
 
     ``slots`` maps batch slot -> table column position (assigned by the
     :class:`~repro.minidb.vector.KernelCompiler`); only those columns are
-    decoded.  The segment snapshot is keyed to ``Table.data_version`` —
-    if the table mutates mid-scan the remaining rowids are served through
-    live row lookups, matching SeqScan's snapshot-the-keys semantics.
+    materialised.  A full scan reads the table's columnar segment store,
+    keyed to ``Table.data_version`` — if the table mutates mid-scan the
+    remaining rowids are served through live row lookups, matching
+    SeqScan's snapshot-the-keys semantics.  An index path (IndexEquality,
+    IndexRange, InProbe) is a *gather*: row ids come from the row scan's
+    own ``_rowids`` generator for that path, each live row is read once
+    from ``table.rows``, and ids whose row is gone are skipped exactly as
+    :class:`_ScanBase` skips them.
     """
 
     BATCHED = True
@@ -965,6 +971,8 @@ class VecScan(Operator):
         super().__init__()
         self.path = path
         self.slots = slots
+        # The row scan whose _rowids the gather reuses (None: segments).
+        self._probe = None if isinstance(path, FullScan) else scan_for_path(path)
 
     def clone(self) -> "Operator":
         return self._copy_plan_attrs(VecScan(self.path, self.slots))
@@ -978,12 +986,54 @@ class VecScan(Operator):
         )  # pragma: no cover
 
     def _produce_batches(self, ctx, parent):
+        if self._probe is not None:
+            return self._gather_batches(ctx, parent)
+        return self._segment_batches(ctx)
+
+    def _gather_batches(self, ctx, parent):
+        if _M.enabled:
+            self._probe._access_counter.inc()
+        table = ctx.db.table(self.path.table)
+        get = table.rows.get
+        getters = [itemgetter(pos) for pos in self.slots]
+        base = parent if parent is not None else ctx.outer
+        size = _vector.BATCH_SIZE
+        scanned = 0
+        gathered = 0
+        nbatches = 0
+        picked: list = []
+        ids: list = []
+        try:
+            for rowid in self._probe._rowids(ctx, table, base):
+                scanned += 1
+                row = get(rowid)
+                if row is None:
+                    continue
+                picked.append(row)
+                ids.append(rowid)
+                if len(picked) >= size:
+                    gathered += len(picked)
+                    nbatches += 1
+                    yield _gathered_batch(picked, ids, getters)
+                    picked = []
+                    ids = []
+            if picked:
+                gathered += len(picked)
+                nbatches += 1
+                yield _gathered_batch(picked, ids, getters)
+        finally:
+            _ROWS_SCANNED.add(scanned)
+            ctx.stats.rows_scanned += scanned
+            if _M.enabled:
+                _VEC_BATCHES.add(nbatches)
+                _VEC_ROWS.add(gathered)
+
+    def _segment_batches(self, ctx):
         if _M.enabled:
             _FULL_SCANS.inc()
         table = ctx.db.table(self.path.table)
         store = table.column_store()
         slots = self.slots
-        nslots = len(slots)
         scanned = 0
         nbatches = 0
         row_index = 0
@@ -1019,9 +1069,10 @@ class VecScan(Operator):
                         ids.append(rid)
                     if not picked:
                         continue
-                    n = len(picked)
-                    cols = [[row[pos] for row in picked] for pos in slots]
-                    batch = ColumnBatch(n, cols, ["o"] * nslots, ids)
+                    batch = _gathered_batch(
+                        picked, ids, [itemgetter(pos) for pos in slots]
+                    )
+                    n = batch.n
                 scanned += n
                 nbatches += 1
                 yield batch
@@ -1031,6 +1082,12 @@ class VecScan(Operator):
             if _M.enabled:
                 _VEC_BATCHES.add(nbatches)
                 _VEC_ROWS.add(scanned)
+
+
+def _gathered_batch(picked: list, ids: list, getters: list) -> ColumnBatch:
+    """Column vectors for gathered rows (kind ``'o'``: no type guarantee)."""
+    cols = [list(map(g, picked)) for g in getters]
+    return ColumnBatch(len(picked), cols, ["o"] * len(cols), ids)
 
 
 class VecFilter(Operator):

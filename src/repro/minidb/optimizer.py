@@ -57,6 +57,9 @@ from .planner import (
     BranchPlan,
     FullScan,
     HashJoin as HashJoinPath,
+    IndexEquality,
+    IndexRange as IndexRangePath,
+    InProbe as InProbePath,
     JoinNode,
     ScanNode,
     SelectPlan,
@@ -78,11 +81,12 @@ ENABLE_PUSHDOWN = True
 ENABLE_JOIN_REORDER = True
 ENABLE_TOPN = True
 
-# Batch-at-a-time lowering: full scans of tables at or above
-# VECTOR_MIN_ROWS rows execute over columnar segments when every needed
-# expression compiles to a vector kernel.  The threshold is a power of
-# two so crossing it lands on a plan-cache size-bucket boundary and
-# cached row plans are re-planned.
+# Batch-at-a-time lowering: single-table statements execute over column
+# batches when every needed expression compiles to a vector kernel.  Index
+# access paths always gather into batches; full scans do so only for
+# tables at or above VECTOR_MIN_ROWS rows (columnar segments).  The
+# threshold is a power of two so crossing it lands on a plan-cache
+# size-bucket boundary and cached row plans are re-planned.
 ENABLE_VECTORIZATION = True
 VECTOR_MIN_ROWS = 2048
 
@@ -509,7 +513,7 @@ def lower_select_plan(db, sp: SelectPlan) -> Operator:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized lowering: single-table full scans over columnar segments.
+# Vectorized lowering: single-table scans and index probes over batches.
 
 
 def _vector_order_spec(sp: SelectPlan, comp: KernelCompiler):
@@ -552,9 +556,10 @@ def _lower_vectorized(db, sp: SelectPlan) -> Optional[Operator]:
     expression does not vectorize (the row lowering then applies).
 
     Requirements: a single non-compound branch over one base-table scan
-    with at least VECTOR_MIN_ROWS rows whose access path is a full scan
-    (index paths already beat a columnar sweep), and every WHERE /
-    projection / grouping / ordering expression must compile to a kernel.
+    whose access path is an index path (gathered into batches) or a full
+    scan of at least VECTOR_MIN_ROWS rows (columnar segments), and every
+    WHERE / projection / grouping / ordering expression must compile to a
+    kernel.
     """
     if len(sp.branches) != 1:
         return None
@@ -564,8 +569,6 @@ def _lower_vectorized(db, sp: SelectPlan) -> Optional[Operator]:
         return None
     ref = node.ref
     table = db.table(ref.name)
-    if len(table.rows) < VECTOR_MIN_ROWS:
-        return None
     meta = table.meta
     push = split_conjuncts(branch.where)
     path = choose_access_path(
@@ -576,7 +579,10 @@ def _lower_vectorized(db, sp: SelectPlan) -> Optional[Operator]:
         known_binding=_known_binding_fn(set(), meta, ref.binding),
         table_size=len(table.rows),
     )
-    if not isinstance(path, FullScan):
+    if isinstance(path, FullScan):
+        if len(table.rows) < VECTOR_MIN_ROWS:
+            return None
+    elif not isinstance(path, (IndexEquality, IndexRangePath, InProbePath)):
         return None
 
     stmt = branch.select

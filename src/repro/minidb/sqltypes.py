@@ -149,10 +149,10 @@ def sort_key(value: Any) -> tuple[int, Any]:
     """Total-order key usable across mixed-type columns."""
     if value is None:
         return (0, 0)
-    if isinstance(value, bool):
-        return (1, float(value))
-    if isinstance(value, (int, float)):
-        return (1, float(value))
+    if isinstance(value, (bool, int, float)):
+        # Python compares and hashes int/float exactly (1 == 1.0, but
+        # 2**53 + 1 != 2**53), so numbers need no float() normalisation.
+        return (1, value)
     if isinstance(value, str):
         return (2, value)
     if isinstance(value, bytes):

@@ -15,7 +15,7 @@ Violations raise :class:`PlanVerificationError` with a stable code:
 PLN001    unresolvable column reference (unknown binding or column)
 PLN002    join/index key contract mismatch (arity, position, or affinity)
 PLN003    vectorized operator without a usable kernel (None kernel,
-          slot out of range, non-FullScan access path under VecScan)
+          slot out of range, hash-join access path under VecScan)
 PLN004    batch-vs-row protocol violation (a consumer wired to a child
           whose iteration protocol it cannot drain without an adapter)
 PLN005    TopN fused over a plan-time negative LIMIT (the heap degrades
@@ -420,11 +420,14 @@ class _TreeVerifier:
                 op,
             )
 
-    def _visit_scan(
-        self, op: Any, env: Dict[str, List[ColumnContract]]
-    ) -> Contract:
-        path = op.path
-        cols = self._table_columns(path.table, op)
+    def _check_index_path(
+        self,
+        op: Any,
+        path: Any,
+        cols: List[ColumnContract],
+        env: Dict[str, List[ColumnContract]],
+    ) -> None:
+        """PLN002 key arity/affinity checks shared by row and batch leaves."""
         if isinstance(path, IndexEquality):
             self._check_index_keys(op, cols, path.index.columns, path.key_exprs, env)
         elif isinstance(path, IndexRange):
@@ -460,7 +463,14 @@ class _TreeVerifier:
                 env,
                 prefix=True,
             )
-        elif isinstance(path, HashJoin):
+
+    def _visit_scan(
+        self, op: Any, env: Dict[str, List[ColumnContract]]
+    ) -> Contract:
+        path = op.path
+        cols = self._table_columns(path.table, op)
+        self._check_index_path(op, path, cols, env)
+        if isinstance(path, HashJoin):
             n = len(path.build_cols)
             if n == 0 or n != len(path.build_positions) or n != len(path.probe_exprs):
                 self._fail(
@@ -804,13 +814,14 @@ class _TreeVerifier:
     ) -> Contract:
         path = op.path
         cols = self._table_columns(path.table, op)
-        if not isinstance(path, FullScan):
+        if not isinstance(path, (FullScan, IndexEquality, IndexRange, InProbe)):
             self._fail(
                 "PLN003",
                 f"VecScan over a {type(path).__name__} access path "
-                f"(columnar segments only support full scans)",
+                f"(batches come from full scans and index paths only)",
                 op,
             )
+        self._check_index_path(op, path, cols, env)
         for position in op.slots:
             if not 0 <= position < len(cols):
                 self._fail(

@@ -154,3 +154,71 @@ def test_generated_where_clauses(column, op, value, order_col, limit):
     m.close()
     s.close()
     assert mine == theirs
+
+
+class TestIntegersBeyondFloatPrecision:
+    """Integers above 2**53 stay distinct, as in sqlite3; 1 and 1.0 still meet.
+
+    Every value-identity path — DISTINCT, ``=``, ``IN``, GROUP BY, ORDER BY
+    and join keys — runs on scans and on index probes, row and batched.
+    """
+
+    BIG = 2**53
+    BIG_ROWS = [
+        (1, BIG - 1),
+        (2, BIG),
+        (3, BIG + 1),
+        (4, BIG + 2),
+        (5, BIG + 1),
+        (6, -(BIG + 1)),
+        (7, -BIG),
+    ]
+    QUERIES = [
+        ("SELECT DISTINCT v FROM big", ()),
+        ("SELECT id FROM big WHERE v = ?", (BIG + 1,)),
+        ("SELECT id FROM big WHERE v IN (?, ?)", (BIG + 1, -BIG)),
+        ("SELECT id FROM big WHERE v > ?", (BIG,)),
+        ("SELECT v, COUNT(*) FROM big GROUP BY v", ()),
+        ("SELECT a.id, b.id FROM big a JOIN big b ON a.v = b.v", ()),
+        ("SELECT DISTINCT v FROM mixed", ()),
+        ("SELECT id FROM mixed WHERE v = ?", (1,)),
+        ("SELECT id FROM mixed WHERE v IN (?)", (1.0,)),
+    ]
+    ORDERED = [
+        "SELECT id, v FROM big ORDER BY v DESC, id",
+        "SELECT id, v FROM big ORDER BY v, id LIMIT 4",
+    ]
+
+    @pytest.fixture(params=["scan", "index"])
+    def pair(self, request, monkeypatch):
+        from repro.minidb import optimizer
+
+        monkeypatch.setattr(optimizer, "VECTOR_MIN_ROWS", 0)
+        m = minidb.connect()
+        s = sqlite3.connect(":memory:")
+        for conn in (m, s):
+            cur = conn.cursor()
+            cur.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, v INTEGER)")
+            cur.execute("CREATE TABLE mixed (id INTEGER PRIMARY KEY, v NUMERIC)")
+            if request.param == "index":
+                cur.execute("CREATE INDEX idx_big_v ON big (v)")
+                cur.execute("CREATE INDEX idx_mixed_v ON mixed (v)")
+            cur.executemany("INSERT INTO big VALUES (?, ?)", self.BIG_ROWS)
+            cur.executemany("INSERT INTO mixed VALUES (?, ?)", [(1, 1), (2, 1.0), (3, 2)])
+            conn.commit()
+        yield m, s
+        m.close()
+        s.close()
+
+    @pytest.mark.parametrize("vectorize", [True, False], ids=["batch", "row"])
+    def test_value_identity_agrees_with_sqlite(self, pair, monkeypatch, vectorize):
+        from repro.minidb import optimizer
+
+        monkeypatch.setattr(optimizer, "ENABLE_VECTORIZATION", vectorize)
+        m, s = pair
+        for sql, params in self.QUERIES:
+            mine = normalize(m.execute(sql, params).fetchall())
+            assert mine == normalize(s.execute(sql, params).fetchall()), sql
+        assert len(m.execute("SELECT DISTINCT v FROM big").fetchall()) == 6
+        for sql in self.ORDERED:
+            assert m.execute(sql).fetchall() == s.execute(sql).fetchall(), sql

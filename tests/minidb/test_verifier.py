@@ -86,41 +86,62 @@ def test_pln001_order_by_position_out_of_range(conn):
 # ------------------------------------------------------------------- PLN002
 
 
-def test_pln002_index_key_arity(conn):
-    p = plan_of(conn, "SELECT id FROM items WHERE cat = 3")
-    scan = find_op(p.root, ops._ScanBase)
-    scan.path.key_exprs = scan.path.key_exprs + [A.Literal(1)]
-    err = assert_pln("PLN002", p, conn.db)
-    assert "arity" in str(err)
+def find_key_leaf(root):
+    """The index-probe leaf of a plan: a row scan or a batch gather."""
+    try:
+        return find_op(root, ops._ScanBase)
+    except AssertionError:
+        return find_op(root, ops.VecScan)
 
 
-def test_pln002_index_key_affinity(conn):
+def key_leaf_plans(conn, monkeypatch, sql):
+    """*sql* planned batched and on the row plan, with each plan's key leaf."""
+    out = []
+    for vectorize in (True, False):
+        monkeypatch.setattr(optimizer, "ENABLE_VECTORIZATION", vectorize)
+        p = plan_of(conn, sql)
+        scan = find_key_leaf(p.root)
+        assert isinstance(scan, ops.VecScan) is vectorize
+        out.append((p, scan))
+    return out
+
+
+def test_pln002_index_key_arity(conn, monkeypatch):
+    for p, scan in key_leaf_plans(conn, monkeypatch, "SELECT id FROM items WHERE cat = 3"):
+        scan.path.key_exprs = scan.path.key_exprs + [A.Literal(1)]
+        err = assert_pln("PLN002", p, conn.db)
+        assert "arity" in str(err)
+
+
+def test_pln002_index_key_affinity(conn, monkeypatch):
     # idx_items_cat indexes an INTEGER column; probing it with a TEXT
     # key silently returns nothing at run time.
-    p = plan_of(conn, "SELECT id FROM items WHERE cat = 3")
-    scan = find_op(p.root, ops._ScanBase)
-    scan.path.key_exprs = [A.Literal("red")]
-    err = assert_pln("PLN002", p, conn.db)
-    assert "affinity" in str(err)
+    for p, scan in key_leaf_plans(conn, monkeypatch, "SELECT id FROM items WHERE cat = 3"):
+        scan.path.key_exprs = [A.Literal("red")]
+        err = assert_pln("PLN002", p, conn.db)
+        assert "affinity" in str(err)
 
 
-def test_pln002_hash_join_build_position(conn):
+def hash_join_plan(conn):
+    """A plan with a hash-join scan, and that scan."""
     p = plan_of(
         conn,
         "SELECT i.id, c.name FROM items i JOIN cats c ON c.name = i.color",
     )
-    hj = None
     stack = [p.root]
     while stack:
         op = stack.pop()
         if isinstance(op, ops._ScanBase) and hasattr(op.path, "build_cols"):
-            hj = op
-            break
+            return p, op
         for attr in ("child", "left", "right"):
             node = getattr(op, attr, None)
             if isinstance(node, ops.Operator):
                 stack.append(node)
-    assert hj is not None, "expected a hash-join scan in the plan"
+    raise AssertionError("expected a hash-join scan in the plan")
+
+
+def test_pln002_hash_join_build_position(conn):
+    p, hj = hash_join_plan(conn)
     hj.path.build_positions = [pos + 1 for pos in hj.path.build_positions]
     err = assert_pln("PLN002", p, conn.db)
     assert "position" in str(err)
@@ -152,13 +173,22 @@ def test_pln003_scan_slot_out_of_range(vec_conn):
     assert "slot" in str(err)
 
 
-def test_pln003_vec_scan_over_index_path(vec_conn):
+def test_pln003_vec_scan_over_hash_join_path(vec_conn):
     p = plan_of(vec_conn, "SELECT qty FROM items")
-    indexed = plan_of(vec_conn, "SELECT id FROM items WHERE cat = 3")
     vs = find_op(p.root, ops.VecScan)
-    vs.path = find_op(indexed.root, ops._ScanBase).path
+    vs.path = hash_join_plan(vec_conn)[1].path
     err = assert_pln("PLN003", p, vec_conn.db)
-    assert "full scans" in str(err)
+    assert "HashJoin" in str(err)
+
+
+def test_pln002_vec_scan_over_in_probe_key_affinity(conn):
+    # A batched IN-probe passes the same key checks as a row InProbe.
+    p = plan_of(conn, "SELECT id FROM items WHERE cat IN (1, 2)")
+    vs = find_op(p.root, ops.VecScan)
+    assert "IN-PROBE" in vs.describe()
+    vs.path.items = [A.Literal(1), A.Literal("red")]
+    err = assert_pln("PLN002", p, conn.db)
+    assert "affinity" in str(err)
 
 
 # ------------------------------------------------------------------- PLN004
