@@ -95,6 +95,13 @@ _FILTER_MATCHES = _M.counter("query.filter_matches", unit="resources")
 _FOCUS_RESOLVE_SECONDS = _M.histogram("query.focus_resolution_seconds")
 _CLOSURE_EXPANSIONS = _M.counter("query.closure_expansions")
 
+_CHUNK = 400  # ids per IN (?,…) list: under sqlite's default 999-parameter limit
+
+
+def _chunks(values: Sequence, size: int = _CHUNK):
+    for i in range(0, len(values), size):
+        yield values[i : i + size]
+
 
 class _CountingIter:
     """Wraps a record stream to count records as the loader consumes them."""
@@ -643,12 +650,23 @@ class PTDataStore:
         return res
 
     def resources_by_ids(self, ids: Iterable[int]) -> list[Resource]:
-        out = []
-        for rid in ids:
-            r = self.resource_by_id(rid)
-            if r is not None:
-                out.append(r)
-        return out
+        """Resources for *ids*, in order (unknown ids are skipped).
+
+        Ids missing from the resource cache are fetched together, one
+        ``WHERE r.id IN (…)`` statement per 400 ids.
+        """
+        ids = list(ids)
+        cache = self._resource_obj_cache
+        missing = sorted({rid for rid in ids if rid not in cache})
+        for chunk in _chunks(missing):
+            marks = ",".join("?" * len(chunk))
+            for row in self.backend.stream(  # noqa: PTL001 — '?' marks only
+                f"SELECT {self._RES_COLS} FROM {self._RES_FROM} "
+                f"WHERE r.id IN ({marks})",
+                chunk,
+            ):
+                cache[row[0]] = Resource(*row)
+        return [cache[rid] for rid in ids if rid in cache]
 
     def resources_of_type(self, type_path: str) -> list[Resource]:
         rows = self.backend.query(

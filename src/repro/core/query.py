@@ -24,14 +24,12 @@ from typing import TYPE_CHECKING
 from ..obs.clock import now as _now
 from ..obs.metrics import metrics as _M
 from ..obs.tracing import trace as _trace
-from .datastore import PTDataStore
+from .datastore import PTDataStore, _chunks
 from .filters import FamilySpec, PrFilter, ResourceFamily
 from .results import Context, PerformanceResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .shards import ShardedPTDataStore
-
-_CHUNK = 400  # stay under sqlite's default 999-parameter limit
 
 # Query-layer metrics (no-ops while the registry is disabled).
 _PRFILTER_EVALS = _M.counter("query.prfilter_evaluations")
@@ -46,11 +44,6 @@ _SHARD_SHORT_CIRCUITS = _M.counter("shard.short_circuits")
 _DESC_EXPANSIONS = _M.counter("shard.descendant_expansions")
 _EVAL_INDEX_BUILDS = _M.counter("shard.eval_index_builds")
 _EVAL_INDEX_BUILD_SECONDS = _M.histogram("shard.eval_index_build_seconds")
-
-
-def _chunks(values: Sequence, size: int = _CHUNK):
-    for i in range(0, len(values), size):
-        yield values[i : i + size]
 
 
 class QueryEngine:
@@ -280,20 +273,16 @@ class QueryEngine:
         specified = specified_ids or set()
         per_type_names: dict[str, set[str]] = {}
         per_type_per_result: dict[str, list[set[str]]] = {}
-        resource_cache: dict[int, tuple[str, str]] = {}  # id -> (name, type)
+        # One chunked lookup for every context resource, not one each.
+        wanted = {rid for pr in results for rid in pr.resource_ids} - specified
+        resources = {r.id: r for r in self.store.resources_by_ids(wanted)}
         for pr in results:
             seen_types: dict[str, set[str]] = {}
             for rid in pr.resource_ids:
-                if rid in specified:
+                res = resources.get(rid)
+                if res is None:
                     continue
-                info = resource_cache.get(rid)
-                if info is None:
-                    res = self.store.resource_by_id(rid)
-                    if res is None:
-                        continue
-                    info = (res.name, res.type_name)
-                    resource_cache[rid] = info
-                name, type_name = info
+                name, type_name = res.name, res.type_name
                 seen_types.setdefault(type_name, set()).add(name)
                 per_type_names.setdefault(type_name, set()).add(name)
             for t, names in seen_types.items():
@@ -314,12 +303,11 @@ class QueryEngine:
         self, result: PerformanceResult, type_name: str
     ) -> list[str]:
         """Names of a result's context resources having *type_name* (cell value)."""
-        names = []
-        for rid in sorted(result.resource_ids):
-            res = self.store.resource_by_id(rid)
-            if res is not None and res.type_name == type_name:
-                names.append(res.name)
-        return names
+        return [
+            res.name
+            for res in self.store.resources_by_ids(sorted(result.resource_ids))
+            if res.type_name == type_name
+        ]
 
 
 class ShardEvalIndex:

@@ -64,16 +64,13 @@ class Backend:
 
         Both minidb and sqlite3 cursors stream rows on demand, so an
         abandoned iteration (e.g. an existence probe) never pays for the
-        rows it does not consume.  The cursor is closed when iteration
-        ends or the generator is discarded.
+        rows it does not consume.  Rows come from the cursor's own
+        iterator, not one ``fetchone`` call each.  The cursor is closed
+        when iteration ends or the generator is discarded.
         """
         cur = self.execute(sql, params)
         try:
-            while True:
-                row = cur.fetchone()
-                if row is None:
-                    return
-                yield row
+            yield from cur
         finally:
             cur.close()
 

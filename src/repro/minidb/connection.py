@@ -783,11 +783,30 @@ class Cursor:
         return out
 
     def __iter__(self) -> Iterator[tuple]:
+        conn = self.connection
         while True:
-            row = self.fetchone()
-            if row is None:
-                return
-            yield row
+            batch = self._batch
+            bpos = self._bpos
+            if bpos >= len(batch) or self._pos < len(self._rows) or self._pending:
+                row = self.fetchone()
+                if row is None:
+                    return
+                yield row
+                continue
+            # Serve the rest of the current batch without a fetchone call
+            # per row; the closed-cursor (SES004) and read-view (SES003)
+            # checks stay per row.
+            epoch = self._epoch
+            while bpos < len(batch):
+                if self._closed or conn._closed:
+                    self._check_open()
+                if epoch is not None and epoch != conn._txn_epoch:
+                    self._check_snapshot()
+                self._bpos = bpos + 1
+                yield batch[bpos]
+                if self._batch is not batch:
+                    break  # the cursor was re-executed or drained meanwhile
+                bpos = self._bpos
 
     # -- misc ----------------------------------------------------------------------------
 

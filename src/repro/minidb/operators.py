@@ -321,6 +321,16 @@ class SeqScan(_ScanBase):
         return iter(list(table.rows.keys()))
 
 
+def index_lookup(ctx: ExecContext, path):
+    """The exact-key probe of *path*'s index: ``lookup(key) -> row ids``.
+
+    Plans cache live Index objects; snapshot reads resolve them to the
+    pinned version's frozen copy (identity on a live database).  Shared
+    by :class:`IndexLookup` and :class:`VecIndexJoin`.
+    """
+    return ctx.db.index_state(path.index).lookup
+
+
 class IndexLookup(_ScanBase):
     """Exact-key probe of one index (equality on all index columns)."""
 
@@ -329,9 +339,7 @@ class IndexLookup(_ScanBase):
     def _rowids(self, ctx, table, eval_scope):
         ev = ctx.evaluator
         key = tuple(ev.evaluate(e, eval_scope) for e in self.path.key_exprs)
-        # Plans cache live Index objects; snapshot reads resolve them to
-        # the pinned version's frozen copy (identity on a live database).
-        return iter(ctx.db.index_state(self.path.index).lookup(key))
+        return iter(index_lookup(ctx, self.path)(key))
 
 
 class IndexRange(_ScanBase):
@@ -953,9 +961,10 @@ class LimitOp(Operator):
 class VecScan(Operator):
     """Batch leaf over one access path.
 
-    ``slots`` maps batch slot -> table column position (assigned by the
-    :class:`~repro.minidb.vector.KernelCompiler`); only those columns are
-    materialised.  A full scan reads the table's columnar segment store,
+    ``slots`` maps batch slot -> table column position (the
+    :class:`~repro.minidb.vector.KernelCompiler`'s block for the leading
+    table); only those columns are materialised.  A full scan reads the
+    table's columnar segment store,
     keyed to ``Table.data_version`` — if the table mutates mid-scan the
     remaining rowids are served through live row lookups, matching
     SeqScan's snapshot-the-keys semantics.  An index path (IndexEquality,
@@ -1133,6 +1142,112 @@ class VecFilter(Operator):
                 [b.rowids[i] for i in sel] if b.rowids is not None else None
             )
             yield ColumnBatch(len(sel), cols, b.kinds, rowids)
+
+
+class VecIndexJoin(Operator):
+    """INNER join of a column batch with one table through an index.
+
+    The batch counterpart of :class:`NestedLoopJoin` over an
+    :class:`IndexLookup` inner side.  For each outer batch the key
+    kernels are evaluated once, the inner index is probed once per
+    distinct key (through :func:`index_lookup`, the row probe's own
+    lookup), ids whose row is gone are skipped as :class:`_ScanBase`
+    skips them, and one row is emitted per (outer row, inner match) in
+    outer order, then index order — the order the nested loop emits.
+    ``slots`` are the inner table's column positions, appended after the
+    outer batch's slots.  The access path only pre-filters: the optimizer
+    re-checks the ON condition with a :class:`VecFilter` over the merged
+    batch, so NULL keys behave exactly as on the row plan.
+
+    ``minidb.rows.scanned`` counts every (outer row, index match) pair,
+    as the row plan's per-outer-row probe does; ``index_lookups`` counts
+    the distinct-key probes actually made; ``minidb.vector.rows`` and
+    ``batches`` count the joined rows and batches emitted.
+    """
+
+    BATCHED = True
+
+    def __init__(self, path, slots, key_kernels, child) -> None:
+        super().__init__()
+        self.path = path
+        self.slots = slots
+        self.key_kernels = key_kernels
+        self.child = child
+
+    def children(self) -> tuple:
+        return (self.child,)
+
+    def clone(self):
+        return self._copy_plan_attrs(
+            VecIndexJoin(self.path, self.slots, self.key_kernels, self.child.clone())
+        )
+
+    def describe(self) -> str:
+        return f"INDEX JOIN (INNER) {self.path.describe()} [batched]"
+
+    def _produce(self, ctx, parent):
+        raise ProgrammingError(
+            "VecIndexJoin is batch-only; use the batch interface"
+        )  # pragma: no cover
+
+    def _produce_batches(self, ctx, parent):
+        ev = ctx.evaluator
+        lookup = index_lookup(ctx, self.path)
+        get = ctx.db.table(self.path.table).rows.get
+        getters = [itemgetter(pos) for pos in self.slots]
+        kfns = [k.fn for k in self.key_kernels]
+        size = _vector.BATCH_SIZE
+        scanned = 0
+        probes = 0
+        gathered = 0
+        nbatches = 0
+        try:
+            for b in self.child.batches(ctx, parent):
+                # key -> (ids probed, live inner rows), one probe per key.
+                hits: dict = {}
+                sel: list = []
+                picked: list = []
+                one_each = True
+                for i, key in enumerate(zip(*[kf(b, ev) for kf in kfns])):
+                    hit = hits.get(key)
+                    if hit is None:
+                        ids = lookup(key)
+                        hit = (len(ids), [r for r in map(get, ids) if r is not None])
+                        hits[key] = hit
+                        probes += 1
+                    scanned += hit[0]
+                    if len(hit[1]) != 1:
+                        one_each = False
+                    for row in hit[1]:
+                        sel.append(i)
+                        picked.append(row)
+                if not picked:
+                    continue
+                if one_each:
+                    # Every outer row matched once: reuse its columns.
+                    outer = b.columns
+                else:
+                    outer = [[col[i] for i in sel] for col in b.columns]
+                cols = outer + [list(map(g, picked)) for g in getters]
+                kinds = b.kinds + ["o"] * len(getters)
+                n = len(picked)
+                gathered += n
+                if n <= size:
+                    nbatches += 1
+                    yield ColumnBatch(n, cols, kinds)
+                    continue
+                for a in range(0, n, size):
+                    nbatches += 1
+                    yield ColumnBatch(
+                        min(size, n - a), [col[a : a + size] for col in cols], kinds
+                    )
+        finally:
+            _ROWS_SCANNED.add(scanned)
+            ctx.stats.rows_scanned += scanned
+            if _M.enabled:
+                _INDEX_LOOKUPS.add(probes)
+                _VEC_BATCHES.add(nbatches)
+                _VEC_ROWS.add(gathered)
 
 
 class _VecRowOp(Operator):

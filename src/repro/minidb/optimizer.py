@@ -46,6 +46,7 @@ from .operators import (
     VecAggregate,
     VecDistinct,
     VecFilter,
+    VecIndexJoin,
     VecLimit,
     VecProject,
     VecScan,
@@ -81,12 +82,13 @@ ENABLE_PUSHDOWN = True
 ENABLE_JOIN_REORDER = True
 ENABLE_TOPN = True
 
-# Batch-at-a-time lowering: single-table statements execute over column
-# batches when every needed expression compiles to a vector kernel.  Index
-# access paths always gather into batches; full scans do so only for
-# tables at or above VECTOR_MIN_ROWS rows (columnar segments).  The
-# threshold is a power of two so crossing it lands on a plan-cache
-# size-bucket boundary and cached row plans are re-planned.
+# Batch-at-a-time lowering: single-table statements and INNER index-join
+# chains execute over column batches when every needed expression compiles
+# to a vector kernel.  Index access paths always gather into batches; full
+# scans do so only for single tables at or above VECTOR_MIN_ROWS rows
+# (columnar segments).  The threshold is a power of two so crossing it
+# lands on a plan-cache size-bucket boundary and cached row plans are
+# re-planned.
 ENABLE_VECTORIZATION = True
 VECTOR_MIN_ROWS = 2048
 
@@ -393,23 +395,28 @@ def _node_schemas(db, node) -> list[tuple[str, list[str]]]:
     raise ProgrammingError(f"unknown logical node {node!r}")
 
 
+def _scan_path(db, node: ScanNode, push: list, bound: list[str]):
+    """The access path of one base-table scan, given the conjuncts pushed
+    to it and the bindings already bound to its left (shared by both
+    lowerings, so a batched plan probes exactly as the row plan would)."""
+    ref = node.ref
+    table = db.table(ref.name)
+    meta = table.meta
+    return choose_access_path(
+        db.indexes_on(meta.name),
+        meta,
+        ref.binding,
+        push if ENABLE_PUSHDOWN else [],
+        known_binding=_known_binding_fn(set(bound), meta, ref.binding),
+        table_size=len(table.rows),
+    )
+
+
 def _lower_source(db, node, push: list, bound: list[str]) -> Operator:
     if node is None:
         return ConstantRow()
     if isinstance(node, ScanNode):
-        ref = node.ref
-        table = db.table(ref.name)
-        meta = table.meta
-        conjuncts = push if ENABLE_PUSHDOWN else []
-        path = choose_access_path(
-            db.indexes_on(meta.name),
-            meta,
-            ref.binding,
-            conjuncts,
-            known_binding=_known_binding_fn(set(bound), meta, ref.binding),
-            table_size=len(table.rows),
-        )
-        op = scan_for_path(path)
+        op = scan_for_path(_scan_path(db, node, push, bound))
         op.est_rows = node.est_rows
         return op
     if isinstance(node, SubqueryNode):
@@ -513,7 +520,7 @@ def lower_select_plan(db, sp: SelectPlan) -> Operator:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized lowering: single-table scans and index probes over batches.
+# Vectorized lowering: scans, index probes and index-join chains over batches.
 
 
 def _vector_order_spec(sp: SelectPlan, comp: KernelCompiler):
@@ -551,42 +558,99 @@ def _vector_order_spec(sp: SelectPlan, comp: KernelCompiler):
     return spec
 
 
+def _index_join_chain(db, branch: BranchPlan) -> Optional[list]:
+    """The branch's source as ``[(scan node, access path, join node)]``
+    in join order (the leading scan's join node is None), or None when it
+    cannot feed batches.
+
+    A single base-table scan qualifies with an index path, or with a full
+    scan of at least VECTOR_MIN_ROWS rows (columnar segments).  A
+    left-deep chain of INNER joins over base tables qualifies when its
+    leading scan gathers through an index path and every inner side is
+    an IndexEquality probe — each path chosen exactly as
+    :func:`_lower_source` chooses it — and the branch does not aggregate.
+    """
+    joins = []
+    node = branch.source
+    while isinstance(node, JoinNode):
+        if node.kind != "INNER" or not isinstance(node.right, ScanNode):
+            return None
+        joins.append(node)
+        node = node.left
+    if not isinstance(node, ScanNode):
+        return None
+    joins.reverse()
+    push = split_conjuncts(branch.where)
+    path = _scan_path(db, node, push, [])
+    if isinstance(path, FullScan):
+        if joins or len(db.table(node.ref.name).rows) < VECTOR_MIN_ROWS:
+            return None
+    elif not isinstance(path, (IndexEquality, IndexRangePath, InProbePath)):
+        return None
+    if joins and branch.aggregate:
+        return None
+    chain = [(node, path, None)]
+    bound = [node.ref.binding]
+    for join in joins:
+        right_push = list(split_conjuncts(join.condition)) + push
+        path = _scan_path(db, join.right, right_push, bound)
+        if not isinstance(path, IndexEquality):
+            return None
+        chain.append((join.right, path, join))
+        bound.append(join.right.ref.binding)
+    return chain
+
+
 def _lower_vectorized(db, sp: SelectPlan) -> Optional[Operator]:
     """Batch-at-a-time operator tree, or None when the shape or an
     expression does not vectorize (the row lowering then applies).
 
-    Requirements: a single non-compound branch over one base-table scan
-    whose access path is an index path (gathered into batches) or a full
-    scan of at least VECTOR_MIN_ROWS rows (columnar segments), and every
-    WHERE / projection / grouping / ordering expression must compile to a
-    kernel.
+    Requirements: a single non-compound branch whose source
+    :func:`_index_join_chain` accepts, and every key, ON, WHERE,
+    projection, grouping and ordering expression must compile to a
+    kernel.  A join chain compiles twice: the first pass finds the
+    columns every expression reads, the second compiles against slots
+    laid out table by table (the scan decodes the first block, each
+    index join appends its own).
     """
     if len(sp.branches) != 1:
         return None
     branch = sp.branches[0]
-    node = branch.source
-    if not isinstance(node, ScanNode):
+    chain = _index_join_chain(db, branch)
+    if chain is None:
         return None
-    ref = node.ref
-    table = db.table(ref.name)
-    meta = table.meta
-    push = split_conjuncts(branch.where)
-    path = choose_access_path(
-        db.indexes_on(meta.name),
-        meta,
-        ref.binding,
-        push if ENABLE_PUSHDOWN else [],
-        known_binding=_known_binding_fn(set(), meta, ref.binding),
-        table_size=len(table.rows),
+    comp = KernelCompiler(
+        [(db.table(node.ref.name).meta, node.ref.binding) for node, *_rest in chain]
     )
-    if isinstance(path, FullScan):
-        if len(table.rows) < VECTOR_MIN_ROWS:
-            return None
-    elif not isinstance(path, (IndexEquality, IndexRangePath, InProbePath)):
-        return None
+    root = _vector_tree(db, sp, branch, chain, comp)
+    if root is None or len(chain) == 1:
+        return root
+    return _vector_tree(db, sp, branch, chain, comp.laid_out())
 
+
+def _vector_tree(
+    db, sp: SelectPlan, branch: BranchPlan, chain: list, comp: KernelCompiler
+) -> Optional[Operator]:
+    """The batch operator tree over *chain*, compiled with *comp*; None
+    when an expression does not compile."""
     stmt = branch.select
-    comp = KernelCompiler(meta, ref.binding)
+    # Join i's key kernels see its outer side (tables < i); its ON
+    # condition also sees the inner table.
+    joins = []
+    for i, (_node, path, join) in enumerate(chain[1:], start=1):
+        condition = join.condition
+        keys = []
+        for e in path.key_exprs:
+            k = comp.scoped(i).compile(e)
+            if k is None:
+                return None
+            keys.append(k)
+        on_kernel = None
+        if condition is not None and not _is_const_true(condition):
+            on_kernel = comp.scoped(i + 1).compile(condition)
+            if on_kernel is None:
+                return None
+        joins.append((keys, on_kernel))
     where_kernel = None
     if branch.where is not None and not _is_const_true(branch.where):
         where_kernel = comp.compile(branch.where)
@@ -596,9 +660,17 @@ def _lower_vectorized(db, sp: SelectPlan) -> Optional[Operator]:
 
     def scan_and_filter() -> Operator:
         # Built last: every kernel must be compiled first so the slot
-        # list handed to VecScan is final.
-        child: Operator = VecScan(path, comp.slots)
+        # blocks handed to the scan and the joins are final.
+        node, path, _join = chain[0]
+        child: Operator = VecScan(path, comp.block(0))
         child.est_rows = node.est_rows
+        for i, (keys, on_kernel) in enumerate(joins, start=1):
+            _node, jpath, join = chain[i]
+            child = VecIndexJoin(jpath, comp.block(i), keys, child)
+            child.est_rows = join.est_rows
+            if on_kernel is not None:
+                child = VecFilter(join.condition, on_kernel, child)
+                child.est_rows = join.est_rows
         if where_kernel is not None:
             flt = VecFilter(branch.where, where_kernel, child)
             flt.est_rows = branch.est_rows if not branch.aggregate else None
@@ -606,6 +678,7 @@ def _lower_vectorized(db, sp: SelectPlan) -> Optional[Operator]:
         return child
 
     if branch.aggregate:
+        meta, binding = comp.tables[0]
         calls = aggregate_calls(stmt)
         key_kernels = []
         for e in stmt.group_by:
@@ -625,7 +698,7 @@ def _lower_vectorized(db, sp: SelectPlan) -> Optional[Operator]:
             arg_kernels[id(c)] = k
         # HAVING and the projection run through the row evaluator against
         # a representative scope, so every table column must be decoded.
-        row_slots = [comp.slot_for(i) for i in range(len(meta.columns))]
+        row_slots = [comp.slot_for(0, i) for i in range(len(meta.columns))]
         op: Operator = VecAggregate(
             stmt,
             calls,
@@ -634,7 +707,7 @@ def _lower_vectorized(db, sp: SelectPlan) -> Optional[Operator]:
             scan_and_filter(),
             key_kernels,
             arg_kernels,
-            ref.binding,
+            binding,
             meta.column_names,
             row_slots,
         )
@@ -648,7 +721,7 @@ def _lower_vectorized(db, sp: SelectPlan) -> Optional[Operator]:
     for entry in cols:
         if entry[0] == "star":
             for cname in entry[2]:
-                k = comp.column_kernel(cname)
+                k = comp.column_kernel(entry[1], cname)
                 if k is None:
                     return None
                 proj_kernels.append(k)

@@ -21,7 +21,9 @@ Truth values are unaffected (three-valued logic is preserved exactly).
 
 from __future__ import annotations
 
+import copy
 import operator as _operator
+from operator import itemgetter
 from typing import Any, Callable, List, Optional
 
 from . import ast_nodes as ast
@@ -144,39 +146,79 @@ _FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 class KernelCompiler:
-    """Compiles expressions over one table binding into batch kernels.
+    """Compiles expressions over one or more table bindings into batch kernels.
 
-    The compiler assigns a **slot** to every table column an expression
-    touches; ``slots`` (slot index -> table column position) tells the
-    scan which columns to materialise into each :class:`ColumnBatch`.
-    ``compile`` returns ``None`` for anything it cannot vectorize — the
-    caller then abandons the vectorized plan entirely.
+    ``tables`` lists the ``(meta, binding)`` pairs a batch carries, in
+    join order.  The compiler assigns a **slot** to every table column an
+    expression touches; ``slots[i]`` is the ``(table, column position)``
+    pair behind batch slot *i*, and :meth:`block` lists one table's
+    positions for the operator that decodes them (the scan for table 0,
+    each index join for its inner table).  ``compile`` returns ``None``
+    for anything it cannot vectorize — the caller then abandons the
+    vectorized plan entirely.
+
+    :meth:`scoped` gives a view that sees only the first *n* tables (an
+    ON condition sees the tables joined so far, a join key its outer
+    side); a view shares the slot registry with its parent.
     """
 
-    def __init__(self, meta, binding: Optional[str] = None) -> None:
-        self.meta = meta
-        self.binding = (binding or meta.name).lower()
-        self._slot_of: dict[int, int] = {}
-        self.slots: List[int] = []
+    def __init__(self, tables: list) -> None:
+        self.tables = [(meta, (binding or meta.name).lower()) for meta, binding in tables]
+        self.visible = len(self.tables)
+        self._slot_of: dict[tuple[int, int], int] = {}
+        self.slots: List[tuple[int, int]] = []
 
-    def slot_for(self, position: int) -> int:
-        """Slot carrying table column *position*, registering on demand."""
-        slot = self._slot_of.get(position)
+    def scoped(self, ntables: int) -> "KernelCompiler":
+        """A view resolving names against the first *ntables* tables only."""
+        view = copy.copy(self)  # shares _slot_of and slots
+        view.visible = ntables
+        return view
+
+    def laid_out(self) -> "KernelCompiler":
+        """A fresh compiler with this one's slots pre-registered table by
+        table, so every table's block is contiguous and in join order.
+        Recompiling the same expressions against it registers no new
+        slots."""
+        fresh = KernelCompiler(self.tables)
+        for table, position in sorted(self.slots, key=itemgetter(0)):
+            fresh.slot_for(table, position)
+        return fresh
+
+    def block(self, table: int) -> List[int]:
+        """Column positions of *table*'s slots, in slot order."""
+        return [pos for t, pos in self.slots if t == table]
+
+    def slot_for(self, table: int, position: int) -> int:
+        """Slot carrying *table*'s column *position*, registering on demand."""
+        key = (table, position)
+        slot = self._slot_of.get(key)
         if slot is None:
             slot = len(self.slots)
-            self._slot_of[position] = slot
-            self.slots.append(position)
+            self._slot_of[key] = slot
+            self.slots.append(key)
         return slot
 
-    def column(self, name: str) -> Optional[int]:
+    def column(self, table: Optional[str], name: str) -> Optional[int]:
+        """Slot of a column reference, or None when it does not resolve
+        to exactly one visible table (an outer-scope or ambiguous name:
+        the row plan resolves or rejects it)."""
         lname = name.lower()
-        if not self.meta.has_column(lname):
-            return None
-        return self.slot_for(self.meta.column_index(lname))
+        visible = self.tables[: self.visible]
+        if table is not None:
+            ltable = table.lower()
+            hits = [i for i, (_m, b) in enumerate(visible) if b == ltable]
+            if len(hits) != 1 or not visible[hits[0]][0].has_column(lname):
+                return None
+        else:
+            hits = [i for i, (m, _b) in enumerate(visible) if m.has_column(lname)]
+            if len(hits) != 1:
+                return None
+        meta = visible[hits[0]][0]
+        return self.slot_for(hits[0], meta.column_index(lname))
 
-    def column_kernel(self, name: str) -> Optional[_Kernel]:
+    def column_kernel(self, binding: str, name: str) -> Optional[_Kernel]:
         """Kernel reading one bare table column (star expansion)."""
-        slot = self.column(name)
+        slot = self.column(binding, name)
         if slot is None:
             return None
 
@@ -201,9 +243,7 @@ class KernelCompiler:
     # -- node compilers ------------------------------------------------------
 
     def _c_ColumnRef(self, expr: ast.ColumnRef) -> Optional[_Kernel]:
-        if expr.table is not None and expr.table.lower() != self.binding:
-            return None
-        slot = self.column(expr.name)
+        slot = self.column(expr.table, expr.name)
         if slot is None:
             return None
 
@@ -301,13 +341,20 @@ class KernelCompiler:
 
             return _Kernel(fn)
         lf, rf = lk.fn, rk.fn
+        raw = _RAW_CMP[op]
 
         def fn(b, ev):
             out = []
             append = out.append
             for a, c in zip(lf(b, ev), rf(b, ev)):
-                r = compare(a, c)
-                append(None if r is None else cmpc(r))
+                # Two ints or two strs: the raw operator orders them
+                # exactly as compare() does (join keys are mostly these).
+                t = type(a)
+                if t is type(c) and (t is int or t is str):
+                    append(raw(a, c))
+                else:
+                    r = compare(a, c)
+                    append(None if r is None else cmpc(r))
             return out
 
         return _Kernel(fn)

@@ -15,7 +15,8 @@ Violations raise :class:`PlanVerificationError` with a stable code:
 PLN001    unresolvable column reference (unknown binding or column)
 PLN002    join/index key contract mismatch (arity, position, or affinity)
 PLN003    vectorized operator without a usable kernel (None kernel,
-          slot out of range, hash-join access path under VecScan)
+          slot out of range, hash-join access path under VecScan, a
+          non-equality inner path under VecIndexJoin)
 PLN004    batch-vs-row protocol violation (a consumer wired to a child
           whose iteration protocol it cannot drain without an adapter)
 PLN005    TopN fused over a plan-time negative LIMIT (the heap degrades
@@ -536,6 +537,8 @@ class _TreeVerifier:
             return self._visit_limit(op, env)
         if isinstance(op, ops.VecScan):
             return self._visit_vec_scan(op, env)
+        if isinstance(op, ops.VecIndexJoin):
+            return self._visit_vec_index_join(op, env)
         if isinstance(op, ops.VecFilter):
             return self._visit_vec_filter(op, env)
         if isinstance(op, ops.VecProject):
@@ -834,6 +837,48 @@ class _TreeVerifier:
             protocol=COLUMN_BATCH,
             bindings={path.binding.lower(): cols},
             nslots=len(op.slots),
+        )
+
+    def _visit_vec_index_join(
+        self, op: Any, env: Dict[str, List[ColumnContract]]
+    ) -> Contract:
+        child = self.visit(op.child, env)
+        self._require(child, (COLUMN_BATCH,), op)
+        path = op.path
+        if not isinstance(path, IndexEquality):
+            self._fail(
+                "PLN003",
+                f"VecIndexJoin over a {type(path).__name__} access path "
+                f"(batched joins probe IndexEquality paths only)",
+                op,
+            )
+        cols = self._table_columns(path.table, op)
+        outer = dict(env)
+        outer.update(child.bindings)
+        self._check_index_path(op, path, cols, outer)
+        if len(op.key_kernels) != len(path.key_exprs):
+            self._fail(
+                "PLN002",
+                f"join key arity mismatch: {len(op.key_kernels)} key kernels "
+                f"for {len(path.key_exprs)} key exprs",
+                op,
+            )
+        for i, kernel in enumerate(op.key_kernels):
+            self._check_kernel(op, kernel, child.nslots, f"join key kernel {i}")
+        for position in op.slots:
+            if not 0 <= position < len(cols):
+                self._fail(
+                    "PLN003",
+                    f"VecIndexJoin slot decodes column position {position} but "
+                    f"the table has {len(cols)} columns",
+                    op,
+                )
+        bindings = dict(child.bindings)
+        bindings[path.binding.lower()] = cols
+        return Contract(
+            protocol=COLUMN_BATCH,
+            bindings=bindings,
+            nslots=child.nslots + len(op.slots),
         )
 
     def _visit_vec_filter(

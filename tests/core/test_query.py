@@ -120,3 +120,84 @@ class TestByTypeQueries:
         qe = QueryEngine(tiny_store)
         results = qe.fetch(PrFilter([ByType("grid/machine")]))
         assert [r.metric for r in results] == ["Total power"]
+
+
+class TestFreeResourcesBatchedLookup:
+    """free_resources fetches context resources with chunked IN lookups."""
+
+    @staticmethod
+    def _stores():
+        from repro.core import PTDataStore
+        from repro.core.shards import ShardedPTDataStore
+        from repro.ptdf import parse_string
+        from tests.core.test_sharded_load import _corpus_writer
+
+        text = _corpus_writer(execs=range(110), procs=4).render()
+        stores = {}
+        for kind in ("minidb", "sqlite"):
+            store = PTDataStore(backend_kind=kind)
+            store.load_string(text)
+            stores[kind] = (store, QueryEngine(store))
+        sharded = ShardedPTDataStore(n_shards=2)
+        sharded.load_records(parse_string(text))
+        stores["sharded"] = (sharded, sharded.query_engine())
+        return stores
+
+    @staticmethod
+    def _per_id_reference(store, results):
+        """The free-resource rule evaluated with one lookup per id."""
+        per_type: dict = {}
+        per_result: dict = {}
+        for pr in results:
+            seen: dict = {}
+            for rid in pr.resource_ids:
+                res = store.resource_by_id(rid)
+                seen.setdefault(res.type_name, set()).add(res.name)
+                per_type.setdefault(res.type_name, set()).add(res.name)
+            for t, names in seen.items():
+                per_result.setdefault(t, []).append(names)
+        return {
+            t: sorted(names)
+            for t, names in per_type.items()
+            if not (len(per_result[t]) == len(results) and len(names) == 1)
+        }
+
+    def test_same_output_on_every_store(self):
+        stores = self._stores()
+        outputs = {}
+        for kind, (store, qe) in stores.items():
+            results = qe.fetch(PrFilter([ByName("/LLNL/BGL", Expansion.DESCENDANTS)]))
+            assert results
+            outputs[kind] = qe.free_resources(results)
+            store._resource_obj_cache.clear()
+            assert outputs[kind] == self._per_id_reference(store, results), kind
+        assert outputs["minidb"] == outputs["sqlite"] == outputs["sharded"]
+        assert "execution/process" in outputs["minidb"]
+
+    def test_statements_per_call_bounded_by_chunks(self):
+        for kind, (store, qe) in self._stores().items():
+            results = qe.fetch(PrFilter([ByName("/LLNL/BGL", Expansion.DESCENDANTS)]))
+            fam = store.resolve_filter(ByName("/IRS/src/funcA", Expansion.NONE))
+            specified = set(fam.resource_ids)
+            missing = {r for pr in results for r in pr.resource_ids} - specified
+            assert len(missing) > 400  # more than one chunk
+            backend = store.backend
+            calls = []
+            real_execute = backend.execute
+
+            def counting_execute(sql, params=(), _real=real_execute):
+                calls.append(sql)
+                return _real(sql, params)
+
+            backend.execute = counting_execute
+            try:
+                store._resource_obj_cache.clear()
+                first = qe.free_resources(results, specified_ids=specified)
+                cold = len(calls)
+                second = qe.free_resources(results, specified_ids=specified)
+            finally:
+                del backend.execute
+            assert 1 <= cold <= -(-len(missing) // 400), (kind, cold)
+            assert len(calls) == cold, kind  # warm cache: no statements
+            assert first == second
+            assert first["build/module/function"] == ["/IRS/src/funcB"]  # funcA specified

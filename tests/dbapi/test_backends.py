@@ -93,3 +93,81 @@ class TestErrorNormalisation:
         for sql in ("INSERT INTO t (v) VALUES ('a')", "SELECT * FROM nope", "SELEKT"):
             with pytest.raises(DatabaseError):
                 backend.execute(sql)
+
+
+class TestStream:
+    """Backend.stream iterates the cursor itself, lazily, on both engines."""
+
+    @pytest.fixture(autouse=True)
+    def _table(self, backend):
+        backend.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        backend.executemany(
+            "INSERT INTO t (v) VALUES (?)", [(f"v{i}",) for i in range(20)]
+        )
+
+    def test_streams_every_row_in_order(self, backend, monkeypatch):
+        from repro.minidb import vector
+
+        monkeypatch.setattr(vector, "BATCH_SIZE", 3)
+        sql = "SELECT id, v FROM t WHERE id IN (2, 3, 5, 7, 11, 13, 17, 19)"
+        assert list(backend.stream(sql)) == backend.query(sql)
+        assert list(backend.stream("SELECT v FROM t ORDER BY id")) == [
+            (f"v{i}",) for i in range(20)
+        ]
+
+    def test_abandoned_stream_stays_lazy(self, backend):
+        rows = backend.stream("SELECT id FROM t ORDER BY id")
+        assert next(rows) == (1,)
+        rows.close()
+        assert backend.scalar("SELECT COUNT(*) FROM t") == 20
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT id FROM t WHERE id IN (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)",  # batched
+        "SELECT id FROM t",  # row plan
+    ],
+    ids=["batched", "row"],
+)
+def test_commit_mid_stream_raises_ses003_on_next_row(monkeypatch, sql):
+    from repro.dbapi.backends import Backend
+    from repro.minidb import Engine, SessionError, vector
+
+    monkeypatch.setattr(vector, "BATCH_SIZE", 4)
+    eng = Engine(":memory:")
+    session = eng.connect()
+    try:
+        session.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        session.commit()
+        backend = Backend(session)
+        backend.executemany("INSERT INTO t (v) VALUES (?)", [("x",)] * 10)  # opens a txn
+        rows = backend.stream(sql)
+        assert next(rows) == (1,)
+        assert next(rows) == (2,)
+        session.commit()
+        with pytest.raises(SessionError) as exc_info:
+            next(rows)
+        assert exc_info.value.code == "SES003"
+    finally:
+        session.close()
+        eng.close()
+
+
+def test_closed_cursor_iteration_raises_ses004(monkeypatch):
+    import repro.minidb as minidb
+    from repro.minidb import SessionError, vector
+
+    monkeypatch.setattr(vector, "BATCH_SIZE", 4)
+    conn = minidb.connect()
+    conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+    conn.executemany("INSERT INTO t VALUES (?)", [(i,) for i in range(1, 9)])
+    cur = conn.cursor()
+    cur.execute("SELECT id FROM t WHERE id IN (1, 2, 3, 4, 5, 6)")
+    it = iter(cur)
+    assert next(it) == (1,)
+    cur.close()
+    with pytest.raises(SessionError) as exc_info:
+        next(it)
+    assert exc_info.value.code == "SES004"
+    conn.close()

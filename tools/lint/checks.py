@@ -35,9 +35,11 @@ BATCH_METHODS = frozenset({"next_batch", "_produce_batches"})
 
 #: classes whose batch methods legitimately loop per row (PTL006 allowlist):
 #: VecScan falls back to per-row live lookups when the table mutates
-#: mid-scan; VecDistinct probes its dedup set one row at a time by nature.
+#: mid-scan; VecDistinct probes its dedup set one row at a time by nature;
+#: VecIndexJoin probes a hash index once per distinct key and fans each
+#: outer row out to its matches.
 #: Additions must be justified in docs/static_analysis.md.
-PTL006_ALLOWED_CLASSES = frozenset({"VecScan", "VecDistinct"})
+PTL006_ALLOWED_CLASSES = frozenset({"VecScan", "VecDistinct", "VecIndexJoin"})
 
 #: PTL007 — attribute names that are shared mutable engine state, by the
 #: kind of object that owns them.  Writing them outside the owning module
