@@ -40,6 +40,7 @@ from .core import (
     Expansion,
     PrFilter,
     PTDataStore,
+    load_files,
 )
 from .core.comparison import compare_executions
 from .core.query import QueryEngine
@@ -56,6 +57,13 @@ def _open_store(args, initialize: bool = False) -> PTDataStore:
         database=args.db,
         initialize=initialize or args.db == ":memory:",
     )
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_db_options(p: argparse.ArgumentParser) -> None:
@@ -77,94 +85,31 @@ def cmd_init(args) -> int:
 
 
 def cmd_load(args) -> int:
-    from .core.pload import resolve_workers
-    from .ptdf.lint import PTdfLintError, load_gate
-    from .ptdf.parser import parse_document_file
-
-    try:
-        workers = resolve_workers(args.workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.shards or workers >= 2:
-        return _cmd_load_parallel(args, workers)
-
-    # Per-file progress (records/s from the loader counters): on by
-    # default when stderr is a terminal, forced by --progress, silenced
-    # by --quiet.
-    show_progress = args.progress or (sys.stderr.isatty() and not args.quiet)
-    was_enabled = obs.metrics.enabled
-    if show_progress:
-        obs.metrics.enable()
-    if args.trace:
-        obs.trace.enable()
-    store = _open_store(args, initialize=True)
-    try:
-        # Every file is parsed once, up front: the lint gate checks these
-        # documents and the loader applies the same records, so a parse
-        # error anywhere (even under --force) writes nothing.
-        docs = [parse_document_file(path) for path in args.files]
-        try:
-            diagnostics = load_gate(docs, store, lint=not args.force)
-        except PTdfLintError as exc:
-            for diag in exc.diagnostics:
-                print(diag, file=sys.stderr)
-            print(
-                "load refused: the files above have lint errors "
-                "(use --force to load anyway)",
-                file=sys.stderr,
-            )
-            return 1
-        for diag in diagnostics:
-            print(diag, file=sys.stderr)
-        records_loaded = obs.metrics.counter("ptdf.load.records")
-        for i, path in enumerate(args.files):
-            doc, docs[i] = docs[i], None
-            before = records_loaded.value
-            t0 = obs.now()
-            with obs.trace.span("load.file", cat="core", file=path):
-                stats = store.load_records(doc.records)
-            elapsed = obs.now() - t0
-            if not args.quiet:
-                print(
-                    f"{path}: {stats.results} results, {stats.resources} resources, "
-                    f"{stats.executions} executions"
-                )
-            if show_progress:
-                n = records_loaded.value - before
-                rate = n / elapsed if elapsed > 0 else 0.0
-                print(
-                    f"{path}: {n} records in {elapsed:.2f}s ({rate:,.0f} records/s)",
-                    file=sys.stderr,
-                )
-        store.commit()
-    finally:
-        store.close()
-        if args.trace:
-            spans = obs.trace.save(args.trace)
-            obs.trace.disable()
-            print(f"# wrote {spans} spans to {args.trace}", file=sys.stderr)
-        if not was_enabled:
-            obs.metrics.disable()
-    return 0
-
-
-def _cmd_load_parallel(args, workers: int) -> int:
-    """``ptrack load --workers N [--shards N]``: the pload/shards path.
-
-    ``--shards`` makes the target a :class:`ShardedPTDataStore` (``--db``
-    names its directory; in-memory shards otherwise — useful only with
-    ``--trace``/benchmarks since they vanish on exit).  Lint gating,
-    per-file summaries and tracing match the serial path; the only
-    difference is that lint *warnings* print only alongside errors.
-    """
-    from .core.pload import ParallelLoadError, load_files
     from .core.shards import ShardedPTDataStore
     from .ptdf.lint import PTdfLintError
+
+    # Per-file progress (records/s): on by default when stderr is a
+    # terminal, forced by --progress, silenced by --quiet.
+    show_progress = args.progress or (sys.stderr.isatty() and not args.quiet)
+
+    def on_file(path, stats, records, seconds):
+        if not args.quiet:
+            print(
+                f"{path}: {stats.results} results, {stats.resources} resources, "
+                f"{stats.executions} executions"
+            )
+        if show_progress:
+            rate = records / seconds if seconds > 0 else 0.0
+            print(
+                f"{path}: {records} records in {seconds:.2f}s ({rate:,.0f} records/s)",
+                file=sys.stderr,
+            )
 
     if args.trace:
         obs.trace.enable()
     if args.shards:
+        # --db names the sharded store's directory; in-memory shards
+        # otherwise (useful only with --trace, since they vanish on exit).
         store = ShardedPTDataStore(
             n_shards=args.shards,
             backend_kind=args.backend,
@@ -173,17 +118,9 @@ def _cmd_load_parallel(args, workers: int) -> int:
     else:
         store = _open_store(args, initialize=True)
     try:
-        def on_file(path, stats):
-            if not args.quiet:
-                print(
-                    f"{path}: {stats.results} results, {stats.resources} "
-                    f"resources, {stats.executions} executions"
-                )
-
         try:
-            load_files(
-                store, args.files, workers=workers,
-                lint=not args.force, on_file=on_file,
+            _stats, warnings = load_files(
+                store, args.files, lint=not args.force, on_file=on_file
             )
         except PTdfLintError as exc:
             for diag in exc.diagnostics:
@@ -194,9 +131,8 @@ def _cmd_load_parallel(args, workers: int) -> int:
                 file=sys.stderr,
             )
             return 1
-        except ParallelLoadError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        for diag in warnings:
+            print(diag, file=sys.stderr)
         store.commit()
     finally:
         store.close()
@@ -478,6 +414,27 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _run_workload(args) -> None:
+    """The ``ptrack stats``/``profile`` workload: load ``args.files``
+    unlinted, then count, resolve, evaluate and fetch once.
+
+    The per-family counts before the whole-filter evaluation mirror the
+    GUI's live match counts (Figure 3) and re-probe the same SQL.
+    """
+    store = _open_store(args, initialize=True)
+    load_files(store, args.files, lint=False)
+    store.commit()
+    engine = QueryEngine(store)
+    engine.count_for_filter([])
+    for execution in store.executions()[:1]:
+        prf = PrFilter([ByName(f"/{execution}", Expansion.DESCENDANTS)])
+        families = store.resolve_prfilter(prf)
+        for fam in families:
+            engine.count_for_family(fam)
+        engine.fetch_results(engine.result_ids(families))
+    store.close()
+
+
 def cmd_stats(args) -> int:
     """Run a small workload with the metrics registry on and report it.
 
@@ -493,23 +450,7 @@ def cmd_stats(args) -> int:
     if args.trace:
         obs.trace.enable()
     try:
-        store = _open_store(args, initialize=True)
-        for path in args.files:
-            store.load_file(path)
-        store.commit()
-        # Exercise the query path so query.* instruments fire too; the
-        # per-family counts before the whole-filter evaluation mirror the
-        # GUI's live match counts (Figure 3) and re-probe the same SQL.
-        engine = QueryEngine(store)
-        engine.count_for_filter([])
-        for execution in store.executions():
-            prf = PrFilter([ByName(f"/{execution}", Expansion.DESCENDANTS)])
-            families = store.resolve_prfilter(prf)
-            for fam in families:
-                engine.count_for_family(fam)
-            engine.fetch_results(engine.result_ids(families))
-            break
-        store.close()
+        _run_workload(args)
         snapshot = obs.metrics.snapshot()
         if args.json:
             print(obs.render_json(snapshot))
@@ -535,8 +476,7 @@ def cmd_stats(args) -> int:
 def cmd_profile(args) -> int:
     """Run a workload with the statement profiler on and report it.
 
-    Loads the given PTdf files (if any) and exercises the query layer
-    once — the same workload as ``ptrack stats`` — with the profiler
+    Runs the same workload as ``ptrack stats`` with the profiler
     aggregating per-fingerprint statement statistics and flight-recording
     plans that run for at least ``--slow-ms`` (or every ``--sample``-th
     statement).  Prints the top statements by ``--sort``, the recorded
@@ -551,20 +491,7 @@ def cmd_profile(args) -> int:
     )
     obs.profiler.reset()
     try:
-        store = _open_store(args, initialize=True)
-        for path in args.files:
-            store.load_file(path)
-        store.commit()
-        engine = QueryEngine(store)
-        engine.count_for_filter([])
-        for execution in store.executions():
-            prf = PrFilter([ByName(f"/{execution}", Expansion.DESCENDANTS)])
-            families = store.resolve_prfilter(prf)
-            for fam in families:
-                engine.count_for_family(fam)
-            engine.fetch_results(engine.result_ids(families))
-            break
-        store.close()
+        _run_workload(args)
         profile = obs.profiler.snapshot()
         if args.json:
             print(obs.render_profile_json(profile, top=args.top, sort=args.sort))
@@ -637,16 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trace", help="write a Chrome-trace JSON of the load to FILE")
     p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parse and lint files in N worker processes "
-        "(default $PTRACK_WORKERS, else serial)",
-    )
-    p.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="load into a sharded store with N fact shards "

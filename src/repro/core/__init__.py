@@ -4,9 +4,11 @@ Public surface:
 
 * :class:`~repro.core.datastore.PTDataStore` — the database-backed store
   with the Figure-6 load API and lookup/query methods.
+* :func:`~repro.core.datastore.load_files` — the one PTdf file load
+  pipeline (parse every file, lint-gate, apply in file order) for both
+  store kinds.
 * :class:`~repro.core.shards.ShardedPTDataStore` — the catalog + N fact
   shards deployment for BG/L-scale corpora, with
-  :func:`~repro.core.pload.load_files` as its parallel PTdf loader and
   :class:`~repro.core.query.ShardedQueryEngine` for scatter-gather
   pr-filter evaluation.
 * :mod:`~repro.core.filters` — resource filters, resource families and
@@ -16,7 +18,7 @@ Public surface:
   future work (Section 6), in the PPerfDB lineage.
 """
 
-from .datastore import LoadStats, PTDataStore
+from .datastore import LoadStats, PTDataStore, load_files
 from .filters import (
     AttributeClause,
     ByAttributes,
@@ -28,7 +30,6 @@ from .filters import (
     PrFilter,
     ResourceFamily,
 )
-from .pload import ParallelLoadError, load_files, resolve_workers
 from .query import QueryEngine, ShardedQueryEngine
 from .results import PerformanceResult
 from .resources import Resource, ResourceType
@@ -40,8 +41,6 @@ __all__ = [
     "ShardRouter",
     "LoadStats",
     "load_files",
-    "resolve_workers",
-    "ParallelLoadError",
     "QueryEngine",
     "ShardedQueryEngine",
     "PrFilter",

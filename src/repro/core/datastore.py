@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..dbapi.backends import Backend, open_backend
 from ..minidb.errors import ProgrammingError
@@ -42,7 +42,7 @@ from ..ptdf.format import (
     ResourceTypeRec,
     split_name,
 )
-from ..ptdf.lint import load_gate
+from ..ptdf.lint import Diagnostic, load_gate
 from ..ptdf.parser import parse_document, parse_document_file
 from . import schema as schema_mod
 from .filters import (
@@ -130,14 +130,9 @@ class PTDataStore:
         load_base_types: bool = True,
         use_closure_tables: bool = True,
         with_indexes: bool = True,
-        bulk_load: bool = True,
     ) -> None:
         self.backend = backend if backend is not None else open_backend(backend_kind, database)
         self.use_closure_tables = use_closure_tables
-        #: When True (default), ``load_records`` takes the batched fast
-        #: path (see :mod:`repro.core.bulkload`); False keeps the per-row
-        #: path for the ablation benchmark.
-        self.bulk_load = bulk_load
         if initialize and not schema_mod.schema_is_present(self.backend):
             schema_mod.create_schema(self.backend, with_indexes=with_indexes)
         # Name -> id caches (loaded lazily; critical for Paradyn-scale loads).
@@ -500,18 +495,17 @@ class PTDataStore:
     # ------------------------------------------------------------------- loading
 
     def load_records(
-        self, records: Iterable[Record], bulk: Optional[bool] = None
+        self, records: Iterable[Record], bulk: bool = True
     ) -> LoadStats:
         """Load PTdf records (the PTdataStore load interface of Figure 6).
 
         By default this dispatches to :meth:`load_bulk`; pass
-        ``bulk=False`` (or construct the store with ``bulk_load=False``)
-        for the original per-row path.  Both produce identical databases;
-        the bulk path is what survives Paradyn-scale inputs.
+        ``bulk=False`` for the original per-row path.  Both produce
+        identical databases; the bulk path is what survives Paradyn-scale
+        inputs.
         """
-        use_bulk = self.bulk_load if bulk is None else bulk
         if not (_M.enabled or _trace.enabled):
-            return self._load_records_inner(records, use_bulk)
+            return self._load_records_inner(records, bulk)
         # Sized inputs (the common case: PTdf parsers return lists) are
         # counted with len(), so the record loop itself runs uninstrumented
         # — one add() per load, not one per record.  Only unsized streams
@@ -521,10 +515,10 @@ class PTDataStore:
         except TypeError:
             sized_n = None
         source = records if sized_n is not None else _CountingIter(records)
-        mode = "bulk" if use_bulk else "per-row"
+        mode = "bulk" if bulk else "per-row"
         t0 = _now()
         with _trace.span("load", cat="core", mode=mode):
-            stats = self._load_records_inner(source, use_bulk)
+            stats = self._load_records_inner(source, bulk)
         elapsed = _now() - t0
         n = sized_n if sized_n is not None else source.n
         _LOADS.inc()
@@ -542,9 +536,9 @@ class PTDataStore:
         return stats
 
     def _load_records_inner(
-        self, records: Iterable[Record], use_bulk: bool
+        self, records: Iterable[Record], bulk: bool
     ) -> LoadStats:
-        if use_bulk:
+        if bulk:
             return self.load_bulk(records)
         stats = LoadStats()
         pre_foci = len(self._focus_ids)
@@ -607,21 +601,17 @@ class PTDataStore:
 
         return BulkLoader(self).load(records)
 
-    def load_string(
-        self, text: str, bulk: Optional[bool] = None, lint: bool = False
-    ) -> LoadStats:
+    # load_string and load_file reach the store only through
+    # load_records and the name caches, so ShardedPTDataStore reuses them.
+
+    def load_string(self, text: str, lint: bool = False) -> LoadStats:
         doc = parse_document(text.split("\n"))
         load_gate([doc], self, lint)
-        return self.load_records(doc.records, bulk=bulk)
+        return self.load_records(doc.records)
 
-    def load_file(
-        self, path: str, bulk: Optional[bool] = None, lint: bool = False
-    ) -> LoadStats:
+    def load_file(self, path: str, lint: bool = False) -> LoadStats:
         """Parse *path* once; with *lint*, refuse it on lint errors first."""
-        doc = parse_document_file(path)
-        load_gate([doc], self, lint)
-        with _trace.span("load.file", cat="core", file=path):
-            return self.load_records(doc.records, bulk=bulk)
+        return load_files(self, [path], lint)[0]
 
     # ------------------------------------------------------------------- lookups
 
@@ -950,3 +940,33 @@ class PTDataStore:
 
     def resolve_prfilter(self, prf: PrFilter) -> list[ResourceFamily]:
         return [self.resolve_filter(f) for f in prf.filters]
+
+
+def load_files(
+    store,
+    paths: Sequence[str],
+    lint: bool = True,
+    on_file: Optional[Callable[[str, LoadStats, int, float], None]] = None,
+) -> tuple[LoadStats, list[Diagnostic]]:
+    """Load PTdf files into *store*, a plain or a sharded store.
+
+    Every file is parsed once, up front, and :func:`load_gate` checks
+    those documents before anything is written: with *lint* it raises
+    :class:`~repro.ptdf.lint.PTdfLintError` on any lint or parse error;
+    without, on the first parse error.  The same records then apply in
+    file order through ``store.load_records``, each document dropped once
+    applied.  ``on_file(path, stats, records, seconds)`` runs after each
+    file.  Returns the summed stats and the gate's warnings.
+    """
+    docs = [parse_document_file(path) for path in paths]
+    warnings = load_gate(docs, store, lint)
+    total = LoadStats()
+    for i, path in enumerate(paths):
+        doc, docs[i] = docs[i], None
+        t0 = _now()
+        with _trace.span("load.file", cat="core", file=path):
+            stats = store.load_records(doc.records)
+        total += stats
+        if on_file is not None:
+            on_file(path, stats, len(doc.records), _now() - t0)
+    return total, warnings

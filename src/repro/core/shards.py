@@ -30,15 +30,16 @@ built once after a bulk load (:meth:`ShardedPTDataStore.ensure_shard_indexes`),
 which is several times cheaper than maintaining them row by row.
 
 Scatter-gather evaluation lives in
-:class:`repro.core.query.ShardedQueryEngine`; the parallel file loader in
-:mod:`repro.core.pload`.
+:class:`repro.core.query.ShardedQueryEngine`.  PTdf files load through
+the same :func:`repro.core.datastore.load_files` pipeline as the plain
+store: parse every file, lint-gate, then apply in file order.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ..dbapi.backends import Backend, EngineBackend, open_backend
 from ..minidb.errors import ProgrammingError
@@ -47,8 +48,6 @@ from ..obs.logsetup import get_logger
 from ..obs.metrics import metrics as _M
 from ..obs.tracing import trace as _trace
 from ..ptdf.format import Record
-from ..ptdf.lint import load_gate
-from ..ptdf.parser import parse_document, parse_document_file
 from . import schema as schema_mod
 from .datastore import LoadStats, PTDataStore
 from .filters import FamilySpec, PrFilter
@@ -73,8 +72,8 @@ class ShardRouter:
 
     A multiplicative (Fibonacci) hash spreads consecutive execution ids
     evenly and — unlike Python's ``hash`` on str — is stable across
-    processes and runs, which the parallel loader's reproducible-ids
-    guarantee depends on.
+    processes and runs, which reopening a directory-backed store
+    depends on.
     """
 
     __slots__ = ("n_shards",)
@@ -237,16 +236,9 @@ class ShardedPTDataStore:
             _SHARD_LOAD_SECONDS.observe(_now() - t0)
         return stats
 
-    def load_string(self, text: str, lint: bool = False) -> LoadStats:
-        doc = parse_document(text.split("\n"))
-        load_gate([doc], self.catalog, lint)
-        return self.load_records(doc.records)
-
-    def load_file(self, path: str, lint: bool = False) -> LoadStats:
-        doc = parse_document_file(path)
-        load_gate([doc], self.catalog, lint)
-        with _trace.span("shard.load.file", cat="core", file=path):
-            return self.load_records(doc.records)
+    # Parse, lint-gate and apply through load_records above.
+    load_string = PTDataStore.load_string
+    load_file = PTDataStore.load_file
 
     def ensure_shard_indexes(self) -> None:
         """Build the deferred per-shard secondary indexes where missing.

@@ -128,15 +128,6 @@ class LintContext:
     applications: set[str] = field(default_factory=set)
     resource_types: dict[str, tuple[str, str, int]] = field(default_factory=dict)
 
-    def copy(self) -> "LintContext":
-        return LintContext(
-            types=set(self.types),
-            resources=set(self.resources),
-            executions=set(self.executions),
-            applications=set(self.applications),
-            resource_types=dict(self.resource_types),
-        )
-
 
 def context_from_store(store: Any) -> LintContext:
     """Seed a :class:`LintContext` from an open ``PTDataStore``."""
@@ -146,35 +137,6 @@ def context_from_store(store: Any) -> LintContext:
         executions=set(store._exec_ids),
         applications=set(store._app_ids),
     )
-
-
-def fold_declarations(context: LintContext, doc: ParsedDocument) -> LintContext:
-    """Fold a document's declarations into *context* — no diagnostics.
-
-    Exactly the context mutation :meth:`Linter._check` performs after
-    linting the same records, so the parallel loader can compute each
-    file's lint context (everything declared by the files before it)
-    without linting the earlier files first: types gain every prefix of
-    each ResourceType path; applications gain Application names *and*
-    Execution application references (the loader auto-creates those);
-    executions gain Execution names; resources gain each Resource name
-    and all its ancestors, and ``resource_types`` each Resource's first
-    declared type and line.  Mutates and returns *context*.
-    """
-    for lineno, rec in zip(doc.linenos, doc.records):
-        if isinstance(rec, ApplicationRec):
-            context.applications.add(rec.name)
-        elif isinstance(rec, ResourceTypeRec):
-            context.types.update(_type_prefixes(rec.name))
-        elif isinstance(rec, ExecutionRec):
-            context.executions.add(rec.name)
-            context.applications.add(rec.application)
-        elif isinstance(rec, ResourceRec):
-            context.resources.update(_ancestors(rec.name))
-            context.resource_types.setdefault(
-                rec.name, (rec.type, doc.source, lineno)
-            )
-    return context
 
 
 def _closest(name: str, candidates: Iterable[str]) -> Optional[str]:

@@ -87,9 +87,12 @@ def full_state(store):
 
 
 def test_bulk_and_per_row_paths_are_byte_identical():
-    bulk, per_row = PTDataStore(), PTDataStore(bulk_load=False)
+    bulk, per_row = PTDataStore(), PTDataStore()
     stats_b = [bulk.load_records(sample_records(f"run-{i}")) for i in range(3)]
-    stats_p = [per_row.load_records(sample_records(f"run-{i}")) for i in range(3)]
+    stats_p = [
+        per_row.load_records(sample_records(f"run-{i}"), bulk=False)
+        for i in range(3)
+    ]
     assert stats_b == stats_p
     assert full_state(bulk) == full_state(per_row)
 

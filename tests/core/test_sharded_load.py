@@ -1,16 +1,11 @@
-"""Sharded + parallel loading: differential identity against the serial
-store, deterministic ids, crash handling and manifest behaviour."""
+"""Sharded loading: differential identity against the plain store,
+deterministic ids, the multi-file load pipeline and manifest behaviour."""
 
 import os
 
 import pytest
 
-from repro.core.datastore import PTDataStore
-from repro.core.pload import (
-    ParallelLoadError,
-    load_files,
-    resolve_workers,
-)
+from repro.core.datastore import PTDataStore, load_files
 from repro.core.schema import SHARD_TABLE_NAMES, TABLE_NAMES
 from repro.core.shards import ShardedPTDataStore, ShardRouter
 from repro.minidb.errors import ProgrammingError
@@ -66,10 +61,6 @@ def _corpus_writer(execs=range(6), procs=4):
 
 def _corpus():
     return _corpus_writer().render()
-
-
-def _crash_task(path):  # must be module-level: workers import it by name
-    os._exit(17)
 
 
 def _serial_rows(store, table):
@@ -183,6 +174,8 @@ class TestShardedDirectory:
 
 
 class TestParallelLoad:
+    """Multi-file ``load_files`` into sharded and plain stores."""
+
     def _write_files(self, tmp_path, parts=3):
         paths = []
         for i in range(parts):
@@ -219,7 +212,7 @@ class TestParallelLoad:
         for p in paths:
             serial.load_file(p)
         sharded = ShardedPTDataStore(n_shards=2)
-        load_files(sharded, paths, workers=2, lint=True)
+        load_files(sharded, paths, lint=True)
         assert_identical(serial, sharded)
 
     def test_parallel_plain_store_equals_serial(self, tmp_path):
@@ -228,7 +221,7 @@ class TestParallelLoad:
         for p in paths:
             serial.load_file(p)
         parallel = PTDataStore(backend_kind="minidb")
-        load_files(parallel, paths, workers=2, lint=True)
+        load_files(parallel, paths, lint=True)
         for table in TABLE_NAMES:
             assert _serial_rows(parallel, table) == _serial_rows(
                 serial, table
@@ -239,7 +232,7 @@ class TestParallelLoad:
         bad.write_text('Resource "/r1" "execution" "irs-none"\n')
         sharded = ShardedPTDataStore(n_shards=2)
         with pytest.raises(PTdfLintError) as excinfo:
-            load_files(sharded, [str(bad)], workers=2, lint=True)
+            load_files(sharded, [str(bad)], lint=True)
         assert any(d.code == "PT006" for d in excinfo.value.diagnostics)
         assert sharded.count_rows("performance_result") == 0
 
@@ -247,45 +240,8 @@ class TestParallelLoad:
         bad = tmp_path / "bad.ptdf"
         bad.write_text('PerfResult "e" too many fields here oops "x" 1 2 3\n')
         with pytest.raises(PTdfLintError) as excinfo:
-            load_files(
-                ShardedPTDataStore(n_shards=2), [str(bad)], workers=2,
-                lint=True,
-            )
+            load_files(ShardedPTDataStore(n_shards=2), [str(bad)], lint=True)
         assert any(d.code == "PT000" for d in excinfo.value.diagnostics)
-
-    def test_worker_crash_raises_structured_error(self, tmp_path, monkeypatch):
-        import repro.core.pload as pload_mod
-
-        ok = tmp_path / "ok.ptdf"
-        ok.write_text('Application "x"\n')
-        monkeypatch.setattr(pload_mod, "_parse_task", _crash_task)
-        with pytest.raises(ParallelLoadError) as excinfo:
-            load_files(
-                ShardedPTDataStore(n_shards=2), [str(ok)], workers=2,
-                lint=False,
-            )
-        assert excinfo.value.phase == "parse"
-        assert "worker process died" in excinfo.value.cause
-
-    def test_workers_env_and_validation(self, monkeypatch):
-        monkeypatch.setenv("PTRACK_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        monkeypatch.setenv("PTRACK_WORKERS", "nope")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
-        monkeypatch.delenv("PTRACK_WORKERS")
-        assert resolve_workers(None) == 0
-        with pytest.raises(ValueError):
-            resolve_workers(-1)
-
-    def test_serial_fallback_matches(self, tmp_path):
-        paths = self._write_files(tmp_path)
-        a = ShardedPTDataStore(n_shards=2)
-        load_files(a, paths, workers=0, lint=True)
-        b = ShardedPTDataStore(n_shards=2)
-        load_files(b, paths, workers=2, lint=True)
-        for table in TABLE_NAMES:
-            assert a.table_rows(table) == b.table_rows(table), table
 
 
 class TestShardSchema:

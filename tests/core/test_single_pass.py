@@ -7,8 +7,7 @@ import pytest
 
 import repro.ptdf.parser as parser_mod
 from repro.cli import main
-from repro.core.datastore import PTDataStore
-from repro.core.pload import load_files
+from repro.core.datastore import PTDataStore, load_files
 from repro.core.schema import TABLE_NAMES
 from tests.core.test_sharded_load import _corpus_writer
 
@@ -78,9 +77,9 @@ def test_load_file_with_lint(files, tokenized):
     store.close()
 
 
-def test_pload_serial(files, tokenized):
+def test_load_files(files, tokenized):
     store = PTDataStore()
-    load_files(store, files, workers=0, lint=True)
+    load_files(store, files, lint=True)
     assert len(tokenized) == line_count(files)
     store.close()
 

@@ -251,27 +251,21 @@ def test_store_seeded_context_is_name_only(retyped):
 
 
 def test_parallel_gate_sees_type_change_across_files(retyped):
-    from repro.core.pload import load_files
+    from repro.core import load_files
     from repro.ptdf.lint import PTdfLintError
 
     a, _, c = retyped
     store = PTDataStore()
     with pytest.raises(PTdfLintError) as exc_info:
-        load_files(store, [a, c], workers=2, lint=True)
+        load_files(store, [a, c], lint=True)
     assert [d.line for d in by_code(exc_info.value.diagnostics, "PT004")] == [2]
     assert store.count_rows("resource_item") == 0
     store.close()
 
 
-def test_fold_declarations_matches_linting(retyped):
-    from repro.ptdf.lint import fold_declarations
-    from repro.ptdf.parser import parse_document_file
-
+def test_linting_folds_declarations_into_the_context(retyped):
     a, _, c = retyped
-    linted = LintContext()
-    lint_files([a, c], linted)
-    folded = LintContext()
-    for path in (a, c):
-        fold_declarations(folded, parse_document_file(path))
-    assert folded == linted
-    assert folded.resource_types["/m"] == ("grid", a, 1)
+    context = LintContext()
+    lint_files([a, c], context)
+    assert context.resource_types["/m"] == ("grid", a, 1)
+    assert "/m" in context.resources and "x" in context.applications

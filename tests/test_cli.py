@@ -58,35 +58,43 @@ class TestParallelShardedLoad:
             paths.append(path)
         return paths
 
-    def test_load_with_workers(self, ptdfs, tmp_path, capsys):
-        db = str(tmp_path / "store.json")
-        assert main(["init", "--db", db]) == 0
-        assert main(["load", "--db", db, "--workers", "2",
-                     "--quiet", *ptdfs]) == 0
-        assert main(["ls", "--db", db, "executions"]) == 0
-        assert "irs-3" in capsys.readouterr().out
-
     def test_load_into_sharded_directory(self, ptdfs, tmp_path, capsys):
         directory = str(tmp_path / "sharded")
-        assert main(["load", "--db", directory, "--shards", "2",
-                     "--workers", "2", *ptdfs]) == 0
+        assert main(["load", "--db", directory, "--shards", "2", *ptdfs]) == 0
         assert os.path.exists(os.path.join(directory, "shards.json"))
         assert os.path.exists(os.path.join(directory, "shard-0001.db"))
         out = capsys.readouterr().out
         assert "results" in out
 
-    def test_workers_env_var(self, ptdfs, tmp_path, monkeypatch):
-        monkeypatch.setenv("PTRACK_WORKERS", "2")
-        db = str(tmp_path / "store.json")
-        assert main(["init", "--db", db]) == 0
-        assert main(["load", "--db", db, "--quiet", *ptdfs]) == 0
-        monkeypatch.setenv("PTRACK_WORKERS", "banana")
-        assert main(["load", "--db", db, "--quiet", *ptdfs]) == 2
+    def test_sharded_load_reports_warnings_and_progress(
+        self, ptdfs, tmp_path, capsys
+    ):
+        warn = tmp_path / "warn.ptdf"
+        warn.write_text(
+            'ResourceAttribute /LLNL/BGL/batch/n0 "memory MB" 1 string\n'
+        )
+        directory = str(tmp_path / "sharded")
+        assert main(["load", "--db", directory, "--shards", "2", "--progress",
+                     ptdfs[0], str(warn)]) == 0
+        err = capsys.readouterr().err
+        assert "PT005" in err
+        assert f"{warn}: 1 records in" in err and "records/s" in err
+
+    @pytest.mark.parametrize("shards", ["0", "-1"])
+    def test_shards_below_one_is_a_usage_error(
+        self, ptdfs, tmp_path, capsys, shards
+    ):
+        db = str(tmp_path / "store")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["load", "--db", db, "--shards", shards, *ptdfs])
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+        assert not os.path.exists(db)
 
     def test_parallel_lint_gate(self, tmp_path, capsys):
         bad = tmp_path / "bad.ptdf"
         bad.write_text('Resource "/x" "nope"\n')
-        assert main(["load", "--workers", "2", "--quiet", str(bad)]) == 1
+        assert main(["load", "--shards", "2", "--quiet", str(bad)]) == 1
         assert "lint errors" in capsys.readouterr().err
 
 

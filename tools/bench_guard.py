@@ -39,7 +39,7 @@ DEFAULT_KEYS = (
     "observability.profiler_enabled_drain_seconds",
     "concurrency.throughput_ops_per_s",
     "concurrency.p95_seconds",
-    "sharded.parallel_rows_per_s",
+    "sharded.load_rows_per_s",
     "sharded.prfilter_p95_seconds",
 )
 
