@@ -31,7 +31,7 @@ SQL015    schema conflict (object exists / does not exist)
 SQL016    DEFAULT is not a literal
 SQL017    IN/scalar subquery must select exactly one column
 SQL018    '*' has no source columns / unknown ``t.*`` qualifier
-SQL019    bad ORDER BY (position out of range, or expression in compound)
+SQL019    bad ORDER BY / GROUP BY (position out of range, or expression in compound)
 SQL020    NOT NULL column without default omitted from INSERT (warning)
 ========  ==================================================================
 
@@ -271,7 +271,8 @@ class Analyzer:
 
         self._expr(stmt.where, env, agg=False)
         for e in stmt.group_by:
-            self._expr(e, env, agg=False)
+            if not self._names_output_alias(e, stmt, env):
+                self._expr(e, env, agg=False)
         self._expr(stmt.having, env, agg=True)
 
         names: List[str] = []
@@ -324,6 +325,20 @@ class Analyzer:
         self._expr(stmt.limit, limit_env, agg=False)
         self._expr(stmt.offset, limit_env, agg=False)
         return names, affinities, width_known
+
+    @staticmethod
+    def _names_output_alias(e: ast.Expr, stmt: ast.Select, env: _Env) -> bool:
+        """A bare GROUP BY name that no input column has but an output
+        alias does: the planner groups by the aliased expression."""
+        if not isinstance(e, ast.ColumnRef) or e.table is not None:
+            return False
+        low = e.name.lower()
+        if any(
+            b.columns is None or low in (c.lower() for c in b.columns)
+            for b in env.bindings
+        ):
+            return False
+        return any(item.alias and item.alias.lower() == low for item in stmt.items)
 
     def _order_by(
         self, stmt: ast.Select, env: _Env, names: List[str], width_known: bool

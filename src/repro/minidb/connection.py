@@ -427,38 +427,11 @@ class Connection:
         the caller holds the row) on top of the dispatch time.
         """
         fp = self._fingerprint_of(entry, sql)
-        if result.stream is not None:
-            result.stream = self._profiled_rows(fp, sql, result, elapsed, cache_hit)
-        elif result.batches is not None:
+        if result.batches is not None:
             result.batches = self._profiled_batches(fp, sql, result, elapsed, cache_hit)
         else:
             returned = len(result.rows) if result.rows else max(result.rowcount, 0)
             self._finalize_profiled(fp, sql, result, elapsed, returned, cache_hit)
-
-    def _profiled_rows(
-        self, fp: str, sql: str, result: Result, active0: float, cache_hit: bool
-    ) -> Iterator[tuple]:
-        inner = result.stream
-
-        def run() -> Iterator[tuple]:
-            active = active0
-            returned = 0
-            try:
-                while True:
-                    t = _now()
-                    try:
-                        row = next(inner)
-                    except StopIteration:
-                        active += _now() - t
-                        return
-                    active += _now() - t
-                    returned += 1
-                    yield row
-            finally:
-                inner.close()
-                self._finalize_profiled(fp, sql, result, active, returned, cache_hit)
-
-        return run()
 
     def _profiled_batches(
         self, fp: str, sql: str, result: Result, active0: float, cache_hit: bool
@@ -605,10 +578,8 @@ class Cursor:
         self.lastrowid: Optional[int] = None
         self._rows: list[tuple] = []
         self._pos = 0
-        self._stream: Optional[Iterator[tuple]] = None
-        self._pending: list[tuple] = []
-        # Vectorized SELECTs: an iterator of row batches plus the current
-        # batch being sliced by fetchone/fetchmany.
+        # SELECTs: an iterator of row batches plus the current batch being
+        # sliced by fetchone/fetchmany.
         self._batches: Optional[Iterator[list[tuple]]] = None
         self._batch: list[tuple] = []
         self._bpos = 0
@@ -629,23 +600,13 @@ class Cursor:
         self.lastrowid = result.lastrowid
         self._rows = result.rows
         self._pos = 0
-        self._pending = []
-        self._stream = result.stream
         self._batches = result.batches
         self._batch = []
         self._bpos = 0
-        if self._stream is not None:
-            # Prefetch one row so first-row evaluation errors surface at
-            # execute() time (like the materializing engine did, and like
-            # sqlite3's first step); the rest of the plan stays lazy.
-            first = next(self._stream, None)
-            if first is None:
-                self._stream = None
-            else:
-                self._pending.append(first)
-        elif self._batches is not None:
-            # Same contract for vectorized plans: pull the first batch so
-            # evaluation errors surface here and fetchone stays a slice.
+        if self._batches is not None:
+            # Prefetch the first batch so first-row evaluation errors
+            # surface at execute() time (like sqlite3's first step) and
+            # fetchone stays a slice; the rest of the plan stays lazy.
             first_batch = next(self._batches, None)
             if first_batch is None:
                 self._batches = None
@@ -654,7 +615,7 @@ class Cursor:
         conn = self.connection
         if (
             conn.owner is not None
-            and (self._stream is not None or self._batches is not None)
+            and self._batches is not None
             and conn._txn is not None
             and conn._txn.active
         ):
@@ -703,7 +664,6 @@ class Cursor:
             self.lastrowid = result.lastrowid
             self._rows = []
             self._pos = 0
-            self._pending = []
             return self
         total = 0
         last = None
@@ -717,7 +677,6 @@ class Cursor:
         self.lastrowid = last.lastrowid if last else None
         self._rows = []
         self._pos = 0
-        self._pending = []
         return self
 
     # -- fetch --------------------------------------------------------------------------
@@ -729,8 +688,6 @@ class Cursor:
             row = self._rows[self._pos]
             self._pos += 1
             return row
-        if self._pending:
-            return self._pending.pop(0)
         if self._bpos < len(self._batch):
             row = self._batch[self._bpos]
             self._bpos += 1
@@ -743,11 +700,6 @@ class Cursor:
             self._batch = batch
             self._bpos = 1
             return batch[0]
-        if self._stream is not None:
-            row = next(self._stream, None)
-            if row is None:
-                self._close_stream()
-            return row
         return None
 
     def fetchmany(self, size: Optional[int] = None) -> list[tuple]:
@@ -766,9 +718,6 @@ class Cursor:
         self._check_snapshot()
         out = self._rows[self._pos :]
         self._pos = len(self._rows)
-        if self._pending:
-            out.extend(self._pending)
-            self._pending = []
         if self._bpos < len(self._batch) or self._batches is not None:
             out.extend(self._batch[self._bpos :])
             self._batch = []
@@ -777,9 +726,6 @@ class Cursor:
                 for batch in self._batches:
                     out.extend(batch)
                 self._batches = None
-        if self._stream is not None:
-            out.extend(self._stream)
-            self._close_stream()
         return out
 
     def __iter__(self) -> Iterator[tuple]:
@@ -787,7 +733,7 @@ class Cursor:
         while True:
             batch = self._batch
             bpos = self._bpos
-            if bpos >= len(batch) or self._pos < len(self._rows) or self._pending:
+            if bpos >= len(batch) or self._pos < len(self._rows):
                 row = self.fetchone()
                 if row is None:
                     return
@@ -820,12 +766,8 @@ class Cursor:
         self._close_stream()
         self._closed = True
         self._rows = []
-        self._pending = []
 
     def _close_stream(self) -> None:
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
         if self._batches is not None:
             self._batches.close()
             self._batches = None

@@ -1,11 +1,13 @@
 """Statement execution for minidb.
 
-After the Volcano refactor the executor is a thin dispatcher: SELECT is
-planned by :mod:`repro.minidb.optimizer` into a physical operator tree
-(:mod:`repro.minidb.operators`) and streamed; DDL goes to the catalog;
-DML drives a scan operator over the planner-chosen access path.  EXPLAIN
-and EXPLAIN ANALYZE render the real operator tree — with per-operator
-``actual rows/loops/time`` hanging off the operators in the ANALYZE case.
+The executor is a thin dispatcher: SELECT is planned by
+:mod:`repro.minidb.optimizer` into a batch operator tree
+(:mod:`repro.minidb.operators`) and streamed batch by batch; DDL goes to
+the catalog; UPDATE and DELETE drain a scan(+filter) tree over the
+planner-chosen access path for the row ids they mutate.  EXPLAIN and
+EXPLAIN ANALYZE render the real operator tree — with per-operator
+``actual rows/batches/loops/time`` hanging off the operators in the
+ANALYZE case.
 """
 
 from __future__ import annotations
@@ -22,17 +24,14 @@ from .expressions import Evaluator, Scope
 from .operators import (
     ExecContext,
     ExecStats,
-    FilterOp,
     Operator,
     render_plan,
-    scan_for_path,
 )
-from .planner import choose_access_path, split_conjuncts
 from .sqltypes import coerce
 from .storage import Database
 
 # Engine metrics (see docs/observability.md).  Scan/access/hash-join
-# counters now live on the physical operators; the executor keeps the
+# counters live on the physical operators; the executor keeps the
 # statement-level row counters.
 _ROWS_RETURNED = _M.counter("minidb.rows.returned", unit="rows")
 _ROWS_WRITTEN = _M.counter("minidb.rows.written", unit="rows")
@@ -41,13 +40,11 @@ _ROWS_WRITTEN = _M.counter("minidb.rows.written", unit="rows")
 class Result:
     """Outcome of one executed statement.
 
-    SELECT results carry a ``stream`` — a generator of rows pulled from
-    the operator tree on demand — and ``rowcount`` is -1 (PEP 249 allows
-    this for statements whose affected-row count is unknown; sqlite3 does
-    the same).  Vectorized SELECTs carry ``batches`` instead: a generator
-    of row *lists* that the cursor slices for ``fetchone`` so the
-    streaming contract survives batch execution.  Everything else
-    materialises ``rows`` eagerly.
+    SELECT results carry ``batches``: a generator of row lists pulled from
+    the operator tree on demand, which the cursor slices for ``fetchone``
+    so results stream; ``rowcount`` is -1 (PEP 249 allows this for
+    statements whose affected-row count is unknown; sqlite3 does the
+    same).  Everything else materialises ``rows`` eagerly.
 
     ``root`` is the physical operator tree that produced the result (when
     one exists: SELECT, UPDATE, DELETE) and ``stats`` the per-execution
@@ -56,8 +53,7 @@ class Result:
     """
 
     __slots__ = (
-        "description", "rows", "rowcount", "lastrowid", "stream", "batches",
-        "root", "stats",
+        "description", "rows", "rowcount", "lastrowid", "batches", "root", "stats",
     )
 
     def __init__(
@@ -66,14 +62,12 @@ class Result:
         rows: Optional[list[tuple]] = None,
         rowcount: int = -1,
         lastrowid: Optional[int] = None,
-        stream: Optional[Iterator[tuple]] = None,
         batches: Optional[Iterator[list[tuple]]] = None,
     ) -> None:
         self.description = description
         self.rows = rows or []
         self.rowcount = rowcount
         self.lastrowid = lastrowid
-        self.stream = stream
         self.batches = batches
         self.root: Optional[Operator] = None
         self.stats: Optional[ExecStats] = None
@@ -177,29 +171,13 @@ class Executor:
 
     def _exec_Select(self, stmt: ast.Select) -> Result:
         plan = self._plan_for_select(stmt)
-        if plan.root.BATCHED:
-            result = Result(
-                description=plan.description,
-                rowcount=-1,
-                batches=self._stream_batches(plan.root),
-            )
-        else:
-            result = Result(
-                description=plan.description,
-                rowcount=-1,
-                stream=self._stream_rows(plan.root),
-            )
+        result = Result(
+            description=plan.description,
+            rowcount=-1,
+            batches=self._stream_batches(plan.root),
+        )
         result.root = plan.root
         return result
-
-    def _stream_rows(self, root: Operator) -> Iterator[tuple]:
-        returned = 0
-        try:
-            for row, _context in root.rows(self._context()):
-                returned += 1
-                yield row
-        finally:
-            _ROWS_RETURNED.add(returned)
 
     def _stream_batches(self, root: Operator) -> Iterator[list[tuple]]:
         returned = 0
@@ -215,8 +193,8 @@ class Executor:
     ) -> list[tuple]:
         """Expression-subquery runner handed to the :class:`Evaluator`.
 
-        ``limit_one`` (EXISTS) pulls a single row and closes the pipeline;
-        the streaming operators make that an O(first match) probe.
+        ``limit_one`` (EXISTS) stops the pipeline after its first
+        non-empty batch.
         """
         plan = self._subplans.get(id(select))
         if plan is None:
@@ -225,12 +203,12 @@ class Executor:
             plan = optimizer.plan_select(self.db, select, correlated=True)
             self._subplans[id(select)] = plan
         rows: list[tuple] = []
-        it = plan.root.rows(self._context(outer))
+        it = plan.root.batches(self._context(outer))
         try:
-            for row, _context in it:
-                rows.append(row)
-                if limit_one:
-                    break
+            for batch in it:
+                rows.extend(batch)
+                if limit_one and rows:
+                    return rows[:1]
         finally:
             it.close()
         return rows
@@ -379,11 +357,8 @@ class Executor:
         # under a concurrent writer between scan and mutation.
         self.db.lock_for_write(self.txn, meta)
         assignments = [(meta.column_index(c), e) for c, e in stmt.assignments]
-        targets: list[tuple[int, tuple]] = []
-        for rowid, row, _scope in self._scan_with_where(stmt.table, stmt.where):
-            targets.append((rowid, row))
         count = 0
-        for rowid, row in targets:
+        for rowid, row in self._dml_targets(stmt.table, stmt.where):
             scope = Scope()
             scope.bind(meta.name, meta.column_names, row)
             new_row = list(row)
@@ -399,38 +374,27 @@ class Executor:
         table = self.db.table(stmt.table)
         # children=True: the dangling-reference check scans child tables.
         self.db.lock_for_write(self.txn, table.meta, children=True)
-        targets = [rowid for rowid, _row, _s in self._scan_with_where(stmt.table, stmt.where)]
-        for rowid in targets:
+        targets = self._dml_targets(stmt.table, stmt.where)
+        for rowid, _row in targets:
             self.db.delete_row(table, rowid, txn=self.txn)
         _ROWS_WRITTEN.add(len(targets))
         return Result(rowcount=len(targets))
 
-    def _dml_tree(self, table_name: str, where: Optional[ast.Expr]) -> Operator:
-        """The scan(+filter) operator tree driving one UPDATE/DELETE."""
-        meta = self.db.table(table_name).meta
-        path = choose_access_path(
-            self.db.indexes_on(meta.name),
-            meta,
-            meta.name,
-            split_conjuncts(where),
-            known_binding=lambda t, c: False,
-        )
-        root: Operator = scan_for_path(path)
-        if where is not None:
-            root = FilterOp(where, root)
-        return root
-
-    def _scan_with_where(
+    def _dml_targets(
         self, table_name: str, where: Optional[ast.Expr]
-    ) -> Iterator[tuple[int, tuple, Scope]]:
-        """Yield (rowid, row, scope) for rows of *table_name* matching *where*."""
-        meta = self.db.table(table_name).meta
-        root = self._dml_tree(table_name, where)
+    ) -> list[tuple[int, tuple]]:
+        """``(rowid, row)`` of every row of *table_name* matching *where*,
+        collected in full before the caller mutates any of them."""
+        root = optimizer.lower_dml_scan(self.db, table_name, where)
         self._dml_root = root
-        binding = meta.name.lower()
-        for scope in root.rows(self._context()):
-            _cols, row = scope.bindings[binding]
-            yield scope.rowid, row, scope
+        get = self.db.table(table_name).rows.get
+        targets = []
+        for batch in root.batches(self._context()):
+            for rowid in batch.rowids:
+                row = get(rowid)
+                if row is not None:
+                    targets.append((rowid, row))
+        return targets
 
     # -- transactions ------------------------------------------------------------------
 
@@ -485,17 +449,17 @@ class Executor:
             plan = optimizer.plan_select(self.db, stmt)
             return render_plan(plan.root)
         if isinstance(stmt, (ast.Update, ast.Delete)):
-            return render_plan(self._dml_tree(stmt.table, stmt.where))
+            return render_plan(optimizer.lower_dml_scan(self.db, stmt.table, stmt.where))
         return [type(stmt).__name__.upper()]
 
     def _exec_ExplainAnalyze(self, stmt: ast.ExplainAnalyze) -> Result:
         """Execute the statement, then render the operator tree with actuals.
 
         Each operator line gets ``(actual rows=R loops=L time=T ms)`` where
-        ``rows`` is the total rows the operator produced, ``loops`` how
-        often it was (re)opened — the inner side of a nested-loop join
-        restarts once per outer row — and ``time`` its inclusive elapsed
-        time (children included).  A final summary line reports the
+        ``rows`` is the total rows the operator produced, ``batches`` the
+        batches it emitted, ``loops`` how often it ran — a join's inner
+        side counts one loop per distinct probe key — and ``time`` its
+        inclusive elapsed time (children included).  A final summary line reports the
         statement's own row count and total wall time.
         """
         inner = stmt.statement
@@ -518,12 +482,8 @@ class Executor:
             if isinstance(inner, ast.Select):
                 plan = self._plan_for_select(inner)
                 count = 0
-                if plan.root.BATCHED:
-                    for batch in self._stream_batches(plan.root):
-                        count += len(batch)
-                else:
-                    for _row in self._stream_rows(plan.root):
-                        count += 1
+                for batch in self._stream_batches(plan.root):
+                    count += len(batch)
                 root = plan.root
                 verb = "returned"
             else:

@@ -20,15 +20,12 @@ from .sqltypes import affinity_for, coerce, compare, sort_key
 class Scope:
     """Chained name-resolution environment for expression evaluation."""
 
-    __slots__ = ("bindings", "parent", "rowid")
+    __slots__ = ("bindings", "parent")
 
     def __init__(self, parent: Optional["Scope"] = None) -> None:
         # binding name (lowercased) -> (column names lowercased, values tuple)
         self.bindings: dict[str, tuple[list[str], tuple]] = {}
         self.parent = parent
-        # storage rowid of the scanned row, set by scan operators so DML
-        # statements can address the row they are about to mutate
-        self.rowid: Optional[int] = None
 
     def bind(self, name: str, columns: Sequence[str], values: tuple) -> None:
         self.bindings[name.lower()] = ([c.lower() for c in columns], values)

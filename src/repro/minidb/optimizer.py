@@ -11,7 +11,7 @@ physical operators (:mod:`repro.minidb.operators`):
    tree to each scan so :func:`~repro.minidb.planner.choose_access_path`
    can turn them into index probes or hash-join keys.  Pushdown is
    *access-only*: the full WHERE / join condition is still re-evaluated by
-   FilterOp / NestedLoopJoin above, so paths may safely return supersets.
+   the filter and the join above, so paths may safely return supersets.
 3. **Join-input reordering** — an INNER join of two base tables swaps its
    inputs when both orientations admit a hash join and the swap makes the
    *smaller* table the build side (bounding hash-map memory).
@@ -20,29 +20,24 @@ physical operators (:mod:`repro.minidb.operators`):
 
 Each rule has a module-level toggle so tests can verify that disabling any
 rule never changes result multisets.
+
+Lowering (:func:`lower_plan`) emits one operator family: every statement
+shape runs on the batch pipeline, with each expression compiled to a
+:mod:`repro.minidb.vector` kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from . import ast_nodes as ast
 from .errors import ProgrammingError
 from .expressions import Evaluator, Scope
 from .operators import (
     ConstantRow,
-    DistinctOp,
-    FilterOp,
-    HashAggregate,
-    LimitOp,
-    NestedLoopJoin,
     Operator,
-    ProjectOp,
-    SortOp,
     SubqueryScan,
-    TopN,
-    UnionOp,
     VecAggregate,
     VecDistinct,
     VecFilter,
@@ -52,15 +47,12 @@ from .operators import (
     VecScan,
     VecSort,
     VecTopN,
-    scan_for_path,
+    VecUnion,
+    probe_exprs,
 )
 from .planner import (
     BranchPlan,
-    FullScan,
     HashJoin as HashJoinPath,
-    IndexEquality,
-    IndexRange as IndexRangePath,
-    InProbe as InProbePath,
     JoinNode,
     ScanNode,
     SelectPlan,
@@ -72,7 +64,7 @@ from .planner import (
     split_conjuncts,
     star_names,
 )
-from .vector import KernelCompiler
+from .vector import Columns, KernelCompiler
 from . import verifier
 from .verifier import _negative_literal_limit
 
@@ -81,16 +73,6 @@ ENABLE_CONSTANT_FOLDING = True
 ENABLE_PUSHDOWN = True
 ENABLE_JOIN_REORDER = True
 ENABLE_TOPN = True
-
-# Batch-at-a-time lowering: single-table statements and INNER index-join
-# chains execute over column batches when every needed expression compiles
-# to a vector kernel.  Index access paths always gather into batches; full
-# scans do so only for single tables at or above VECTOR_MIN_ROWS rows
-# (columnar segments).  The threshold is a power of two so crossing it
-# lands on a plan-cache size-bucket boundary and cached row plans are
-# re-planned.
-ENABLE_VECTORIZATION = True
-VECTOR_MIN_ROWS = 2048
 
 
 @dataclass
@@ -138,10 +120,7 @@ def plan_select(db, stmt: ast.Select, correlated: bool = False) -> PhysicalPlan:
         verifier.check_rule(
             "join_reorder", base, verifier.logical_contract(db, logical)
         )
-    root = _lower_vectorized(db, logical) if ENABLE_VECTORIZATION else None
-    vectorized = root is not None
-    if root is None:
-        root = lower_select_plan(db, logical)
+    root = lower_plan(db, logical)
     description = [(n, None, None, None, None, None, None) for n in logical.names]
     plan = PhysicalPlan(
         root=root,
@@ -153,7 +132,7 @@ def plan_select(db, stmt: ast.Select, correlated: bool = False) -> PhysicalPlan:
         # Lowering subsumes predicate pushdown (access-path selection) and
         # TopN fusion; verifying the physical tree checks those rules too.
         physical = verifier.verify_plan(db, plan, correlated=correlated)
-        verifier.check_rule("vectorize" if vectorized else "lowering", base, physical)
+        verifier.check_rule("lowering", base, physical)
     return plan
 
 
@@ -369,36 +348,12 @@ def _maybe_swap_inputs(db, node: JoinNode, conjuncts: list) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Lowering: logical nodes → physical operators.
-
-
-def _node_bindings(node) -> list[str]:
-    if node is None:
-        return []
-    if isinstance(node, ScanNode):
-        return [node.ref.binding]
-    if isinstance(node, SubqueryNode):
-        return [node.ref.alias]
-    if isinstance(node, JoinNode):
-        return _node_bindings(node.left) + _node_bindings(node.right)
-    raise ProgrammingError(f"unknown logical node {node!r}")
-
-
-def _node_schemas(db, node) -> list[tuple[str, list[str]]]:
-    """``(binding, columns)`` pairs for LEFT-join null extension."""
-    if isinstance(node, ScanNode):
-        return [(node.ref.binding, db.catalog.table(node.ref.name).column_names)]
-    if isinstance(node, SubqueryNode):
-        return [(node.ref.alias, node.plan.names)]
-    if isinstance(node, JoinNode):
-        return _node_schemas(db, node.left) + _node_schemas(db, node.right)
-    raise ProgrammingError(f"unknown logical node {node!r}")
+# Lowering: logical nodes -> batch operators.
 
 
 def _scan_path(db, node: ScanNode, push: list, bound: list[str]):
     """The access path of one base-table scan, given the conjuncts pushed
-    to it and the bindings already bound to its left (shared by both
-    lowerings, so a batched plan probes exactly as the row plan would)."""
+    to it and the bindings already bound to its left."""
     ref = node.ref
     table = db.table(ref.name)
     meta = table.meta
@@ -410,34 +365,6 @@ def _scan_path(db, node: ScanNode, push: list, bound: list[str]):
         known_binding=_known_binding_fn(set(bound), meta, ref.binding),
         table_size=len(table.rows),
     )
-
-
-def _lower_source(db, node, push: list, bound: list[str]) -> Operator:
-    if node is None:
-        return ConstantRow()
-    if isinstance(node, ScanNode):
-        op = scan_for_path(_scan_path(db, node, push, bound))
-        op.est_rows = node.est_rows
-        return op
-    if isinstance(node, SubqueryNode):
-        sub_root = lower_select_plan(db, node.plan)
-        op = SubqueryScan(sub_root, node.ref.alias, node.plan.names)
-        op.est_rows = node.est_rows
-        return op
-    if isinstance(node, JoinNode):
-        left = _lower_source(db, node.left, push, bound)
-        right_push = list(split_conjuncts(node.condition))
-        if node.kind == "INNER":
-            right_push = right_push + push
-        right = _lower_source(
-            db, node.right, right_push, list(bound) + _node_bindings(node.left)
-        )
-        op = NestedLoopJoin(
-            left, right, node.kind, node.condition, _node_schemas(db, node.right)
-        )
-        op.est_rows = node.est_rows
-        return op
-    raise ProgrammingError(f"cannot lower source {node!r}")
 
 
 def _projection_cols(catalog, stmt: ast.Select) -> list[tuple]:
@@ -456,310 +383,207 @@ def _projection_cols(catalog, stmt: ast.Select) -> list[tuple]:
     return cols
 
 
-def _lower_branch(db, branch: BranchPlan) -> Operator:
-    stmt = branch.select
-    push = split_conjuncts(branch.where)
-    child = _lower_source(db, branch.source, push, [])
-    if branch.where is not None and not _is_const_true(branch.where):
-        flt = FilterOp(branch.where, child)
-        flt.est_rows = branch.est_rows if not branch.aggregate else None
-        child = flt
-    cols = _projection_cols(db.catalog, stmt)
-    if branch.aggregate:
-        op: Operator = HashAggregate(
-            stmt,
-            aggregate_calls(stmt),
-            cols,
-            binding_columns(db.catalog, stmt.source),
-            child,
-        )
-    else:
-        op = ProjectOp(cols, child)
-    op.est_rows = branch.est_rows
-    if branch.distinct:
-        op = DistinctOp(op)
-        op.est_rows = branch.est_rows
-    return op
+def _order_spec(sp: SelectPlan) -> tuple[list, list]:
+    """ORDER BY as ``(row position, descending)`` pairs plus the hidden
+    expressions the projection must append for them.
+
+    An integer literal names an output position and an unqualified name
+    an output column; any other term is computed from the source row as
+    a hidden column after the visible ones — which a compound SELECT has
+    no single source row for.
+    """
+    names = [n.lower() for n in sp.names]
+    spec: list = []
+    hidden: list = []
+    for oi in sp.order_by:
+        e = oi.expr
+        if isinstance(e, ast.Literal) and isinstance(e.value, int) and not isinstance(
+            e.value, bool
+        ):
+            if not 1 <= e.value <= len(names):
+                raise ProgrammingError(f"ORDER BY position {e.value} out of range")
+            pos = e.value - 1
+        elif isinstance(e, ast.ColumnRef) and e.table is None and e.name.lower() in names:
+            pos = names.index(e.name.lower())
+        elif len(sp.branches) > 1:
+            raise ProgrammingError(
+                "ORDER BY in compound SELECT must use output column names or positions"
+            )
+        else:
+            pos = len(names) + len(hidden)
+            hidden.append(e)
+        spec.append((pos, oi.descending))
+    return spec, hidden
 
 
-def _attach_order_limit(root: Operator, sp: SelectPlan) -> Operator:
-    """Row-engine ORDER BY / LIMIT tail shared by both lowering paths.
+def lower_plan(db, sp: SelectPlan) -> Operator:
+    """The batch operator tree of one logical plan: its branches, the
+    union of compound branches, then the ORDER BY / LIMIT tail.
 
     A LIMIT known negative at plan time never fuses into TopN: the heap
     would degrade to an unbounded sort at run time (and the verifier
     flags such plans as PLN005), so Sort+Limit — where a negative limit
     already means "no limit" — is the honest lowering.
     """
+    spec, hidden = _order_spec(sp)
+    width = len(sp.names) if hidden else None
+    roots = [_lower_branch(db, b, hidden, width) for b in sp.branches]
+    root = roots[0]
+    if len(roots) > 1:
+        root = VecUnion(roots, sp.dedup_until)
+        root.est_rows = sp.est_rows
     if sp.order_by:
-        if (
-            sp.limit is not None
-            and ENABLE_TOPN
-            and not _negative_literal_limit(sp.limit)
-        ):
-            root = TopN(sp.order_by, sp.names, sp.limit, sp.offset, root)
+        if sp.limit is not None and ENABLE_TOPN and not _negative_literal_limit(sp.limit):
+            root = VecTopN(spec, width, sp.limit, sp.offset, root)
             root.est_rows = sp.est_rows
-        else:
-            root = SortOp(sp.order_by, sp.names, root)
-            root.est_rows = sp.est_rows
-            if sp.limit is not None or sp.offset is not None:
-                root = LimitOp(sp.limit, sp.offset, root)
-                root.est_rows = sp.est_rows
-    elif sp.limit is not None or sp.offset is not None:
-        root = LimitOp(sp.limit, sp.offset, root)
+            return root
+        root = VecSort(spec, width, root)
+        root.est_rows = sp.est_rows
+    if sp.limit is not None or sp.offset is not None:
+        root = VecLimit(sp.limit, sp.offset, root)
         root.est_rows = sp.est_rows
     return root
 
 
-def lower_select_plan(db, sp: SelectPlan) -> Operator:
-    branch_ops = [_lower_branch(db, b) for b in sp.branches]
-    root = branch_ops[0]
-    if len(branch_ops) > 1:
-        root = UnionOp(branch_ops, sp.dedup_until)
-        root.est_rows = sp.est_rows
-    return _attach_order_limit(root, sp)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized lowering: scans, index probes and index-join chains over batches.
-
-
-def _vector_order_spec(sp: SelectPlan, comp: KernelCompiler):
-    """ORDER BY terms as ``(kind, payload, descending)`` triples.
-
-    Mirrors :func:`~repro.minidb.operators.order_value`: integer literals
-    and output-name references sort on the projected column; anything
-    else compiles to a separate sort-key kernel over the source batch.
-    Returns None (falling back to the row plan) when a term cannot be
-    resolved at plan time.
-    """
-    names = [n.lower() for n in sp.names]
-    spec = []
-    for oi in sp.order_by:
-        e = oi.expr
-        if isinstance(e, ast.Literal) and isinstance(e.value, int) and not isinstance(
-            e.value, bool
-        ):
-            pos = e.value - 1
-            if pos < 0 or pos >= len(names):
-                return None  # row path raises the proper error at run time
-            spec.append(("pos", pos, oi.descending))
-            continue
-        if (
-            isinstance(e, ast.ColumnRef)
-            and e.table is None
-            and e.name.lower() in names
-        ):
-            spec.append(("pos", names.index(e.name.lower()), oi.descending))
-            continue
-        k = comp.compile(e)
-        if k is None:
-            return None
-        spec.append(("kernel", k, oi.descending))
-    return spec
-
-
-def _index_join_chain(db, branch: BranchPlan) -> Optional[list]:
-    """The branch's source as ``[(scan node, access path, join node)]``
-    in join order (the leading scan's join node is None), or None when it
-    cannot feed batches.
-
-    A single base-table scan qualifies with an index path, or with a full
-    scan of at least VECTOR_MIN_ROWS rows (columnar segments).  A
-    left-deep chain of INNER joins over base tables qualifies when its
-    leading scan gathers through an index path and every inner side is
-    an IndexEquality probe — each path chosen exactly as
-    :func:`_lower_source` chooses it — and the branch does not aggregate.
-    """
-    joins = []
-    node = branch.source
+def _source_chain(node) -> list:
+    """A left-deep source tree as ``[(leaf node, join node)]`` in join
+    order (the leading leaf's join node is None); [] without FROM."""
+    chain = []
     while isinstance(node, JoinNode):
-        if node.kind != "INNER" or not isinstance(node.right, ScanNode):
-            return None
-        joins.append(node)
+        chain.append((node.right, node))
         node = node.left
-    if not isinstance(node, ScanNode):
-        return None
-    joins.reverse()
-    push = split_conjuncts(branch.where)
-    path = _scan_path(db, node, push, [])
-    if isinstance(path, FullScan):
-        if joins or len(db.table(node.ref.name).rows) < VECTOR_MIN_ROWS:
-            return None
-    elif not isinstance(path, (IndexEquality, IndexRangePath, InProbePath)):
-        return None
-    if joins and branch.aggregate:
-        return None
-    chain = [(node, path, None)]
-    bound = [node.ref.binding]
-    for join in joins:
-        right_push = list(split_conjuncts(join.condition)) + push
-        path = _scan_path(db, join.right, right_push, bound)
-        if not isinstance(path, IndexEquality):
-            return None
-        chain.append((join.right, path, join))
-        bound.append(join.right.ref.binding)
+    if node is not None:
+        chain.append((node, None))
+    chain.reverse()
     return chain
 
 
-def _lower_vectorized(db, sp: SelectPlan) -> Optional[Operator]:
-    """Batch-at-a-time operator tree, or None when the shape or an
-    expression does not vectorize (the row lowering then applies).
+def _lower_branch(db, branch: BranchPlan, hidden: list, width: Optional[int]) -> Operator:
+    """One SELECT core as a batch tree.
 
-    Requirements: a single non-compound branch whose source
-    :func:`_index_join_chain` accepts, and every key, ON, WHERE,
-    projection, grouping and ordering expression must compile to a
-    kernel.  A join chain compiles twice: the first pass finds the
-    columns every expression reads, the second compiles against slots
-    laid out table by table (the scan decodes the first block, each
-    index join appends its own).
+    A join chain compiles twice: the first pass finds the columns every
+    expression reads, the second compiles against slots laid out table by
+    table (the leaf decodes the first block, each join appends its own).
     """
-    if len(sp.branches) != 1:
-        return None
-    branch = sp.branches[0]
-    chain = _index_join_chain(db, branch)
-    if chain is None:
-        return None
+    chain = _source_chain(branch.source)
     comp = KernelCompiler(
-        [(db.table(node.ref.name).meta, node.ref.binding) for node, *_rest in chain]
+        [
+            (db.table(n.ref.name).meta, n.ref.binding)
+            if isinstance(n, ScanNode)
+            else (Columns(n.ref.alias, n.plan.names), n.ref.alias)
+            for n, _join in chain
+        ]
     )
-    root = _vector_tree(db, sp, branch, chain, comp)
-    if root is None or len(chain) == 1:
+    root = _branch_tree(db, branch, chain, comp, hidden, width)
+    if len(chain) < 2:
         return root
-    return _vector_tree(db, sp, branch, chain, comp.laid_out())
+    return _branch_tree(db, branch, chain, comp.laid_out(), hidden, width)
 
 
-def _vector_tree(
-    db, sp: SelectPlan, branch: BranchPlan, chain: list, comp: KernelCompiler
-) -> Optional[Operator]:
-    """The batch operator tree over *chain*, compiled with *comp*; None
-    when an expression does not compile."""
+def _branch_tree(
+    db, branch: BranchPlan, chain: list, comp: KernelCompiler, hidden: list,
+    width: Optional[int],
+) -> Operator:
     stmt = branch.select
+    push = split_conjuncts(branch.where)
+    # Access paths, chosen left to right: a join's inner side sees its ON
+    # conjuncts (plus the WHERE's on an INNER join) and the bindings to
+    # its left; every path only pre-filters, ON and WHERE re-check it.
+    paths: list = []
+    bound: list[str] = []
+    for node, join in chain:
+        node_push = push
+        if join is not None:
+            node_push = split_conjuncts(join.condition)
+            if join.kind == "INNER":
+                node_push = node_push + push
+        paths.append(_scan_path(db, node, node_push, bound) if isinstance(node, ScanNode) else None)
+        bound.append(node.ref.binding if isinstance(node, ScanNode) else node.ref.alias)
     # Join i's key kernels see its outer side (tables < i); its ON
     # condition also sees the inner table.
     joins = []
-    for i, (_node, path, join) in enumerate(chain[1:], start=1):
-        condition = join.condition
-        keys = []
-        for e in path.key_exprs:
-            k = comp.scoped(i).compile(e)
-            if k is None:
-                return None
-            keys.append(k)
-        on_kernel = None
-        if condition is not None and not _is_const_true(condition):
-            on_kernel = comp.scoped(i + 1).compile(condition)
-            if on_kernel is None:
-                return None
-        joins.append((keys, on_kernel))
-    where_kernel = None
+    for i, (_node, join) in enumerate(chain[1:], start=1):
+        keys = [comp.scoped(i).compile(e) for e in probe_exprs(paths[i])]
+        on = None
+        if join.condition is not None and not _is_const_true(join.condition):
+            on = comp.scoped(i + 1).compile(join.condition)
+        joins.append((keys, on))
+    where = None
     if branch.where is not None and not _is_const_true(branch.where):
-        where_kernel = comp.compile(branch.where)
-        if where_kernel is None:
-            return None
+        where = comp.compile(branch.where)
     cols = _projection_cols(db.catalog, stmt)
 
-    def scan_and_filter() -> Operator:
-        # Built last: every kernel must be compiled first so the slot
-        # blocks handed to the scan and the joins are final.
-        node, path, _join = chain[0]
-        child: Operator = VecScan(path, comp.block(0))
-        child.est_rows = node.est_rows
-        for i, (keys, on_kernel) in enumerate(joins, start=1):
-            _node, jpath, join = chain[i]
-            child = VecIndexJoin(jpath, comp.block(i), keys, child)
-            child.est_rows = join.est_rows
-            if on_kernel is not None:
-                child = VecFilter(join.condition, on_kernel, child)
-                child.est_rows = join.est_rows
-        if where_kernel is not None:
-            flt = VecFilter(branch.where, where_kernel, child)
-            flt.est_rows = branch.est_rows if not branch.aggregate else None
-            child = flt
-        return child
-
     if branch.aggregate:
-        meta, binding = comp.tables[0]
         calls = aggregate_calls(stmt)
-        key_kernels = []
-        for e in stmt.group_by:
-            k = comp.compile(e)
-            if k is None:
-                return None
-            key_kernels.append(k)
-        arg_kernels = {}
         for c in calls:
-            if c.star:
-                continue
-            if len(c.args) != 1:
-                return None  # row engine raises the proper error
-            k = comp.compile(c.args[0])
-            if k is None:
-                return None
-            arg_kernels[id(c)] = k
-        # HAVING and the projection run through the row evaluator against
-        # a representative scope, so every table column must be decoded.
-        row_slots = [comp.slot_for(0, i) for i in range(len(meta.columns))]
+            if not c.star and len(c.args) != 1:
+                raise ProgrammingError(f"aggregate {c.name}() takes exactly one argument")
+        key_kernels = [comp.compile(e) for e in branch.group_by]
+        arg_kernels = {id(c): comp.compile(c.args[0]) for c in calls if not c.star}
+        # HAVING, the select list and hidden ORDER BY terms evaluate per
+        # group against a representative row with every column decoded.
+        blocks = comp.row_blocks()
         op: Operator = VecAggregate(
-            stmt,
-            calls,
-            cols,
-            binding_columns(db.catalog, stmt.source),
-            scan_and_filter(),
-            key_kernels,
-            arg_kernels,
-            binding,
-            meta.column_names,
-            row_slots,
+            stmt, branch.group_by, calls, cols, hidden,
+            _source_tree(db, branch, chain, paths, joins, where, comp),
+            key_kernels, arg_kernels, blocks,
         )
-        op.est_rows = branch.est_rows
-        if branch.distinct:
-            op = DistinctOp(op)
-            op.est_rows = branch.est_rows
-        return _attach_order_limit(op, sp)
-
-    proj_kernels = []
-    for entry in cols:
-        if entry[0] == "star":
-            for cname in entry[2]:
-                k = comp.column_kernel(entry[1], cname)
-                if k is None:
-                    return None
-                proj_kernels.append(k)
-        else:
-            k = comp.compile(entry[1])
-            if k is None:
-                return None
-            proj_kernels.append(k)
-
-    if sp.order_by:
-        if branch.distinct:
-            return None  # DISTINCT + ORDER BY: keep the row plan
-        spec = _vector_order_spec(sp, comp)
-        if spec is None:
-            return None
-        if (
-            sp.limit is not None
-            and ENABLE_TOPN
-            and not _negative_literal_limit(sp.limit)
-        ):
-            root: Operator = VecTopN(
-                proj_kernels, spec, sp.limit, sp.offset, scan_and_filter()
-            )
-            root.est_rows = sp.est_rows
-            return root
-        root = VecSort(proj_kernels, spec, scan_and_filter())
-        root.est_rows = sp.est_rows
-        if sp.limit is not None or sp.offset is not None:
-            root = VecLimit(sp.limit, sp.offset, root)
-            root.est_rows = sp.est_rows
-        return root
-
-    root = VecProject(proj_kernels, scan_and_filter())
-    root.est_rows = branch.est_rows
+    else:
+        kernels = []
+        for entry in cols:
+            if entry[0] == "star":
+                kernels.extend(comp.star_kernels(entry[1]))
+            else:
+                kernels.append(comp.compile(entry[1]))
+        kernels.extend(comp.compile(e) for e in hidden)
+        op = VecProject(kernels, _source_tree(db, branch, chain, paths, joins, where, comp))
+    op.est_rows = branch.est_rows
     if branch.distinct:
-        root = VecDistinct(root)
-        root.est_rows = branch.est_rows
-    if sp.limit is not None or sp.offset is not None:
-        root = VecLimit(sp.limit, sp.offset, root)
-        root.est_rows = sp.est_rows
+        # Deduplicate on the visible columns: hidden ORDER BY values ride
+        # along with the first-seen row.
+        op = VecDistinct(width, op)
+        op.est_rows = branch.est_rows
+    return op
+
+
+def _source_tree(db, branch, chain, paths, joins, where, comp) -> Operator:
+    """Leaf, joins and WHERE filter.  Built after every kernel compiled,
+    so the slot blocks handed to the leaves are final."""
+    leaves = [_leaf(db, node, paths[i], comp.block(i)) for i, (node, _j) in enumerate(chain)]
+    child = leaves[0] if leaves else ConstantRow()
+    for i, (keys, on) in enumerate(joins, start=1):
+        join = chain[i][1]
+        child = VecIndexJoin(leaves[i], keys, join.kind, join.condition, on, child)
+        child.est_rows = join.est_rows
+    if where is not None:
+        child = VecFilter(branch.where, where, child)
+        child.est_rows = branch.est_rows if not branch.aggregate else None
+    return child
+
+
+def _leaf(db, node, path, slots) -> Operator:
+    if isinstance(node, ScanNode):
+        op: Operator = VecScan(path, slots)
+    else:
+        op = SubqueryScan(lower_plan(db, node.plan), node.ref.alias, node.plan.names, slots)
+    op.est_rows = node.est_rows
+    return op
+
+
+def lower_dml_scan(db, table_name: str, where: Optional[ast.Expr]) -> Operator:
+    """The scan(+filter) tree driving one UPDATE/DELETE: its batches
+    carry the row ids of the target rows."""
+    meta = db.table(table_name).meta
+    path = choose_access_path(
+        db.indexes_on(meta.name),
+        meta,
+        meta.name,
+        split_conjuncts(where),
+        known_binding=lambda t, c: False,
+    )
+    comp = KernelCompiler([(meta, meta.name)])
+    kernel = comp.compile(where) if where is not None else None
+    root: Operator = VecScan(path, comp.block(0))
+    if kernel is not None:
+        root = VecFilter(where, kernel, root)
     return root

@@ -488,6 +488,9 @@ class BranchPlan:
     where: Optional[ast.Expr]
     aggregate: bool
     distinct: bool
+    #: GROUP BY terms with output-column references resolved (see
+    #: :func:`group_terms`)
+    group_by: list = field(default_factory=list)
     est_rows: int = 0
 
 
@@ -542,6 +545,70 @@ def _build_source(db, source) -> Any:
     raise ProgrammingError(f"cannot plan source {source!r}")
 
 
+_ORDINALS = {1: "st", 2: "nd", 3: "rd"}
+
+
+def group_terms(catalog, select: ast.Select) -> list[ast.Expr]:
+    """GROUP BY terms with output-column references resolved, as sqlite3
+    resolves them.
+
+    An integer literal *k* names the *k*-th output column; a bare
+    identifier that names no input column but an output alias names that
+    aliased expression (an input column of the same name wins).  A term
+    out of range, or naming an aggregate, raises ``SemanticError``.
+    """
+    if not select.group_by:
+        return []
+    outputs: list[ast.Expr] = []
+    aliases: dict[str, ast.Expr] = {}
+    for item in select.items:
+        if isinstance(item.expr, ast.Star):
+            for binding, columns in binding_columns(catalog, select.source):
+                if item.expr.table is None or binding.lower() == item.expr.table.lower():
+                    outputs.extend(ast.ColumnRef(binding, c) for c in columns)
+            continue
+        outputs.append(item.expr)
+        if item.alias:
+            aliases.setdefault(item.alias.lower(), item.expr)
+    inputs = {
+        c.lower() for _b, cols in binding_columns(catalog, select.source) for c in cols
+    }
+    terms = []
+    for n, term in enumerate(select.group_by, start=1):
+        target = None
+        if (
+            isinstance(term, ast.Literal)
+            and isinstance(term.value, int)
+            and not isinstance(term.value, bool)
+        ):
+            if not 1 <= term.value <= len(outputs):
+                nth = f"{n}{_ORDINALS.get(n if n < 20 else n % 10, 'th')}"
+                raise SemanticError(
+                    f"{nth} GROUP BY term out of range - should be between 1 "
+                    f"and {len(outputs)}",
+                    code="SQL019",
+                )
+            target = outputs[term.value - 1]
+        elif (
+            isinstance(term, ast.ColumnRef)
+            and term.table is None
+            and term.name.lower() not in inputs
+        ):
+            target = aliases.get(term.name.lower())
+        if target is None:
+            terms.append(term)
+            continue
+        found: list = []
+        collect_aggregates(target, found)
+        if found:
+            raise SemanticError(
+                "aggregate functions are not allowed in the GROUP BY clause",
+                code="SQL007",
+            )
+        terms.append(target)
+    return terms
+
+
 def _build_branch(db, select: ast.Select) -> BranchPlan:
     source = _build_source(db, select.source)
     est = _estimate_source(db, source)
@@ -556,6 +623,7 @@ def _build_branch(db, select: ast.Select) -> BranchPlan:
         where=select.where,
         aggregate=aggregate,
         distinct=select.distinct,
+        group_by=group_terms(db.catalog, select),
         est_rows=est,
     )
 

@@ -1,22 +1,31 @@
-"""Vectorized expression kernels for batch-at-a-time execution.
+"""Batch kernels: the expression layer of minidb's one executor.
 
-The row engine (:mod:`repro.minidb.expressions`) dispatches one
-``_eval_*`` call per AST node per row.  For large scans that interpreter
-overhead dominates, so the optimizer compiles eligible expressions into
-**kernels**: closures evaluated once per :class:`ColumnBatch`, looping
-over whole column vectors with the per-node dispatch hoisted out of the
-loop.  Anything a kernel cannot express (subqueries, CASE, unknown
-columns) makes :meth:`KernelCompiler.compile` return ``None`` and the
-optimizer falls back to the classic row-at-a-time plan — vectorization
-is strictly an opt-in fast path, never a semantics change.
+Every plan runs batch-at-a-time (:mod:`repro.minidb.operators`), so every
+expression a plan evaluates is compiled here into a **kernel**: a closure
+``fn(batch, ctx) -> list`` evaluated once per :class:`ColumnBatch`,
+looping over whole column vectors with the per-node dispatch of the
+expression interpreter (:mod:`repro.minidb.expressions`) hoisted out of
+the loop.  ``ctx`` is the operator's
+:class:`~repro.minidb.operators.ExecContext`: its ``evaluator`` holds the
+statement's parameters and caches, its ``outer`` scope the enclosing
+query's row for correlated subqueries.
 
-Semantics contract: kernels reuse the row engine's primitives
+:meth:`KernelCompiler.compile` never gives up.  An expression a vector
+kernel cannot express — CASE over columns, a subquery, a reference that
+resolves only in an outer scope — compiles *as a whole* into one **row
+kernel**, which binds each batch row into a
+:class:`~repro.minidb.expressions.Scope` chained to ``ctx.outer`` and
+calls :meth:`Evaluator.evaluate`.  Such expressions therefore keep the
+interpreter's short-circuit, error and correlation behaviour exactly.
+
+Semantics contract: vector kernels reuse the interpreter's primitives
 (``compare``/``sort_key``/``cast_value``/``arith_value``/the scalar
-function table and LIKE/IN caches), so results are byte-identical to the
-Volcano path.  One documented divergence: a batch evaluates **eagerly**
-— an erroring subexpression behind a short-circuiting ``AND``/``OR``
-may raise where the row engine would have skipped it for some rows.
-Truth values are unaffected (three-valued logic is preserved exactly).
+function table and LIKE/IN caches), so results are byte-identical to
+row-at-a-time evaluation.  One documented divergence: a vector kernel
+evaluates **eagerly** — an erroring subexpression behind a
+short-circuiting ``AND``/``OR`` may raise where the interpreter would
+have skipped it for some rows.  Truth values are unaffected (three-valued
+logic is preserved exactly).
 """
 
 from __future__ import annotations
@@ -30,7 +39,6 @@ from . import ast_nodes as ast
 from .errors import ProgrammingError
 from .expressions import (
     SCALAR_FUNCTIONS,
-    Evaluator,
     Scope,
     arith_value,
     cast_value,
@@ -38,7 +46,7 @@ from .expressions import (
 )
 from .sqltypes import compare, sort_key
 
-#: Rows per batch pulled through the vectorized operators (configurable).
+#: Rows per batch pulled through the operators (configurable).
 BATCH_SIZE = 1024
 
 #: Empty scope scalar (row-invariant) subexpressions evaluate against.
@@ -52,6 +60,8 @@ class ColumnBatch:
     table column; ``kinds[slot]`` is the storage kind the values were
     decoded from (``'i'`` int, ``'f'`` float, ``'s'`` str, ``'o'``
     mixed/unknown) — kernels use it to pick raw-operator fast paths.
+    ``rowids`` carries the storage row ids of a single-table batch (the
+    rows UPDATE and DELETE address), None once a join merged tables.
     """
 
     __slots__ = ("n", "columns", "kinds", "rowids")
@@ -64,16 +74,48 @@ class ColumnBatch:
         self.rowids = rowids
 
 
+class Columns:
+    """Column names of a batch binding that is not a base table (a FROM
+    subquery's output): the slice of the ``TableMeta`` interface the
+    compiler reads.  Duplicate names resolve to the first, as in a Scope."""
+
+    def __init__(self, name: str, column_names: List[str]) -> None:
+        self.name = name
+        self.column_names = list(column_names)
+        self._lower = [c.lower() for c in column_names]
+
+    def has_column(self, name: str) -> bool:
+        return name.lower() in self._lower
+
+    def column_index(self, name: str) -> int:
+        return self._lower.index(name.lower())
+
+
 class _Kernel:
-    """A compiled expression: ``fn(batch, evaluator) -> list`` of n values."""
+    """A compiled expression: ``fn(batch, ctx) -> list`` of n values."""
 
     __slots__ = ("fn", "scalar", "slot")
 
-    def __init__(self, fn: Callable[[ColumnBatch, Evaluator], list],
+    def __init__(self, fn: Callable[[ColumnBatch, Any], list],
                  scalar: bool = False, slot: Optional[int] = None) -> None:
         self.fn = fn
         self.scalar = scalar  # row-invariant: same value for the whole batch
         self.slot = slot      # bare column reference: reads columns[slot]
+
+
+def bind_row(outer: Scope, blocks: list, columns: List[list], i: int) -> Scope:
+    """Row *i* of a batch as a scope chain over *outer*.
+
+    ``blocks`` lists ``(binding, lowered column names, slots)`` per table
+    in join order (see :meth:`KernelCompiler.row_blocks`); each table gets
+    its own scope level, innermost last, so an unqualified name present
+    in two tables resolves to the later one — the interpreter's rule.
+    """
+    scope = outer
+    for binding, names, slots in blocks:
+        scope = Scope(scope)
+        scope.bindings[binding] = (names, tuple([columns[s][i] for s in slots]))
+    return scope
 
 
 def _scalar_safe(expr: ast.Expr) -> bool:
@@ -149,13 +191,12 @@ class KernelCompiler:
     """Compiles expressions over one or more table bindings into batch kernels.
 
     ``tables`` lists the ``(meta, binding)`` pairs a batch carries, in
-    join order.  The compiler assigns a **slot** to every table column an
-    expression touches; ``slots[i]`` is the ``(table, column position)``
-    pair behind batch slot *i*, and :meth:`block` lists one table's
-    positions for the operator that decodes them (the scan for table 0,
-    each index join for its inner table).  ``compile`` returns ``None``
-    for anything it cannot vectorize — the caller then abandons the
-    vectorized plan entirely.
+    join order (``meta`` is a ``TableMeta`` or a :class:`Columns`).  The
+    compiler assigns a **slot** to every table column an expression
+    touches; ``slots[i]`` is the ``(table, column position)`` pair behind
+    batch slot *i*, and :meth:`block` lists one table's positions for the
+    operator that decodes them (the leaf for table 0, each join for its
+    inner table).
 
     :meth:`scoped` gives a view that sees only the first *n* tables (an
     ON condition sees the tables joined so far, a join key its outer
@@ -198,10 +239,22 @@ class KernelCompiler:
             self.slots.append(key)
         return slot
 
+    def row_blocks(self) -> list:
+        """``(binding, lowered column names, slots)`` for every visible
+        table, registering a slot for each of its columns — what
+        :func:`bind_row` needs to rebuild a row's scope."""
+        blocks = []
+        for t, (meta, binding) in enumerate(self.tables[: self.visible]):
+            names = [c.lower() for c in meta.column_names]
+            blocks.append(
+                (binding, names, [self.slot_for(t, p) for p in range(len(names))])
+            )
+        return blocks
+
     def column(self, table: Optional[str], name: str) -> Optional[int]:
         """Slot of a column reference, or None when it does not resolve
-        to exactly one visible table (an outer-scope or ambiguous name:
-        the row plan resolves or rejects it)."""
+        to exactly one visible table (an outer-scope or ambiguous name,
+        left to a row kernel's scope chain)."""
         lname = name.lower()
         visible = self.tables[: self.visible]
         if table is not None:
@@ -216,23 +269,29 @@ class KernelCompiler:
         meta = visible[hits[0]][0]
         return self.slot_for(hits[0], meta.column_index(lname))
 
-    def column_kernel(self, binding: str, name: str) -> Optional[_Kernel]:
-        """Kernel reading one bare table column (star expansion)."""
-        slot = self.column(binding, name)
-        if slot is None:
-            return None
-
-        def fn(b: ColumnBatch, ev: Evaluator, slot=slot) -> list:
-            return b.columns[slot]
-
-        return _Kernel(fn, slot=slot)
+    def star_kernels(self, binding: str) -> List[_Kernel]:
+        """One column kernel per column of *binding*, by position (star
+        expansion)."""
+        lbinding = binding.lower()
+        t = next(i for i, (_m, b) in enumerate(self.tables) if b == lbinding)
+        meta = self.tables[t][0]
+        return [
+            self._slot_kernel(self.slot_for(t, p))
+            for p in range(len(meta.column_names))
+        ]
 
     # -- public ------------------------------------------------------------
 
-    def compile(self, expr: ast.Expr) -> Optional[_Kernel]:
+    def compile(self, expr: ast.Expr) -> _Kernel:
+        """A kernel for *expr*: vectorized when every node has a vector
+        form, otherwise one row kernel for the whole expression."""
+        kernel = self._vec(expr)
+        return kernel if kernel is not None else self._row_kernel(expr)
+
+    def _vec(self, expr: ast.Expr) -> Optional[_Kernel]:
         if _scalar_safe(expr):
-            def fn(b: ColumnBatch, ev: Evaluator, expr=expr) -> list:
-                return [ev.evaluate(expr, _SCALAR_SCOPE)] * b.n
+            def fn(b: ColumnBatch, ctx, expr=expr) -> list:
+                return [ctx.evaluator.evaluate(expr, _SCALAR_SCOPE)] * b.n
 
             return _Kernel(fn, scalar=True)
         method = getattr(self, f"_c_{type(expr).__name__}", None)
@@ -240,41 +299,53 @@ class KernelCompiler:
             return None
         return method(expr)
 
-    # -- node compilers ------------------------------------------------------
+    def _row_kernel(self, expr: ast.Expr) -> _Kernel:
+        blocks = self.row_blocks()
 
-    def _c_ColumnRef(self, expr: ast.ColumnRef) -> Optional[_Kernel]:
-        slot = self.column(expr.table, expr.name)
-        if slot is None:
-            return None
+        def fn(b: ColumnBatch, ctx) -> list:
+            evaluate = ctx.evaluator.evaluate
+            outer = ctx.outer
+            cols = b.columns
+            return [evaluate(expr, bind_row(outer, blocks, cols, i)) for i in range(b.n)]
 
-        def fn(b: ColumnBatch, ev: Evaluator, slot=slot) -> list:
+        return _Kernel(fn)
+
+    @staticmethod
+    def _slot_kernel(slot: int) -> _Kernel:
+        def fn(b: ColumnBatch, ctx, slot=slot) -> list:
             return b.columns[slot]
 
         return _Kernel(fn, slot=slot)
 
+    # -- node compilers ------------------------------------------------------
+
+    def _c_ColumnRef(self, expr: ast.ColumnRef) -> Optional[_Kernel]:
+        slot = self.column(expr.table, expr.name)
+        return None if slot is None else self._slot_kernel(slot)
+
     def _c_Unary(self, expr: ast.Unary) -> Optional[_Kernel]:
-        k = self.compile(expr.operand)
+        k = self._vec(expr.operand)
         if k is None:
             return None
         op = expr.op
         kf = k.fn
         if op == "NOT":
-            def fn(b, ev):
-                return [None if v is None else not bool(v) for v in kf(b, ev)]
+            def fn(b, ctx):
+                return [None if v is None else not bool(v) for v in kf(b, ctx)]
         elif op == "-":
-            def fn(b, ev):
-                return [None if v is None else -v for v in kf(b, ev)]
+            def fn(b, ctx):
+                return [None if v is None else -v for v in kf(b, ctx)]
         else:
-            def fn(b, ev):
-                return [None if v is None else +v for v in kf(b, ev)]
+            def fn(b, ctx):
+                return [None if v is None else +v for v in kf(b, ctx)]
         return _Kernel(fn)
 
     def _c_Binary(self, expr: ast.Binary) -> Optional[_Kernel]:
         op = expr.op
-        lk = self.compile(expr.left)
+        lk = self._vec(expr.left)
         if lk is None:
             return None
-        rk = self.compile(expr.right)
+        rk = self._vec(expr.right)
         if rk is None:
             return None
         if op in ("AND", "OR"):
@@ -286,10 +357,10 @@ class KernelCompiler:
     def _logic_kernel(self, op: str, lk: _Kernel, rk: _Kernel) -> _Kernel:
         lf, rf = lk.fn, rk.fn
         if op == "AND":
-            def fn(b, ev):
+            def fn(b, ctx):
                 out = []
                 append = out.append
-                for a, c in zip(lf(b, ev), rf(b, ev)):
+                for a, c in zip(lf(b, ctx), rf(b, ctx)):
                     if (a is not None and not a) or (c is not None and not c):
                         append(False)
                     elif a is None or c is None:
@@ -298,10 +369,10 @@ class KernelCompiler:
                         append(True)
                 return out
         else:
-            def fn(b, ev):
+            def fn(b, ctx):
                 out = []
                 append = out.append
-                for a, c in zip(lf(b, ev), rf(b, ev)):
+                for a, c in zip(lf(b, ctx), rf(b, ctx)):
                     if (a is not None and a) or (c is not None and c):
                         append(True)
                     elif a is None or c is None:
@@ -321,9 +392,9 @@ class KernelCompiler:
             slot = lk.slot
             rf = rk.fn
 
-            def fn(b, ev):
+            def fn(b, ctx):
                 col = b.columns[slot]
-                rv = rf(b, ev)[0] if b.n else None
+                rv = rf(b, ctx)[0] if b.n else None
                 if rv is None:
                     return [None] * b.n
                 kind = b.kinds[slot]
@@ -343,10 +414,10 @@ class KernelCompiler:
         lf, rf = lk.fn, rk.fn
         raw = _RAW_CMP[op]
 
-        def fn(b, ev):
+        def fn(b, ctx):
             out = []
             append = out.append
-            for a, c in zip(lf(b, ev), rf(b, ev)):
+            for a, c in zip(lf(b, ctx), rf(b, ctx)):
                 # Two ints or two strs: the raw operator orders them
                 # exactly as compare() does (join keys are mostly these).
                 t = type(a)
@@ -364,10 +435,10 @@ class KernelCompiler:
             return None
         lf, rf = lk.fn, rk.fn
         if op == "||":
-            def fn(b, ev):
+            def fn(b, ctx):
                 return [
                     None if a is None or c is None else f"{a}{c}"
-                    for a, c in zip(lf(b, ev), rf(b, ev))
+                    for a, c in zip(lf(b, ctx), rf(b, ctx))
                 ]
 
             return _Kernel(fn)
@@ -375,9 +446,9 @@ class KernelCompiler:
             slot = lk.slot
             fast = {"+": _operator.add, "-": _operator.sub, "*": _operator.mul}[op]
 
-            def fn(b, ev):
+            def fn(b, ctx):
                 col = b.columns[slot]
-                rv = rf(b, ev)[0] if b.n else None
+                rv = rf(b, ctx)[0] if b.n else None
                 if rv is None:
                     return [None] * b.n
                 if b.kinds[slot] in "if" and type(rv) in (int, float):
@@ -388,40 +459,40 @@ class KernelCompiler:
 
             return _Kernel(fn)
 
-        def fn(b, ev, op=op):
+        def fn(b, ctx, op=op):
             return [
                 None if a is None or c is None else arith_value(op, a, c)
-                for a, c in zip(lf(b, ev), rf(b, ev))
+                for a, c in zip(lf(b, ctx), rf(b, ctx))
             ]
 
         return _Kernel(fn)
 
     def _c_IsNull(self, expr: ast.IsNull) -> Optional[_Kernel]:
-        k = self.compile(expr.operand)
+        k = self._vec(expr.operand)
         if k is None:
             return None
         kf = k.fn
         if expr.negated:
-            def fn(b, ev):
-                return [v is not None for v in kf(b, ev)]
+            def fn(b, ctx):
+                return [v is not None for v in kf(b, ctx)]
         else:
-            def fn(b, ev):
-                return [v is None for v in kf(b, ev)]
+            def fn(b, ctx):
+                return [v is None for v in kf(b, ctx)]
         return _Kernel(fn)
 
     def _c_Between(self, expr: ast.Between) -> Optional[_Kernel]:
-        ok = self.compile(expr.operand)
-        lo = self.compile(expr.low)
-        hi = self.compile(expr.high)
+        ok = self._vec(expr.operand)
+        lo = self._vec(expr.low)
+        hi = self._vec(expr.high)
         if ok is None or lo is None or hi is None:
             return None
         of, lof, hif = ok.fn, lo.fn, hi.fn
         neg = expr.negated
 
-        def fn(b, ev):
+        def fn(b, ctx):
             out = []
             append = out.append
-            for v, low, high in zip(of(b, ev), lof(b, ev), hif(b, ev)):
+            for v, low, high in zip(of(b, ctx), lof(b, ctx), hif(b, ctx)):
                 c1 = compare(v, low)
                 c2 = compare(v, high)
                 if c1 is None or c2 is None:
@@ -434,7 +505,7 @@ class KernelCompiler:
         return _Kernel(fn)
 
     def _c_Like(self, expr: ast.Like) -> Optional[_Kernel]:
-        k = self.compile(expr.operand)
+        k = self._vec(expr.operand)
         if k is None:
             return None
         if not _scalar_safe(expr.pattern):
@@ -446,7 +517,8 @@ class KernelCompiler:
         escape_expr = expr.escape
         neg = expr.negated
 
-        def fn(b, ev):
+        def fn(b, ctx):
+            ev = ctx.evaluator
             pattern = ev.evaluate(pattern_expr, _SCALAR_SCOPE)
             if pattern is None:
                 return [None] * b.n
@@ -461,7 +533,7 @@ class KernelCompiler:
             m = rx.match
             out = []
             append = out.append
-            for v in kf(b, ev):
+            for v in kf(b, ctx):
                 if v is None:
                     append(None)
                 else:
@@ -472,7 +544,7 @@ class KernelCompiler:
         return _Kernel(fn)
 
     def _c_InList(self, expr: ast.InList) -> Optional[_Kernel]:
-        k = self.compile(expr.operand)
+        k = self._vec(expr.operand)
         if k is None:
             return None
         if not all(
@@ -484,7 +556,8 @@ class KernelCompiler:
         neg = expr.negated
         cache_id = id(expr)
 
-        def fn(b, ev):
+        def fn(b, ctx):
+            ev = ctx.evaluator
             cached = ev._inlist_cache.get(cache_id)
             if cached is None:
                 keys: set = set()
@@ -500,7 +573,7 @@ class KernelCompiler:
             keys, has_null = cached
             out = []
             append = out.append
-            for v in kf(b, ev):
+            for v in kf(b, ctx):
                 if v is None:
                     append(None)
                 elif sort_key(v) in keys:
@@ -514,14 +587,14 @@ class KernelCompiler:
         return _Kernel(fn)
 
     def _c_Cast(self, expr: ast.Cast) -> Optional[_Kernel]:
-        k = self.compile(expr.operand)
+        k = self._vec(expr.operand)
         if k is None:
             return None
         kf = k.fn
         type_name = expr.type_name
 
-        def fn(b, ev):
-            return [cast_value(v, type_name) for v in kf(b, ev)]
+        def fn(b, ctx):
+            return [cast_value(v, type_name) for v in kf(b, ctx)]
 
         return _Kernel(fn)
 
@@ -533,14 +606,14 @@ class KernelCompiler:
             return None
         arg_kernels = []
         for arg in expr.args:
-            ak = self.compile(arg)
+            ak = self._vec(arg)
             if ak is None:
                 return None
             arg_kernels.append(ak.fn)
         name = expr.name
 
-        def fn(b, ev):
-            cols = [af(b, ev) for af in arg_kernels]
+        def fn(b, ctx):
+            cols = [af(b, ctx) for af in arg_kernels]
             out = []
             append = out.append
             try:

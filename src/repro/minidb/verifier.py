@@ -1,24 +1,23 @@
 """Static plan verification for the minidb query engine.
 
-The optimizer grew from "lower the AST" to a pipeline of rewrite rules
-feeding two lowering backends (row Volcano operators and vectorized
-``Vec*`` batch operators).  The runtime differential suite catches
-miscompilations only after the fact; this module catches them *at plan
-time* by walking any physical operator tree and propagating a typed
-output contract — column names, affinities, nullability, ordering and
-distinctness guarantees, and the batch-vs-row iteration protocol —
-through every operator.
+The optimizer is a pipeline of rewrite rules feeding one lowering onto
+the batch operators (:mod:`repro.minidb.operators`).  The runtime
+differential suite catches miscompilations only after the fact; this
+module catches them *at plan time* by walking any physical operator tree
+and propagating a typed output contract — column names, affinities,
+nullability, ordering and distinctness guarantees, and the
+column-batch-vs-row-batch protocol — through every operator.
 
 Violations raise :class:`PlanVerificationError` with a stable code:
 
 ========  ==================================================================
-PLN001    unresolvable column reference (unknown binding or column)
+PLN001    unresolvable column reference (unknown binding or column, or an
+          ORDER BY position outside the sorted rows)
 PLN002    join/index key contract mismatch (arity, position, or affinity)
-PLN003    vectorized operator without a usable kernel (None kernel,
-          slot out of range, hash-join access path under VecScan, a
-          non-equality inner path under VecIndexJoin)
-PLN004    batch-vs-row protocol violation (a consumer wired to a child
-          whose iteration protocol it cannot drain without an adapter)
+PLN003    operator without a usable kernel (None kernel, slot out of
+          range, a leaf over an unknown access path)
+PLN004    protocol violation (a consumer wired to a child whose batch
+          protocol — column batches or row batches — it cannot drain)
 PLN005    TopN fused over a plan-time negative LIMIT (the heap degrades
           to a full sort at run time; the optimizer must not fuse it)
 PLN006    output arity drift (projection/aggregate width vs declared
@@ -154,21 +153,12 @@ class ColumnContract:
     nullable: bool
 
 
-#: Iteration protocols an operator's output can follow.  ``scope``
-#: operators yield :class:`~repro.minidb.expressions.Scope` objects;
-#: ``row`` operators yield ``(row, context)`` pairs; ``column-batch``
-#: producers yield :class:`~repro.minidb.vector.ColumnBatch`; and
-#: ``row-batch`` producers yield lists of plain row tuples (and carry
-#: the per-row adapter that lets row consumers drain them).
-SCOPE = "scope"
-ROW = "row"
+#: Batch protocols an operator's output can follow: ``column-batch``
+#: producers yield :class:`~repro.minidb.vector.ColumnBatch` (scans,
+#: joins, filters); ``row-batch`` producers yield lists of plain row
+#: tuples (projection and everything above it).
 COLUMN_BATCH = "column-batch"
 ROW_BATCH = "row-batch"
-
-#: Protocols a row-consuming operator can drain via ``rows()``:
-#: ``row-batch`` producers subclass the row adapter, ``column-batch``
-#: producers are batch-only and raise.
-_ROWISH = (ROW, ROW_BATCH)
 
 
 @dataclass
@@ -355,7 +345,7 @@ class _TreeVerifier:
             return self._expr_affinity(expr.operand, env)
         return None
 
-    # -- access-path (scan) verification --------------------------------------
+    # -- access paths -------------------------------------------------------
 
     def _table_columns(self, table: str, op: Any) -> List[ColumnContract]:
         try:
@@ -421,14 +411,16 @@ class _TreeVerifier:
                 op,
             )
 
-    def _check_index_path(
+    def _check_path(
         self,
         op: Any,
         path: Any,
         cols: List[ColumnContract],
         env: Dict[str, List[ColumnContract]],
     ) -> None:
-        """PLN002 key arity/affinity checks shared by row and batch leaves."""
+        """PLN002 key arity/affinity checks of one access path."""
+        if isinstance(path, FullScan):
+            return
         if isinstance(path, IndexEquality):
             self._check_index_keys(op, cols, path.index.columns, path.key_exprs, env)
         elif isinstance(path, IndexRange):
@@ -464,116 +456,135 @@ class _TreeVerifier:
                 env,
                 prefix=True,
             )
+        elif isinstance(path, HashJoin):
+            self._check_hash_path(op, path, cols, env)
+        else:
+            self._fail("PLN003", f"leaf over an unknown access path {path!r}", op)
 
-    def _visit_scan(
-        self, op: Any, env: Dict[str, List[ColumnContract]]
-    ) -> Contract:
-        path = op.path
-        cols = self._table_columns(path.table, op)
-        self._check_index_path(op, path, cols, env)
-        if isinstance(path, HashJoin):
-            n = len(path.build_cols)
-            if n == 0 or n != len(path.build_positions) or n != len(path.probe_exprs):
+    def _check_hash_path(
+        self,
+        op: Any,
+        path: Any,
+        cols: List[ColumnContract],
+        env: Dict[str, List[ColumnContract]],
+    ) -> None:
+        n = len(path.build_cols)
+        if n == 0 or n != len(path.build_positions) or n != len(path.probe_exprs):
+            self._fail(
+                "PLN002",
+                f"hash-join key arity mismatch: {n} build columns, "
+                f"{len(path.build_positions)} positions, "
+                f"{len(path.probe_exprs)} probe exprs",
+                op,
+            )
+        by_name = {c.name: i for i, c in enumerate(cols)}
+        for name, pos, probe in zip(
+            path.build_cols, path.build_positions, path.probe_exprs
+        ):
+            if by_name.get(name.lower()) != pos:
                 self._fail(
                     "PLN002",
-                    f"hash-join key arity mismatch: {n} build columns, "
-                    f"{len(path.build_positions)} positions, "
-                    f"{len(path.probe_exprs)} probe exprs",
+                    f"hash-join build column {name!r} does not live at "
+                    f"position {pos}",
                     op,
                 )
-            by_name = {c.name: i for i, c in enumerate(cols)}
-            for name, pos, probe in zip(
-                path.build_cols, path.build_positions, path.probe_exprs
+            self._check_expr(probe, env, op)
+            col = cols[pos] if 0 <= pos < len(cols) else None
+            if col is not None and _affinity_conflict(
+                col.affinity, self._expr_affinity(probe, env)
             ):
-                if by_name.get(name.lower()) != pos:
-                    self._fail(
-                        "PLN002",
-                        f"hash-join build column {name!r} does not live at "
-                        f"position {pos}",
-                        op,
-                    )
-                self._check_expr(probe, env, op)
-                col = cols[pos] if 0 <= pos < len(cols) else None
-                if col is not None and _affinity_conflict(
-                    col.affinity, self._expr_affinity(probe, env)
-                ):
-                    self._fail(
-                        "PLN002",
-                        f"hash-join key affinity mismatch on {name!r}: "
-                        f"{col.affinity} build column probed with a "
-                        f"{self._expr_affinity(probe, env)} expression",
-                        op,
-                    )
-        return Contract(protocol=SCOPE, bindings={path.binding.lower(): cols})
+                self._fail(
+                    "PLN002",
+                    f"hash-join key affinity mismatch on {name!r}: "
+                    f"{col.affinity} build column probed with a "
+                    f"{self._expr_affinity(probe, env)} expression",
+                    op,
+                )
 
     # -- dispatcher -----------------------------------------------------------
 
     def visit(self, op: Any, env: Dict[str, List[ColumnContract]]) -> Contract:
         from . import operators as ops
 
-        if isinstance(op, ops._ScanBase):
-            return self._visit_scan(op, env)
-        if isinstance(op, ops.ConstantRow):
-            return Contract(protocol=SCOPE)
-        if isinstance(op, ops.SubqueryScan):
-            return self._visit_subquery_scan(op, env)
-        if isinstance(op, ops.NestedLoopJoin):
-            return self._visit_nested_loop(op, env)
-        if isinstance(op, ops.FilterOp):
-            return self._visit_filter(op, env)
-        if isinstance(op, ops.HashAggregate):
-            return self._visit_aggregate(op, env)
-        if isinstance(op, ops.ProjectOp):
-            return self._visit_project(op, env)
-        if isinstance(op, ops.DistinctOp):
-            return self._visit_distinct(op, env)
-        if isinstance(op, ops.UnionOp):
-            return self._visit_union(op, env)
-        if isinstance(op, ops.TopN):
-            return self._visit_ordered(op, env, limited=True)
-        if isinstance(op, ops.SortOp):
-            return self._visit_ordered(op, env, limited=False)
-        if isinstance(op, ops.LimitOp):
-            return self._visit_limit(op, env)
-        if isinstance(op, ops.VecScan):
-            return self._visit_vec_scan(op, env)
-        if isinstance(op, ops.VecIndexJoin):
-            return self._visit_vec_index_join(op, env)
-        if isinstance(op, ops.VecFilter):
-            return self._visit_vec_filter(op, env)
-        if isinstance(op, ops.VecProject):
-            return self._visit_vec_project(op, env)
-        if isinstance(op, ops.VecAggregate):
-            return self._visit_vec_aggregate(op, env)
-        if isinstance(op, ops.VecTopN):
-            return self._visit_vec_ordered(op, env, limited=True)
-        if isinstance(op, ops.VecSort):
-            return self._visit_vec_ordered(op, env, limited=False)
-        if isinstance(op, ops.VecDistinct):
-            return self._visit_vec_distinct(op, env)
-        if isinstance(op, ops.VecLimit):
-            return self._visit_vec_limit(op, env)
-        self._fail("PLN004", f"unknown operator {type(op).__name__}", op)
-        raise AssertionError("unreachable")  # pragma: no cover
+        visitor = {
+            ops.VecScan: self._visit_scan,
+            ops.ConstantRow: self._visit_constant_row,
+            ops.SubqueryScan: self._visit_subquery_scan,
+            ops.VecIndexJoin: self._visit_join,
+            ops.VecFilter: self._visit_filter,
+            ops.VecProject: self._visit_project,
+            ops.VecAggregate: self._visit_aggregate,
+            ops.VecSort: self._visit_ordered,
+            ops.VecTopN: self._visit_ordered,
+            ops.VecDistinct: self._visit_distinct,
+            ops.VecLimit: self._visit_limit,
+            ops.VecUnion: self._visit_union,
+        }.get(type(op))
+        if visitor is None:
+            self._fail("PLN004", f"unknown operator {type(op).__name__}", op)
+            raise AssertionError("unreachable")  # pragma: no cover
+        return visitor(op, env)
 
-    # -- scope-protocol operators ---------------------------------------------
-
-    def _require(self, contract: Contract, wanted: Tuple[str, ...], op: Any) -> None:
-        if contract.protocol not in wanted:
+    def _require(self, contract: Contract, wanted: str, op: Any) -> None:
+        if contract.protocol != wanted:
             self._fail(
                 "PLN004",
-                f"protocol violation: consumes {' or '.join(wanted)} input "
+                f"protocol violation: consumes {wanted} input "
                 f"but child produces {contract.protocol}",
                 op,
             )
+
+    def _check_kernel(self, op: Any, kernel: Any, nslots: int, what: str) -> None:
+        if kernel is None:
+            self._fail("PLN003", f"{what} did not compile to a kernel", op)
+            return
+        slot = getattr(kernel, "slot", None)
+        if slot is not None and not 0 <= slot < nslots:
+            self._fail(
+                "PLN003",
+                f"{what} reads batch slot {slot} but the batch carries only "
+                f"{nslots} slots",
+                op,
+            )
+
+    def _check_slots(self, op: Any, slots: List[int], ncols: int) -> None:
+        for position in slots:
+            if not 0 <= position < ncols:
+                self._fail(
+                    "PLN003",
+                    f"{type(op).__name__} slot decodes column position "
+                    f"{position} but the source has {ncols} columns",
+                    op,
+                )
+
+    # -- column-batch operators -----------------------------------------------
+
+    def _visit_scan(
+        self, op: Any, env: Dict[str, List[ColumnContract]]
+    ) -> Contract:
+        path = op.path
+        cols = self._table_columns(path.table, op)
+        self._check_path(op, path, cols, env)
+        self._check_slots(op, op.slots, len(cols))
+        return Contract(
+            protocol=COLUMN_BATCH,
+            bindings={path.binding.lower(): cols},
+            nslots=len(op.slots),
+        )
+
+    def _visit_constant_row(
+        self, op: Any, env: Dict[str, List[ColumnContract]]
+    ) -> Contract:
+        return Contract(protocol=COLUMN_BATCH)
 
     def _visit_subquery_scan(
         self, op: Any, env: Dict[str, List[ColumnContract]]
     ) -> Contract:
         # FROM subqueries are uncorrelated by construction (their row
-        # cache is shared across outer rows), so the inner env is fresh.
+        # cache is shared across the whole execution), so the inner env
+        # is fresh.
         sub = self.visit(op.plan, {})
-        self._require(sub, _ROWISH, op)
+        self._require(sub, ROW_BATCH, op)
         if sub.width is not None and sub.width != len(op.names):
             self._fail(
                 "PLN006",
@@ -581,44 +592,75 @@ class _TreeVerifier:
                 f"{len(op.names)} names",
                 op,
             )
+        self._check_slots(op, op.slots, len(op.names))
         cols = [ColumnContract(n.lower(), None, True) for n in op.names]
-        return Contract(protocol=SCOPE, bindings={op.alias.lower(): cols})
+        return Contract(
+            protocol=COLUMN_BATCH,
+            bindings={op.alias.lower(): cols},
+            nslots=len(op.slots),
+        )
 
-    def _visit_nested_loop(
+    def _visit_join(
         self, op: Any, env: Dict[str, List[ColumnContract]]
     ) -> Contract:
-        left = self.visit(op.left, env)
-        self._require(left, (SCOPE,), op)
-        inner_env = dict(env)
-        inner_env.update(left.bindings)
-        right = self.visit(op.right, inner_env)
-        self._require(right, (SCOPE,), op)
-        bindings = dict(left.bindings)
-        if op.kind == "LEFT":
-            # The right side null-extends on no match.
-            for name, cols in right.bindings.items():
-                bindings[name] = [
-                    ColumnContract(c.name, c.affinity, True) for c in cols
-                ]
-        else:
-            bindings.update(right.bindings)
+        from .operators import probe_exprs
+
+        child = self.visit(op.child, env)
+        self._require(child, COLUMN_BATCH, op)
+        outer = dict(env)
+        outer.update(child.bindings)
+        inner = self.visit(op.inner, outer)
+        self._require(inner, COLUMN_BATCH, op)
+        nkeys = len(probe_exprs(op.inner.path)) if hasattr(op.inner, "path") else 0
+        if len(op.key_kernels) != nkeys:
+            self._fail(
+                "PLN002",
+                f"join key arity mismatch: {len(op.key_kernels)} key kernels "
+                f"for {nkeys} probe exprs",
+                op,
+            )
+        for i, kernel in enumerate(op.key_kernels):
+            self._check_kernel(op, kernel, child.nslots, f"join key kernel {i}")
+        bindings = dict(child.bindings)
+        for name, cols in inner.bindings.items():
+            if op.kind == "LEFT":
+                # The inner side null-extends on no match.
+                cols = [ColumnContract(c.name, c.affinity, True) for c in cols]
+            bindings[name] = cols
+        nslots = child.nslots + inner.nslots
         if op.condition is not None:
             local = dict(env)
             local.update(bindings)
             self._check_expr(op.condition, local, op)
             self.predicates |= _norm_conjuncts(op.condition)
-        return Contract(protocol=SCOPE, bindings=bindings)
+        if op.on_kernel is not None:
+            self._check_kernel(op, op.on_kernel, nslots, "ON kernel")
+        return Contract(protocol=COLUMN_BATCH, bindings=bindings, nslots=nslots)
 
     def _visit_filter(
         self, op: Any, env: Dict[str, List[ColumnContract]]
     ) -> Contract:
         child = self.visit(op.child, env)
-        self._require(child, (SCOPE,), op)
+        self._require(child, COLUMN_BATCH, op)
         local = dict(env)
         local.update(child.bindings)
         self._check_expr(op.condition, local, op)
+        self._check_kernel(op, op.kernel, child.nslots, "WHERE kernel")
         self.predicates |= _norm_conjuncts(op.condition)
         return child
+
+    # -- row-batch operators --------------------------------------------------
+
+    def _visit_project(
+        self, op: Any, env: Dict[str, List[ColumnContract]]
+    ) -> Contract:
+        child = self.visit(op.child, env)
+        self._require(child, COLUMN_BATCH, op)
+        for i, kernel in enumerate(op.kernels):
+            self._check_kernel(op, kernel, child.nslots, f"projection kernel {i}")
+        return Contract(
+            protocol=ROW_BATCH, bindings=child.bindings, width=len(op.kernels)
+        )
 
     def _projection_width(
         self,
@@ -654,19 +696,19 @@ class _TreeVerifier:
                 width += 1
         return width
 
-    def _visit_project(
+    def _visit_aggregate(
         self, op: Any, env: Dict[str, List[ColumnContract]]
     ) -> Contract:
         child = self.visit(op.child, env)
-        self._require(child, (SCOPE,), op)
+        self._require(child, COLUMN_BATCH, op)
         local = dict(env)
         local.update(child.bindings)
-        width = self._projection_width(op.cols, local, op)
-        return Contract(protocol=ROW, bindings=child.bindings, width=width)
-
-    def _check_call_set(self, op: Any, select: Any) -> None:
+        for expr in op.group_by:
+            self._check_expr(expr, local, op)
+        for i, kernel in enumerate(op.key_kernels):
+            self._check_kernel(op, kernel, child.nslots, f"GROUP BY kernel {i}")
         known = {id(c) for c in op.calls}
-        for call in aggregate_calls(select):
+        for call in aggregate_calls(op.select):
             if id(call) not in known:
                 self._fail(
                     "PLN006",
@@ -675,35 +717,83 @@ class _TreeVerifier:
                     f"({len(op.calls)} calls registered)",
                     op,
                 )
+        for call in op.calls:
+            if not call.star:
+                self._check_kernel(
+                    op,
+                    op.arg_kernels.get(id(call)),
+                    child.nslots,
+                    f"aggregate argument kernel {call.name}()",
+                )
+        for _binding, _names, slots in op.blocks:
+            for slot in slots:
+                if not 0 <= slot < child.nslots:
+                    self._fail(
+                        "PLN003",
+                        f"representative-row slot {slot} out of range "
+                        f"({child.nslots} decoded)",
+                        op,
+                    )
+        self._check_expr(op.select.having, local, op)
+        for expr in op.hidden:
+            self._check_expr(expr, local, op)
+        width = self._projection_width(op.cols, local, op) + len(op.hidden)
+        return Contract(protocol=ROW_BATCH, bindings=child.bindings, width=width)
 
-    def _visit_aggregate(
+    def _visit_ordered(
         self, op: Any, env: Dict[str, List[ColumnContract]]
     ) -> Contract:
-        child = self.visit(op.child, env)
-        self._require(child, (SCOPE,), op)
-        local = dict(env)
-        local.update(child.bindings)
-        stmt = op.select
-        for expr in stmt.group_by:
-            self._check_expr(expr, local, op)
-        self._check_expr(stmt.having, local, op)
-        self._check_call_set(op, stmt)
-        width = self._projection_width(op.cols, local, op)
-        return Contract(protocol=ROW, bindings=child.bindings, width=width)
+        from .operators import VecTopN
 
-    # -- row-protocol operators -----------------------------------------------
+        child = self.visit(op.child, env)
+        self._require(child, ROW_BATCH, op)
+        for pos, _desc in op.spec:
+            if child.width is not None and not 0 <= pos < child.width:
+                self._fail(
+                    "PLN001",
+                    f"ORDER BY position {pos + 1} out of range for a "
+                    f"{child.width}-column input",
+                    op,
+                )
+        if isinstance(op, VecTopN) and _negative_literal_limit(op.limit):
+            self._fail(
+                "PLN005",
+                "TopN fused over a plan-time negative LIMIT (degrades to a "
+                "full sort; lower to Sort+Limit instead)",
+                op,
+            )
+        return Contract(
+            protocol=ROW_BATCH,
+            bindings=child.bindings,
+            width=op.width if op.width is not None else child.width,
+            ordering=tuple(bool(desc) for _pos, desc in op.spec),
+            distinct=child.distinct,
+        )
 
     def _visit_distinct(
         self, op: Any, env: Dict[str, List[ColumnContract]]
     ) -> Contract:
         child = self.visit(op.child, env)
-        self._require(child, _ROWISH, op)
+        self._require(child, ROW_BATCH, op)
         return Contract(
-            protocol=ROW,
+            protocol=ROW_BATCH,
             bindings=child.bindings,
             width=child.width,
             ordering=child.ordering,
             distinct=True,
+        )
+
+    def _visit_limit(
+        self, op: Any, env: Dict[str, List[ColumnContract]]
+    ) -> Contract:
+        child = self.visit(op.child, env)
+        self._require(child, ROW_BATCH, op)
+        return Contract(
+            protocol=ROW_BATCH,
+            bindings=child.bindings,
+            width=child.width,
+            ordering=child.ordering,
+            distinct=child.distinct,
         )
 
     def _visit_union(
@@ -712,7 +802,7 @@ class _TreeVerifier:
         widths: List[Optional[int]] = []
         for branch in op.inputs:
             contract = self.visit(branch, env)
-            self._require(contract, _ROWISH, op)
+            self._require(contract, ROW_BATCH, op)
             widths.append(contract.width)
         known = [w for w in widths if w is not None]
         if known and any(w != known[0] for w in known):
@@ -721,278 +811,10 @@ class _TreeVerifier:
                 f"UNION branches yield different column counts: {widths}",
                 op,
             )
-        # Row contexts are erased: ORDER BY above must use names/positions.
         return Contract(
-            protocol=ROW,
+            protocol=ROW_BATCH,
             width=known[0] if known else None,
             distinct=op.dedup_until == len(op.inputs) - 1,
-        )
-
-    def _check_order_terms(
-        self,
-        op: Any,
-        order_by: List[Any],
-        names: List[str],
-        child: Contract,
-        env: Dict[str, List[ColumnContract]],
-    ) -> None:
-        local = dict(env)
-        local.update(child.bindings)
-        for item in order_by:
-            expr = item.expr
-            if (
-                isinstance(expr, ast.Literal)
-                and isinstance(expr.value, int)
-                and not isinstance(expr.value, bool)
-            ):
-                width = child.width if child.width is not None else len(names)
-                if not 1 <= expr.value <= width:
-                    self._fail(
-                        "PLN001",
-                        f"ORDER BY position {expr.value} out of range for a "
-                        f"{width}-column output",
-                        op,
-                    )
-                continue
-            if (
-                isinstance(expr, ast.ColumnRef)
-                and expr.table is None
-                and expr.name.lower() in names
-            ):
-                continue  # resolves against the output row
-            # Anything else re-evaluates against the row's source context.
-            self._check_expr(expr, local, op)
-
-    def _visit_ordered(
-        self, op: Any, env: Dict[str, List[ColumnContract]], limited: bool
-    ) -> Contract:
-        child = self.visit(op.child, env)
-        self._require(child, _ROWISH, op)
-        self._check_order_terms(op, op.order_by, op.names, child, env)
-        if limited and _negative_literal_limit(op.limit):
-            self._fail(
-                "PLN005",
-                "TopN fused over a plan-time negative LIMIT (degrades to a "
-                "full sort; lower to Sort+Limit instead)",
-                op,
-            )
-        return Contract(
-            protocol=ROW,
-            bindings=child.bindings,
-            width=child.width,
-            ordering=tuple(bool(i.descending) for i in op.order_by),
-            distinct=child.distinct,
-        )
-
-    def _visit_limit(
-        self, op: Any, env: Dict[str, List[ColumnContract]]
-    ) -> Contract:
-        child = self.visit(op.child, env)
-        self._require(child, _ROWISH, op)
-        return Contract(
-            protocol=ROW,
-            bindings=child.bindings,
-            width=child.width,
-            ordering=child.ordering,
-            distinct=child.distinct,
-        )
-
-    # -- vectorized operators -------------------------------------------------
-
-    def _check_kernel(self, op: Any, kernel: Any, nslots: int, what: str) -> None:
-        if kernel is None:
-            self._fail("PLN003", f"{what} did not compile to a kernel", op)
-            return
-        slot = getattr(kernel, "slot", None)
-        if slot is not None and not 0 <= slot < nslots:
-            self._fail(
-                "PLN003",
-                f"{what} reads batch slot {slot} but the scan decodes only "
-                f"{nslots} slots",
-                op,
-            )
-
-    def _visit_vec_scan(
-        self, op: Any, env: Dict[str, List[ColumnContract]]
-    ) -> Contract:
-        path = op.path
-        cols = self._table_columns(path.table, op)
-        if not isinstance(path, (FullScan, IndexEquality, IndexRange, InProbe)):
-            self._fail(
-                "PLN003",
-                f"VecScan over a {type(path).__name__} access path "
-                f"(batches come from full scans and index paths only)",
-                op,
-            )
-        self._check_index_path(op, path, cols, env)
-        for position in op.slots:
-            if not 0 <= position < len(cols):
-                self._fail(
-                    "PLN003",
-                    f"VecScan slot decodes column position {position} but the "
-                    f"table has {len(cols)} columns",
-                    op,
-                )
-        return Contract(
-            protocol=COLUMN_BATCH,
-            bindings={path.binding.lower(): cols},
-            nslots=len(op.slots),
-        )
-
-    def _visit_vec_index_join(
-        self, op: Any, env: Dict[str, List[ColumnContract]]
-    ) -> Contract:
-        child = self.visit(op.child, env)
-        self._require(child, (COLUMN_BATCH,), op)
-        path = op.path
-        if not isinstance(path, IndexEquality):
-            self._fail(
-                "PLN003",
-                f"VecIndexJoin over a {type(path).__name__} access path "
-                f"(batched joins probe IndexEquality paths only)",
-                op,
-            )
-        cols = self._table_columns(path.table, op)
-        outer = dict(env)
-        outer.update(child.bindings)
-        self._check_index_path(op, path, cols, outer)
-        if len(op.key_kernels) != len(path.key_exprs):
-            self._fail(
-                "PLN002",
-                f"join key arity mismatch: {len(op.key_kernels)} key kernels "
-                f"for {len(path.key_exprs)} key exprs",
-                op,
-            )
-        for i, kernel in enumerate(op.key_kernels):
-            self._check_kernel(op, kernel, child.nslots, f"join key kernel {i}")
-        for position in op.slots:
-            if not 0 <= position < len(cols):
-                self._fail(
-                    "PLN003",
-                    f"VecIndexJoin slot decodes column position {position} but "
-                    f"the table has {len(cols)} columns",
-                    op,
-                )
-        bindings = dict(child.bindings)
-        bindings[path.binding.lower()] = cols
-        return Contract(
-            protocol=COLUMN_BATCH,
-            bindings=bindings,
-            nslots=child.nslots + len(op.slots),
-        )
-
-    def _visit_vec_filter(
-        self, op: Any, env: Dict[str, List[ColumnContract]]
-    ) -> Contract:
-        child = self.visit(op.child, env)
-        self._require(child, (COLUMN_BATCH,), op)
-        local = dict(env)
-        local.update(child.bindings)
-        self._check_expr(op.condition, local, op)
-        self._check_kernel(op, op.kernel, child.nslots, "WHERE kernel")
-        self.predicates |= _norm_conjuncts(op.condition)
-        return child
-
-    def _visit_vec_project(
-        self, op: Any, env: Dict[str, List[ColumnContract]]
-    ) -> Contract:
-        child = self.visit(op.child, env)
-        self._require(child, (COLUMN_BATCH,), op)
-        for i, kernel in enumerate(op.kernels):
-            self._check_kernel(op, kernel, child.nslots, f"projection kernel {i}")
-        return Contract(
-            protocol=ROW_BATCH, bindings=child.bindings, width=len(op.kernels)
-        )
-
-    def _visit_vec_aggregate(
-        self, op: Any, env: Dict[str, List[ColumnContract]]
-    ) -> Contract:
-        child = self.visit(op.child, env)
-        self._require(child, (COLUMN_BATCH,), op)
-        local = dict(env)
-        local.update(child.bindings)
-        for i, kernel in enumerate(op.key_kernels):
-            self._check_kernel(op, kernel, child.nslots, f"GROUP BY kernel {i}")
-        for call in op.calls:
-            if call.star:
-                continue
-            kernel = op.arg_kernels.get(id(call))
-            self._check_kernel(
-                op, kernel, child.nslots, f"aggregate argument kernel {call.name}()"
-            )
-        for slot in op.row_slots:
-            if slot is not None and not 0 <= slot < child.nslots:
-                self._fail(
-                    "PLN003",
-                    f"representative-row slot {slot} out of range "
-                    f"({child.nslots} decoded)",
-                    op,
-                )
-        self._check_expr(op.select.having, local, op)
-        self._check_call_set(op, op.select)
-        width = self._projection_width(op.cols, local, op)
-        return Contract(protocol=ROW, bindings=child.bindings, width=width)
-
-    def _visit_vec_ordered(
-        self, op: Any, env: Dict[str, List[ColumnContract]], limited: bool
-    ) -> Contract:
-        child = self.visit(op.child, env)
-        self._require(child, (COLUMN_BATCH,), op)
-        for i, kernel in enumerate(op.proj_kernels):
-            self._check_kernel(op, kernel, child.nslots, f"projection kernel {i}")
-        ordering: List[bool] = []
-        for kind, payload, descending in op.spec:
-            if kind == "pos":
-                if not 0 <= payload < len(op.proj_kernels):
-                    self._fail(
-                        "PLN003",
-                        f"sort key position {payload} out of range for a "
-                        f"{len(op.proj_kernels)}-column projection",
-                        op,
-                    )
-            elif kind == "kernel":
-                self._check_kernel(op, payload, child.nslots, "sort-key kernel")
-            else:
-                self._fail("PLN003", f"unknown sort-key kind {kind!r}", op)
-            ordering.append(bool(descending))
-        if limited and _negative_literal_limit(op.limit):
-            self._fail(
-                "PLN005",
-                "VecTopN fused over a plan-time negative LIMIT (degrades to a "
-                "full sort; lower to VecSort+VecLimit instead)",
-                op,
-            )
-        return Contract(
-            protocol=ROW_BATCH,
-            bindings=child.bindings,
-            width=len(op.proj_kernels),
-            ordering=tuple(ordering),
-        )
-
-    def _visit_vec_distinct(
-        self, op: Any, env: Dict[str, List[ColumnContract]]
-    ) -> Contract:
-        child = self.visit(op.child, env)
-        self._require(child, (ROW_BATCH,), op)
-        return Contract(
-            protocol=ROW_BATCH,
-            bindings=child.bindings,
-            width=child.width,
-            ordering=child.ordering,
-            distinct=True,
-        )
-
-    def _visit_vec_limit(
-        self, op: Any, env: Dict[str, List[ColumnContract]]
-    ) -> Contract:
-        child = self.visit(op.child, env)
-        self._require(child, (ROW_BATCH,), op)
-        return Contract(
-            protocol=ROW_BATCH,
-            bindings=child.bindings,
-            width=child.width,
-            ordering=child.ordering,
-            distinct=child.distinct,
         )
 
 
@@ -1009,15 +831,9 @@ def verify_tree(
     """Verify a physical operator tree; returns its output contract."""
     verifier = _TreeVerifier(db, strict=not correlated)
     contract = verifier.visit(root, {})
-    if root.BATCHED and contract.protocol != ROW_BATCH:
+    if contract.protocol != ROW_BATCH:
         raise PlanVerificationError(
-            f"batched root must produce row batches, not {contract.protocol}",
-            code="PLN004",
-            operator=root.describe(),
-        )
-    if contract.protocol not in _ROWISH:
-        raise PlanVerificationError(
-            f"plan root must yield rows, not {contract.protocol} items "
+            f"plan root must yield row batches, not {contract.protocol} "
             f"(missing projection?)",
             code="PLN004",
             operator=root.describe(),
@@ -1079,7 +895,7 @@ def logical_contract(db: Any, sp: Any) -> Contract:
     else:
         distinct = sp.dedup_until == len(sp.branches) - 1
     return Contract(
-        protocol=ROW,
+        protocol=ROW_BATCH,
         width=len(sp.names),
         ordering=tuple(bool(i.descending) for i in sp.order_by),
         distinct=distinct,

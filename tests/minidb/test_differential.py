@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.minidb as minidb
+from repro.minidb import vector
 
 ROWS = [
     (1, "alice", "eng", 120.0, 1),
@@ -160,7 +161,8 @@ class TestIntegersBeyondFloatPrecision:
     """Integers above 2**53 stay distinct, as in sqlite3; 1 and 1.0 still meet.
 
     Every value-identity path — DISTINCT, ``=``, ``IN``, GROUP BY, ORDER BY
-    and join keys — runs on scans and on index probes, row and batched.
+    and join keys — runs on scans and on index probes, one row per batch
+    ("row") and in full batches ("batch").
     """
 
     BIG = 2**53
@@ -190,10 +192,7 @@ class TestIntegersBeyondFloatPrecision:
     ]
 
     @pytest.fixture(params=["scan", "index"])
-    def pair(self, request, monkeypatch):
-        from repro.minidb import optimizer
-
-        monkeypatch.setattr(optimizer, "VECTOR_MIN_ROWS", 0)
+    def pair(self, request):
         m = minidb.connect()
         s = sqlite3.connect(":memory:")
         for conn in (m, s):
@@ -210,11 +209,9 @@ class TestIntegersBeyondFloatPrecision:
         m.close()
         s.close()
 
-    @pytest.mark.parametrize("vectorize", [True, False], ids=["batch", "row"])
-    def test_value_identity_agrees_with_sqlite(self, pair, monkeypatch, vectorize):
-        from repro.minidb import optimizer
-
-        monkeypatch.setattr(optimizer, "ENABLE_VECTORIZATION", vectorize)
+    @pytest.mark.parametrize("batch_size", [4096, 1], ids=["batch", "row"])
+    def test_value_identity_agrees_with_sqlite(self, pair, monkeypatch, batch_size):
+        monkeypatch.setattr(vector, "BATCH_SIZE", batch_size)
         m, s = pair
         for sql, params in self.QUERIES:
             mine = normalize(m.execute(sql, params).fetchall())
@@ -228,9 +225,11 @@ class TestComparisonAffinityGap:
     """Known gap: sqlite3 applies a column's affinity to the other operand
     of a comparison (TEXT '2' meets INTEGER 2); minidb compares the raw
     values.  Fixing it changes ``compare`` for every plan, so these cases
-    stay strict xfails until it is done.  The plan verifier is off here
-    because it flags the mixed-affinity index probes as PLN002; what these
-    cases pin is the wrong answer, on the row and the batched plan alike.
+    stay strict xfails until it is done, one row per batch ("row") and in
+    full batches ("batch") alike.  sqlite3 is no reference for them, so
+    ``MINIDB_ANSWERS`` pins the rows minidb returns today — the answer
+    the retired row-at-a-time engine gave too.  The plan verifier is off
+    here because it flags the mixed-affinity index probes as PLN002.
     """
 
     CASES = [
@@ -243,6 +242,8 @@ class TestComparisonAffinityGap:
         # A TEXT join key probing an INTEGER primary key.
         "SELECT a.id, b.y FROM a JOIN b ON b.id = a.x",
     ]
+    IDS = ["int_pk_text_literal", "text_col_int_literal", "mixed_in_list", "text_join_key"]
+    MINIDB_ANSWERS = [[], [], [(3, "r")], []]
 
     @pytest.fixture
     def pair(self, monkeypatch):
@@ -267,15 +268,16 @@ class TestComparisonAffinityGap:
         reason="comparison affinity gap: minidb compares raw values where "
         "sqlite3 converts the other operand to the column's affinity",
     )
-    @pytest.mark.parametrize("vectorize", [True, False], ids=["batch", "row"])
-    @pytest.mark.parametrize(
-        "sql",
-        CASES,
-        ids=["int_pk_text_literal", "text_col_int_literal", "mixed_in_list", "text_join_key"],
-    )
-    def test_affinity_applied_like_sqlite(self, pair, monkeypatch, sql, vectorize):
-        from repro.minidb import optimizer
-
-        monkeypatch.setattr(optimizer, "ENABLE_VECTORIZATION", vectorize)
+    @pytest.mark.parametrize("batch_size", [4096, 1], ids=["batch", "row"])
+    @pytest.mark.parametrize("sql", CASES, ids=IDS)
+    def test_affinity_applied_like_sqlite(self, pair, monkeypatch, sql, batch_size):
+        monkeypatch.setattr(vector, "BATCH_SIZE", batch_size)
         m, s = pair
         assert normalize(m.execute(sql).fetchall()) == normalize(s.execute(sql).fetchall())
+
+    @pytest.mark.parametrize("batch_size", [4096, 1], ids=["batch", "row"])
+    @pytest.mark.parametrize("sql,answer", list(zip(CASES, MINIDB_ANSWERS)), ids=IDS)
+    def test_minidb_answer_is_pinned(self, pair, monkeypatch, sql, answer, batch_size):
+        monkeypatch.setattr(vector, "BATCH_SIZE", batch_size)
+        m, _s = pair
+        assert m.execute(sql).fetchall() == answer

@@ -1,8 +1,8 @@
-"""Physical-operator differential suite (Volcano refactor acceptance).
+"""Physical-operator differential suite.
 
-Every operator shape the planner can emit — SeqScan, IndexLookup,
-IndexRange, InProbe, NestedLoopJoin, HashJoin, Filter, Project,
-HashAggregate, Distinct, Union, Sort, TopN, Limit, SubqueryScan,
+Every operator shape the planner can emit — full scans, IndexEquality,
+IndexRange, InProbe and HashJoin leaves, INNER and LEFT joins, Filter,
+Project, Aggregate, Distinct, Union, Sort, TopN, Limit, SubqueryScan,
 ConstantRow — is exercised against randomized data, with (a) the EXPLAIN
 tree pinned to contain that operator and (b) the rows compared against
 sqlite3 on an identical database.  A second property asserts that
@@ -17,6 +17,7 @@ import pytest
 
 import repro.minidb as minidb
 from repro.minidb import optimizer, vector
+from repro.minidb.errors import SemanticError
 
 SEED = 20260806
 N_ITEMS = 120
@@ -94,7 +95,7 @@ SHAPES = [
     ("SELECT id FROM items WHERE cat IN (1, 2, 5)", "IN-PROBE"),
     (
         "SELECT i.id, c.name FROM items i JOIN cats c ON c.id = i.cat",
-        "NESTED LOOP (INNER)",
+        "JOIN (INNER)",
     ),
     (
         "SELECT i.id, c.name FROM items i "
@@ -125,7 +126,7 @@ SHAPES = [
     (
         "SELECT c.name FROM cats c LEFT JOIN items i "
         "ON i.cat = c.id AND i.qty > 190",
-        "NESTED LOOP (LEFT)",
+        "JOIN (LEFT)",
     ),
     (
         "SELECT id FROM items WHERE cat IN "
@@ -137,6 +138,14 @@ SHAPES = [
         "(SELECT 1 FROM cats c WHERE c.id = i.cat AND c.tier = 1)",
         "FILTER",
     ),
+    # GROUP BY terms that name output columns, as sqlite3 resolves them:
+    # a position, an alias, an alias of an expression, a position under
+    # a star, and an input column that wins over a same-named alias.
+    ("SELECT color, COUNT(*) FROM items GROUP BY 1", "AGGREGATE"),
+    ("SELECT color AS k, COUNT(*) FROM items GROUP BY k", "AGGREGATE"),
+    ("SELECT qty % 3 AS m, COUNT(*), SUM(qty) FROM items GROUP BY m", "AGGREGATE"),
+    ("SELECT *, COUNT(*) FROM cats GROUP BY 2", "AGGREGATE"),
+    ("SELECT cat % 2 AS cat, COUNT(*) FROM items GROUP BY cat", "AGGREGATE"),
 ]
 
 
@@ -222,57 +231,53 @@ def test_streaming_cursor_interleaves_fetch(engines):
     b.close()
 
 
+@pytest.mark.parametrize(
+    "sql,error",
+    [
+        ("SELECT color, COUNT(*) FROM items GROUP BY 3", "out of range"),
+        ("SELECT color, COUNT(*) FROM items GROUP BY 0", "out of range"),
+        ("SELECT color, COUNT(*) FROM items GROUP BY 2", "aggregate"),
+        ("SELECT color, COUNT(*) AS n FROM items GROUP BY n", "aggregate"),
+    ],
+)
+def test_bad_group_by_output_reference_raises_like_sqlite(engines, sql, error):
+    m, s = engines
+    with pytest.raises(sqlite3.OperationalError):
+        s.execute(sql)
+    with pytest.raises(SemanticError) as ei:
+        m.execute(sql)
+    assert error in str(ei.value)
+
+
 @pytest.mark.parametrize("batch_size", [1, 7, 4096])
 def test_vectorized_corpus_differential(data, monkeypatch, batch_size):
-    """The batch engine is byte-identical at every batch size.
+    """The batch pipeline agrees with sqlite3 at every batch size.
 
-    Runs the full operator corpus with vectorization forced on (threshold
-    zero) at batch sizes 1 (degenerate), 7 (prime — every final batch is
-    ragged) and 4096 (a whole segment per batch), comparing against both
-    sqlite3 and the row-at-a-time fallback.
+    Runs the full operator corpus at batch sizes 1 (degenerate: one row
+    per batch, the row-at-a-time case), 7 (prime — every final batch is
+    ragged) and 4096 (a whole segment per batch).  Ordered shapes must
+    also match the batch-size-1 run row for row.
     """
     cats, items = data
-    monkeypatch.setattr(optimizer, "VECTOR_MIN_ROWS", 0)
-    monkeypatch.setattr(vector, "BATCH_SIZE", batch_size)
-    vec = minidb.connect()
-    _populate(vec, cats, items)
     sq = sqlite3.connect(":memory:")
     _populate(sq, cats, items)
-
-    # The single-table shapes must actually run batched under a zero
-    # threshold — otherwise this test silently re-checks the row engine.
-    plans = [
-        "\n".join(r[0] for r in vec.execute("EXPLAIN " + sql).fetchall())
-        for sql, _op in SHAPES
-    ]
-    assert sum("[batched]" in p for p in plans) >= 5, plans
-
-    vec_results = {}
+    runs = {}
+    for size in (1, batch_size):
+        monkeypatch.setattr(vector, "BATCH_SIZE", size)
+        conn = minidb.connect()
+        _populate(conn, cats, items)
+        runs[size] = {sql: conn.execute(sql).fetchall() for sql, _op in SHAPES}
+        conn.close()
     for sql, _op in SHAPES:
-        vec_results[sql] = vec.execute(sql).fetchall()
+        got = runs[batch_size][sql]
         theirs = normalize(sq.execute(sql).fetchall())
-        mine = normalize(vec_results[sql])
         if "LIMIT" in sql and "ORDER BY" not in sql:
-            assert len(mine) == len(theirs), f"bs={batch_size}: {sql}"
+            assert len(got) == len(theirs), f"bs={batch_size}: {sql}"
         else:
-            assert mine == theirs, f"bs={batch_size}: {sql}"
-    vec.close()
-    sq.close()
-
-    # Row-engine fallback produces the same rows (ordered shapes exactly).
-    monkeypatch.setattr(optimizer, "ENABLE_VECTORIZATION", False)
-    row = minidb.connect()
-    _populate(row, cats, items)
-    for sql, _op in SHAPES:
-        expect = row.execute(sql).fetchall()
-        got = vec_results[sql]
+            assert normalize(got) == theirs, f"bs={batch_size}: {sql}"
         if "ORDER BY" in sql:
-            assert got == expect, f"bs={batch_size}: {sql}"
-        elif "LIMIT" in sql:
-            assert len(got) == len(expect), f"bs={batch_size}: {sql}"
-        else:
-            assert normalize(got) == normalize(expect), f"bs={batch_size}: {sql}"
-    row.close()
+            assert got == runs[1][sql], f"bs={batch_size}: {sql}"
+    sq.close()
 
 
 class TestPlanCacheInvalidation:
@@ -323,7 +328,7 @@ class TestPlanCacheInvalidation:
         assert conn.execute(sql).fetchall() == [(1,)]
         conn.executemany("INSERT INTO r VALUES (?)", [(i,) for i in range(2, 9)])
         # r grew 1 -> 8 rows (across the hash-join build minimum); the
-        # cached nested-loop plan must be rebuilt, not reused.
+        # cached full-scan join plan must be rebuilt, not reused.
         got = normalize(conn.execute(sql).fetchall())
         assert got == [(i,) for i in range(1, 6)]
         plan = [r[0] for r in conn.execute("EXPLAIN " + sql).fetchall()]

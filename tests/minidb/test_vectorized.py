@@ -1,25 +1,27 @@
-"""Unit coverage for the vectorized execution path.
+"""Unit coverage for the batch execution path.
 
 The differential corpus (test_operators.py) pins end-to-end agreement
-with sqlite3 and the row engine; this module covers the pieces in
+with sqlite3 at several batch sizes; this module covers the pieces in
 isolation — columnar segment encodings, snapshot invalidation,
-mid-scan mutation fallback, kernel semantics on edge values, the batch
-cursor contract and the new observability counters.
+mid-scan mutation fallback, kernel semantics on edge values, the row
+kernel that serves expressions with no vector form, the batch cursor
+contract and the observability counters.
 """
 
 import pytest
 
 import repro.minidb as minidb
 from repro.minidb import optimizer, vector
+from repro.minidb import operators as ops
 from repro.minidb.errors import DataError, ProgrammingError
+from repro.minidb.executor import Executor
+from repro.minidb.parser import parse
 from repro.minidb.storage import SEGMENT_ROWS, ColumnSegment
 from repro.obs import metrics as obs_metrics
 
 
 @pytest.fixture
-def vec_conn(monkeypatch):
-    """A connection whose every full scan vectorizes."""
-    monkeypatch.setattr(optimizer, "VECTOR_MIN_ROWS", 0)
+def vec_conn():
     conn = minidb.connect()
     yield conn
     conn.close()
@@ -156,7 +158,6 @@ class TestKernelSemantics:
         # Row 3 has s = NULL: FALSE OR NULL is NULL, NOT NULL is NULL,
         # so it is excluded -- only row 4 satisfies the predicate.
         sql = "SELECT id FROM t WHERE NOT (a > 0 OR s = 'beta')"
-        assert "[batched]" in "\n".join(_plan(conn, sql))
         assert conn.execute(sql).fetchall() == [(4,)]
 
     def test_null_propagation_in_arithmetic(self, conn):
@@ -190,9 +191,9 @@ class TestKernelSemantics:
         assert got == [(1,)]
 
     def test_function_error_matches_row_engine(self, conn):
-        # The row engine lets the scalar function's ValueError propagate;
-        # the vectorized kernel must surface the same exception, and it
-        # must do so at execute() (first-batch prefetch), not at fetch.
+        # The interpreter lets the scalar function's ValueError propagate;
+        # the vector kernel must surface the same exception, and it must
+        # do so at execute() (first-batch prefetch), not at fetch.
         with pytest.raises(ValueError):
             conn.execute("SELECT SUBSTR(s, 'x') FROM t")
 
@@ -214,21 +215,6 @@ class TestKernelSemantics:
 
 
 class TestBatchPlansAndCursor:
-    def test_threshold_gates_vectorization(self):
-        conn = minidb.connect()
-        conn.execute("CREATE TABLE t (a INTEGER)")
-        conn.executemany("INSERT INTO t VALUES (?)", [(i,) for i in range(100)])
-        assert not any("[batched]" in l for l in _plan(conn, "SELECT a FROM t"))
-        need = optimizer.VECTOR_MIN_ROWS - 100
-        conn.executemany(
-            "INSERT INTO t VALUES (?)", [(i,) for i in range(need)]
-        )
-        # Crossing the (power-of-two) threshold lands on a plan-cache size
-        # bucket boundary, so the cached row plan is re-planned batched.
-        plan = _plan(conn, "SELECT a FROM t")
-        assert any("[batched]" in l for l in plan), plan
-        conn.close()
-
     def test_index_paths_beat_vectorization(self, vec_conn):
         vec_conn.execute("CREATE TABLE t (a INTEGER)")
         vec_conn.execute("CREATE INDEX idx_a ON t (a)")
@@ -282,7 +268,6 @@ class TestBatchPlansAndCursor:
             ).fetchall()
         ]
         text = "\n".join(lines)
-        assert "[batched]" in text
         assert "batches=3" in text  # ceil(20 / 8)
         assert "ACTUAL: 16 row(s) returned" in text
 
@@ -312,7 +297,7 @@ class TestBatchPlansAndCursor:
         )
         sql = "SELECT g, SUM(v) FROM t GROUP BY g ORDER BY g"
         plan = _plan(vec_conn, sql)
-        assert any("AGGREGATE [vectorized]" in l for l in plan), plan
+        assert any(l.strip().startswith("AGGREGATE") for l in plan), plan
         assert vec_conn.execute(sql).fetchall() == [
             ("a", sum(range(0, 32, 2))),
             ("b", sum(range(1, 32, 2))),
@@ -321,9 +306,68 @@ class TestBatchPlansAndCursor:
     def test_subquery_shapes_fall_back(self, vec_conn):
         vec_conn.execute("CREATE TABLE t (a INTEGER)")
         vec_conn.executemany("INSERT INTO t VALUES (?)", [(i,) for i in range(8)])
-        plan = _plan(
-            vec_conn, "SELECT a FROM t WHERE a IN (SELECT a FROM t WHERE a < 3)"
+        sql = "SELECT a FROM t WHERE a IN (SELECT a FROM t WHERE a < 3)"
+        # A subquery has no vector kernel: the WHERE falls back to one row
+        # kernel over the batch, inside the batched plan.
+        flt = optimizer.plan_select(vec_conn.db, parse(sql)).root.child
+        assert isinstance(flt, ops.VecFilter)
+        assert flt.kernel.slot is None and not flt.kernel.scalar
+        assert vec_conn.execute(sql).fetchall() == [(0,), (1,), (2,)]
+
+
+# ---------------------------------------------------------------------------
+# Row kernels: expressions with no vector form keep interpreter semantics.
+
+
+class TestRowKernels:
+    @pytest.fixture
+    def conn(self, vec_conn):
+        vec_conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, s TEXT)")
+        vec_conn.executemany(
+            "INSERT INTO t VALUES (?, ?, ?)",
+            [(1, 10, "x"), (2, 0, "y"), (3, None, "x"), (4, 5, None)],
         )
-        # Subqueries have no kernel: the WHERE cannot compile, so the
-        # whole statement lowers through the row engine.
-        assert not any("[batched]" in l for l in plan), plan
+        vec_conn.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, t_id INTEGER)")
+        vec_conn.executemany("INSERT INTO u VALUES (?, ?)", [(1, 1), (2, 1), (3, 4)])
+        return vec_conn
+
+    def test_short_circuit_skips_the_subquery(self, conn):
+        # The whole OR is one row kernel, so the scalar subquery (which
+        # returns several rows, an error) runs only where a <> 10.
+        sql = "SELECT id FROM t WHERE a = 10 OR (SELECT id FROM u) = 1"
+        with pytest.raises(ProgrammingError):
+            conn.execute(sql)
+        got = conn.execute(
+            "SELECT id FROM t WHERE a IS NULL OR a >= 0 OR (SELECT id FROM u) = 1"
+        ).fetchall()
+        assert got == [(1,), (2,), (3,), (4,)]
+
+    def test_join_on_with_subquery(self, conn):
+        got = conn.execute(
+            "SELECT t.id, u.id FROM t LEFT JOIN u ON u.t_id = t.id "
+            "AND u.id IN (SELECT MAX(id) FROM u) ORDER BY t.id"
+        ).fetchall()
+        assert got == [(1, None), (2, None), (3, None), (4, 3)]
+
+
+# ---------------------------------------------------------------------------
+# EXISTS stops its pipeline after the first non-empty batch.
+
+
+def test_correlated_exists_keeps_its_early_exit(monkeypatch):
+    monkeypatch.setattr(vector, "BATCH_SIZE", 64)
+    conn = minidb.connect()
+    conn.execute("CREATE TABLE o (id INTEGER PRIMARY KEY, k INTEGER)")
+    conn.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER)")
+    n_outer = 5
+    inner = 10 * vector.BATCH_SIZE + 3
+    conn.executemany("INSERT INTO o VALUES (?, ?)", [(i, 0) for i in range(n_outer)])
+    # Every inner row matches, so the first probed row already answers.
+    conn.executemany("INSERT INTO big VALUES (?, ?)", [(i, 0) for i in range(inner)])
+    result = Executor(conn.db).execute(
+        parse("SELECT id FROM o WHERE EXISTS (SELECT 1 FROM big WHERE big.k >= o.k)")
+    )
+    assert sum(len(batch) for batch in result.batches) == n_outer
+    conn.close()
+    # The outer scan reads n_outer rows; each EXISTS one inner batch.
+    assert result.stats.rows_scanned <= n_outer + n_outer * vector.BATCH_SIZE

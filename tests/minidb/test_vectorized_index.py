@@ -1,13 +1,13 @@
-"""Batched index-probe plans: the gather leaf against the row plan and sqlite3.
+"""Index-probe plans: the gather leaf at several batch sizes and against sqlite3.
 
 Index access paths (IndexEquality, IndexRange, InProbe) feed the batch
 pipeline through :class:`~repro.minidb.operators.VecScan`'s gather leaf,
-which pulls row ids from the row scan's own ``_rowids`` generator.  Every
-shape here runs three ways — batched, on the row plan
-(``ENABLE_VECTORIZATION`` off) and on sqlite3 — at batch sizes 1
-(degenerate), 7 (prime, ragged final batches) and 4096 (one batch).
-Because both minidb plans visit row ids in the same order, batched and row
-results must match row for row, not just as bags.
+which pulls row ids from :func:`~repro.minidb.operators.path_rowids`.
+Every shape here runs at batch sizes 1 (degenerate: one row per batch,
+the row-at-a-time case), 7 (prime, ragged final batches) and 4096 (one
+batch), and on sqlite3.  The gather visits row ids in the same order at
+every batch size, so the batched results must match the batch-size-1
+results row for row, not just as bags.
 """
 
 import random
@@ -17,6 +17,8 @@ import pytest
 
 import repro.minidb as minidb
 from repro.minidb import Engine, optimizer, vector
+from repro.minidb import operators as ops
+from repro.minidb.parser import parse
 from repro.obs.metrics import metrics as obs_metrics
 
 SEED = 20261017
@@ -112,6 +114,9 @@ SUBQUERY_SHAPES = [
     # Uncorrelated: the batched subquery plan is reused across outer rows.
     "SELECT id FROM probe WHERE r IN (SELECT res FROM fr WHERE res IN (1, 2, 3, 30))",
     "SELECT id FROM probe WHERE EXISTS (SELECT 1 FROM fr WHERE res IN (38, 39))",
+    # A single-row FROM-less query around the probes.
+    "SELECT (SELECT COUNT(*) FROM fr WHERE res IN (1, 2, 3)), "
+    "(SELECT MAX(id) FROM fr WHERE focus = 12)",
 ]
 
 
@@ -123,11 +128,19 @@ def sq():
     s.close()
 
 
-def _minidb(monkeypatch, vectorize):
-    monkeypatch.setattr(optimizer, "ENABLE_VECTORIZATION", vectorize)
+def _minidb():
     conn = minidb.connect()
     _populate(conn)
     return conn
+
+
+def _run(monkeypatch, batch_size, sql, params=()):
+    """*sql*'s rows on a fresh database at *batch_size*."""
+    monkeypatch.setattr(vector, "BATCH_SIZE", batch_size)
+    conn = _minidb()
+    rows = conn.execute(sql, params).fetchall()
+    conn.close()
+    return rows
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 4096])
@@ -135,45 +148,35 @@ def _minidb(monkeypatch, vectorize):
     "sql,params,leaf", SHAPES, ids=[f"shape{i}" for i in range(len(SHAPES))]
 )
 def test_index_shape_batched_vs_row_vs_sqlite(monkeypatch, sq, batch_size, sql, params, leaf):
-    monkeypatch.setattr(vector, "BATCH_SIZE", batch_size)
-    batched = _minidb(monkeypatch, True)
-    plan = _plan(batched, sql, params)
-    lines = [line for line in plan if leaf in line]
-    assert lines and all("[batched]" in line for line in lines), plan
-    got = batched.execute(sql, params).fetchall()
-    batched.close()
-
-    row = _minidb(monkeypatch, False)
-    assert not any("[batched]" in line for line in _plan(row, sql, params))
-    expect = row.execute(sql, params).fetchall()
-    row.close()
-
-    assert got == expect, sql
+    conn = _minidb()
+    assert any(leaf in line for line in _plan(conn, sql, params)), sql
+    conn.close()
+    got = _run(monkeypatch, batch_size, sql, params)
+    assert got == _run(monkeypatch, 1, sql, params), sql
     assert normalize(got) == normalize(sq.execute(sql, params).fetchall()), sql
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 4096])
 @pytest.mark.parametrize("sql", SUBQUERY_SHAPES)
 def test_subquery_probe_batched_vs_row_vs_sqlite(monkeypatch, sq, batch_size, sql):
-    monkeypatch.setattr(vector, "BATCH_SIZE", batch_size)
-    batched = _minidb(monkeypatch, True)
-    got = batched.execute(sql).fetchall()
-    batched.close()
-    row = _minidb(monkeypatch, False)
-    expect = row.execute(sql).fetchall()
-    row.close()
-    assert got == expect, sql
+    got = _run(monkeypatch, batch_size, sql)
+    assert got == _run(monkeypatch, 1, sql), sql
     assert normalize(got) == normalize(sq.execute(sql).fetchall()), sql
 
 
-def test_in_probe_leaf_prints_batched(monkeypatch):
-    conn = _minidb(monkeypatch, True)
-    plan = _plan(conn, "SELECT DISTINCT focus FROM fr WHERE res IN (?, ?)", (1, 2))
+def test_in_probe_leaf_prints_batched():
+    conn = _minidb()
+    sql = "SELECT DISTINCT focus FROM fr WHERE res IN (?, ?)"
+    plan = _plan(conn, sql, (1, 2))
+    leaf = optimizer.plan_select(conn.db, parse(sql)).root
     conn.close()
-    assert plan[0].startswith("DISTINCT [vectorized]"), plan
+    assert plan[0].startswith("DISTINCT"), plan
     assert plan[-1].strip().startswith(
-        "SEARCH fr AS fr USING INDEX idx_fr_res IN-PROBE (2 keys) [batched]"
+        "SEARCH fr AS fr USING INDEX idx_fr_res IN-PROBE (2 keys)"
     ), plan
+    while leaf.children():
+        leaf = leaf.children()[0]
+    assert isinstance(leaf, ops.VecScan) and leaf.BATCHED
 
 
 def test_snapshot_read_while_writer_commits(monkeypatch):
@@ -187,7 +190,6 @@ def test_snapshot_read_while_writer_commits(monkeypatch):
     params = (3, 4, 5)
     reader, writer = eng.connect(), eng.connect()
     try:
-        assert any("[batched]" in line for line in _plan(reader, sql, params))
         reader.execute("BEGIN")
         before = reader.execute(sql, params).fetchall()
         assert len(before) > 4
@@ -214,7 +216,7 @@ def test_snapshot_read_while_writer_commits(monkeypatch):
 def test_rows_deleted_mid_scan_are_skipped(monkeypatch):
     """Like the row scan: ids whose row is gone when gathered never surface."""
     monkeypatch.setattr(vector, "BATCH_SIZE", 3)
-    conn = _minidb(monkeypatch, True)
+    conn = _minidb()
     sql = "SELECT id, res FROM fr WHERE res IN (3, 4, 5)"
     everything = conn.execute(sql).fetchall()
     cur = conn.cursor()
@@ -233,7 +235,7 @@ def test_rows_deleted_mid_scan_are_skipped(monkeypatch):
 
 def test_explain_analyze_counts_gathered_rows(monkeypatch):
     monkeypatch.setattr(vector, "BATCH_SIZE", 7)
-    conn = _minidb(monkeypatch, True)
+    conn = _minidb()
     fr, _probe = _rows()
     keys = {1, 2, 3, 4, 5}
     n = sum(1 for row in fr if row[2] in keys)
@@ -245,13 +247,12 @@ def test_explain_analyze_counts_gathered_rows(monkeypatch):
     ]
     conn.close()
     leaf = next(line for line in lines if "IN-PROBE" in line)
-    assert "[batched]" in leaf
     assert f"actual rows={n} batches={-(-n // 7)} loops=1" in leaf, lines
     assert lines[-1].startswith(f"ACTUAL: {n} row(s) returned"), lines
 
 
 def test_gather_feeds_vector_and_scan_counters(monkeypatch):
-    conn = _minidb(monkeypatch, True)
+    conn = _minidb()
     monkeypatch.setattr(vector, "BATCH_SIZE", 7)
     fr, _probe = _rows()
     n = sum(1 for row in fr if row[2] in (6, 7))

@@ -1,15 +1,14 @@
-"""Batched index joins: VecIndexJoin against the row plan and sqlite3.
+"""Batched joins: VecIndexJoin at several batch sizes and against sqlite3.
 
-A left-deep chain of INNER joins whose leading scan is an index path and
-whose inner sides are IndexEquality probes runs on the batch pipeline:
-the leading VecScan gathers column batches, each
-:class:`~repro.minidb.operators.VecIndexJoin` probes its inner index once
-per distinct key and appends the inner table's columns, and VecFilters
-re-check every ON condition and the WHERE.  Every shape here runs three
-ways — batched, on the row plan (``ENABLE_VECTORIZATION`` off) and on
-sqlite3 — at batch sizes 1, 7 and 4096.  The batched join emits rows in
-nested-loop order (outer order, then index order), so batched and row
-results must match row for row.
+Every join runs on the batch pipeline: the leading leaf gathers column
+batches, each :class:`~repro.minidb.operators.VecIndexJoin` probes its
+inner side once per distinct key, checks the ON condition over the
+merged batch and appends the inner table's columns (null-extended for an
+unmatched LEFT-join row), and a VecFilter re-checks the WHERE.  Every
+shape here runs at batch sizes 1 (degenerate: one row per batch, the
+row-at-a-time case), 7 and 4096, and on sqlite3.  The join emits rows in
+nested-loop order (outer order, then inner order) at every batch size,
+so batched results must match the batch-size-1 results row for row.
 """
 
 import dataclasses
@@ -95,7 +94,7 @@ def _plan(conn, sql, params=()):
 IDS = tuple(range(3, 200, 4))
 IN_IDS = "r.id IN (" + ", ".join(str(i) for i in IDS) + ")"
 
-# (sql, params, number of batched index joins expected in the plan)
+# (sql, params, number of joins expected in the plan)
 SHAPES = [
     # 2- and 4-table chains (the second is the fetch statement's shape).
     (f"SELECT r.id, e.name FROM res r JOIN ex e ON e.id = r.exec_id WHERE {IN_IDS}", (), 1),
@@ -165,6 +164,19 @@ SHAPES = [
         (),
         1,
     ),
+    # LEFT joins: ON checked inside the join, unmatched rows null-extended.
+    (
+        "SELECT r.id, n.id, n.body FROM res r LEFT JOIN note n "
+        f"ON n.exec_id = r.exec_id AND n.body = 'alpha' WHERE {IN_IDS}",
+        (),
+        1,
+    ),
+    (
+        "SELECT r.id, e.name, m.name FROM res r LEFT JOIN ex e ON e.id = r.exec_id "
+        f"JOIN met m ON m.id = r.metric_id WHERE {IN_IDS} AND e.name IS NULL",
+        (),
+        2,
+    ),
 ]
 
 #: Statements whose subquery holds a join.
@@ -188,11 +200,19 @@ def sq():
     s.close()
 
 
-def _minidb(monkeypatch, vectorize):
-    monkeypatch.setattr(optimizer, "ENABLE_VECTORIZATION", vectorize)
+def _minidb():
     conn = minidb.connect()
     _populate(conn)
     return conn
+
+
+def _run(monkeypatch, batch_size, sql, params=()):
+    """*sql*'s rows on a fresh database at *batch_size*."""
+    monkeypatch.setattr(vector, "BATCH_SIZE", batch_size)
+    conn = _minidb()
+    rows = conn.execute(sql, params).fetchall()
+    conn.close()
+    return rows
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 4096])
@@ -200,52 +220,38 @@ def _minidb(monkeypatch, vectorize):
     "sql,params,njoins", SHAPES, ids=[f"shape{i}" for i in range(len(SHAPES))]
 )
 def test_join_shape_batched_vs_row_vs_sqlite(monkeypatch, sq, batch_size, sql, params, njoins):
-    monkeypatch.setattr(vector, "BATCH_SIZE", batch_size)
-    batched = _minidb(monkeypatch, True)
-    plan = _plan(batched, sql, params)
-    joins = [line for line in plan if "INDEX JOIN (INNER)" in line]
-    assert len(joins) == njoins and all("[batched]" in j for j in joins), plan
-    assert not any("NESTED LOOP" in line for line in plan), plan
-    got = batched.execute(sql, params).fetchall()
-    batched.close()
-
-    row = _minidb(monkeypatch, False)
-    assert not any("[batched]" in line for line in _plan(row, sql, params))
-    expect = row.execute(sql, params).fetchall()
-    row.close()
-
+    conn = _minidb()
+    plan = _plan(conn, sql, params)
+    conn.close()
+    assert sum("JOIN (" in line for line in plan) == njoins, plan
+    got = _run(monkeypatch, batch_size, sql, params)
     assert got, sql
-    assert got == expect, sql
+    assert got == _run(monkeypatch, 1, sql, params), sql
     assert normalize(got) == normalize(sq.execute(sql, params).fetchall()), sql
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 4096])
 @pytest.mark.parametrize("sql", SUBQUERY_SHAPES)
 def test_subquery_join_batched_vs_row_vs_sqlite(monkeypatch, sq, batch_size, sql):
-    monkeypatch.setattr(vector, "BATCH_SIZE", batch_size)
-    batched = _minidb(monkeypatch, True)
-    got = batched.execute(sql).fetchall()
-    batched.close()
-    row = _minidb(monkeypatch, False)
-    expect = row.execute(sql).fetchall()
-    row.close()
-    assert got == expect, sql
+    got = _run(monkeypatch, batch_size, sql)
+    assert got == _run(monkeypatch, 1, sql), sql
     assert normalize(got) == normalize(sq.execute(sql).fetchall()), sql
 
 
-def test_uncorrelated_subquery_runs_the_batched_join(monkeypatch):
-    conn = _minidb(monkeypatch, True)
+def test_uncorrelated_subquery_runs_the_batched_join():
+    conn = _minidb()
     inner = SUBQUERY_SHAPES[-1].split("IN (", 1)[1][:-1]
     plan = _plan(conn, inner)
     conn.close()
-    assert any("INDEX JOIN (INNER) SEARCH met AS m" in line for line in plan), plan
+    assert any("JOIN (INNER)" in line for line in plan), plan
+    assert any("SEARCH met AS m" in line for line in plan), plan
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 4096])
 def test_mixed_affinity_keys_batched_vs_row(monkeypatch, batch_size):
-    """TEXT keys probing an INTEGER key and vice versa: both plans agree
-    (sqlite3 does not — see TestComparisonAffinityGap)."""
-    monkeypatch.setattr(vector, "BATCH_SIZE", batch_size)
+    """TEXT keys probing an INTEGER key and vice versa: every batch size
+    gives the same rows (sqlite3 does not — see TestComparisonAffinityGap),
+    pinned here as the answer minidb has always given."""
     # The verifier flags these mixed-affinity probes (PLN002) by design.
     monkeypatch.setattr(verifier, "VERIFY_PLANS", False)
     ddl = [
@@ -261,26 +267,24 @@ def test_mixed_affinity_keys_batched_vs_row(monkeypatch, batch_size):
         "SELECT a.id, b.id FROM a JOIN b ON b.y = a.x WHERE a.id IN (1, 2, 3, 4, 5)",
     ]
     results = []
-    for vectorize in (True, False):
-        monkeypatch.setattr(optimizer, "ENABLE_VECTORIZATION", vectorize)
+    for size in (batch_size, 1):
+        monkeypatch.setattr(vector, "BATCH_SIZE", size)
         conn = minidb.connect()
         conn.executescript(";".join(ddl))
         conn.executemany("INSERT INTO a VALUES (?, ?, ?)", a)
         conn.executemany("INSERT INTO b VALUES (?, ?)", b)
         plans = [_plan(conn, q) for q in queries]
-        assert all(
-            any("INDEX JOIN" in line for line in p) == vectorize for p in plans
-        ), plans
+        assert all(any("JOIN (INNER)" in line for line in p) for p in plans), plans
         results.append([conn.execute(q).fetchall() for q in queries])
         conn.close()
     assert results[0] == results[1]
-    assert results[0][2] == [(1, 2), (2, 3), (5, 1)]
+    assert results[0] == [[], [], [(1, 2), (2, 3), (5, 1)]]
 
 
 def test_inner_row_deleted_mid_scan(monkeypatch):
     """Batches probed after a DELETE no longer see the deleted inner row."""
     monkeypatch.setattr(vector, "BATCH_SIZE", 3)
-    conn = _minidb(monkeypatch, True)
+    conn = _minidb()
     outer = [r for r in _rows()["res"] if r[1] is not None and r[1] <= 30][:12]
     ids = ", ".join(str(r[0]) for r in outer)
     sql = f"SELECT r.id, e.id FROM res r JOIN ex e ON e.id = r.exec_id WHERE r.id IN ({ids})"
@@ -305,11 +309,11 @@ def test_inner_row_deleted_mid_scan(monkeypatch):
         (
             "SELECT r.id, e.name FROM res r LEFT JOIN ex e ON e.id = r.exec_id "
             f"WHERE {IN_IDS}",
-            "NESTED LOOP (LEFT)",
+            "JOIN (LEFT)",
         ),
         (
             f"SELECT r.id, p.label FROM res r JOIN plain p ON p.k = r.exec_id WHERE {IN_IDS}",
-            "[hash probe]",
+            "HashJoin plain AS p",
         ),
         (
             "SELECT r.id, n.id FROM res r JOIN note n ON n.exec_id > r.exec_id "
@@ -327,13 +331,16 @@ def test_inner_row_deleted_mid_scan(monkeypatch):
     ],
     ids=["left", "hash", "range", "aggregate", "full_scan_lead"],
 )
-def test_other_joins_stay_on_the_row_plan(monkeypatch, sq, sql, marker):
-    conn = _minidb(monkeypatch, True)
+def test_other_joins_run_batched(monkeypatch, sq, sql, marker):
+    """LEFT joins, hash and range inner paths, aggregates over joins and
+    full-scan leads run on the same batched join."""
+    conn = _minidb()
     plan = _plan(conn, sql)
-    got = conn.execute(sql).fetchall()
     conn.close()
     assert any(marker in line for line in plan), plan
-    assert not any("INDEX JOIN" in line or "[batched]" in line for line in plan), plan
+    assert any("JOIN (" in line for line in plan), plan
+    got = _run(monkeypatch, 7, sql)
+    assert got == _run(monkeypatch, 1, sql), sql
     assert normalize(got) == normalize(sq.execute(sql).fetchall())
 
 
@@ -372,28 +379,27 @@ def test_fetch_and_resource_lookups_run_the_batched_join(monkeypatch):
     kinds = {"fetch": 0, "resource": 0}
     for sql, params in statements:
         plan = _plan(conn, sql, params)
+        joins = sum("JOIN (INNER)" in line for line in plan)
         if "FROM performance_result p" in sql:
             kinds["fetch"] += 1
-            assert sum("INDEX JOIN (INNER)" in line for line in plan) == 3, plan
+            assert joins == 3, plan
         else:
             assert "resource_item r JOIN focus_framework f" in sql
             kinds["resource"] += 1
-            assert sum("INDEX JOIN (INNER)" in line for line in plan) == 1, plan
-        assert not any("NESTED LOOP" in line for line in plan), plan
+            assert joins == 1, plan
         # The plan verifies (VERIFY_PLANS is on in the suite) and returns
-        # the row plan's rows in the row plan's order.
+        # the batch-size-1 rows in the same order.
         got = conn.execute(sql, params).fetchall()
-        monkeypatch.setattr(optimizer, "ENABLE_VECTORIZATION", False)
-        assert not any("[batched]" in line for line in _plan(conn, sql, params))
+        monkeypatch.setattr(vector, "BATCH_SIZE", 1)
         assert conn.execute(sql, params).fetchall() == got
-        monkeypatch.setattr(optimizer, "ENABLE_VECTORIZATION", True)
+        monkeypatch.undo()
     assert kinds["fetch"] >= 1 and kinds["resource"] >= 2
     store.close()
 
 
 def test_explain_analyze_counts_joined_rows(monkeypatch):
     monkeypatch.setattr(vector, "BATCH_SIZE", 7)
-    conn = _minidb(monkeypatch, True)
+    conn = _minidb()
     data = _rows()
     notes_by_exec = {}
     for nid, exec_id, _body in data["note"]:
@@ -409,21 +415,21 @@ def test_explain_analyze_counts_joined_rows(monkeypatch):
         ).fetchall()
     ]
     conn.close()
-    join = next(line for line in lines if "INDEX JOIN" in line)
+    join = next(line for line in lines if "JOIN (INNER)" in line)
     leaf = next(line for line in lines if "IN-PROBE" in line)
+    inner = next(line for line in lines if "SEARCH note AS n" in line)
     assert f"actual rows={len(outer)} batches={-(-len(outer) // 7)} loops=1" in leaf, lines
-    # The join emits every (outer row, live match) pair, NULL keys
-    # included; the ON re-check above it drops the NULL-key pairs.
-    assert f"actual rows={pairs} " in join and "loops=1" in join, lines
-    on_filter = lines[lines.index(join) - 1]
-    assert on_filter.strip().startswith("FILTER [vectorized]")
-    assert f"actual rows={matched} " in on_filter, lines
+    # The inner side probes once per outer row and returns every live
+    # match, NULL keys included; the ON check inside the join drops the
+    # NULL-key pairs.
+    assert f"actual rows={pairs} loops={len(outer)} " in inner, lines
+    assert f"actual rows={matched} " in join and "loops=1" in join, lines
     assert pairs > matched
     assert lines[-1].startswith(f"ACTUAL: {matched} row(s) returned"), lines
 
 
 def test_join_feeds_scan_and_lookup_counters(monkeypatch):
-    conn = _minidb(monkeypatch, True)
+    conn = _minidb()
     monkeypatch.setattr(vector, "BATCH_SIZE", 7)
     data = _rows()
     exec_ids = {r[0] for r in data["ex"]}
@@ -476,53 +482,56 @@ def _assert_pln(code, conn, plan):
 JOIN_SQL = f"SELECT r.id, e.name FROM res r JOIN ex e ON e.id = r.exec_id WHERE {IN_IDS}"
 
 
-def test_join_plan_verifies_with_bindings_and_slots(monkeypatch):
-    conn = _minidb(monkeypatch, True)
+def test_join_plan_verifies_with_bindings_and_slots():
+    conn = _minidb()
     plan, join = _join_plan(conn, JOIN_SQL)
     contract = verifier.verify_tree(conn.db, plan.root, names=list(plan.names))
     assert contract.width == 2
     assert set(contract.bindings) == {"r", "e"}
-    # Slots are laid out table by table: the scan's block, then the join's.
+    # Slots are laid out table by table: the leaf's block, then the join's.
     scan = join.child
     assert isinstance(scan, ops.VecScan)
     assert join.key_kernels[0].slot < len(scan.slots)
     conn.close()
 
 
-def test_pln002_bad_key_arity(monkeypatch):
-    conn = _minidb(monkeypatch, True)
+def test_pln002_bad_key_arity():
+    conn = _minidb()
     plan, join = _join_plan(conn, JOIN_SQL)
-    join.path = dataclasses.replace(join.path, key_exprs=[])
+    join.inner.path = dataclasses.replace(join.inner.path, key_exprs=[])
     err = _assert_pln("PLN002", conn, plan)
     assert "arity" in str(err)
     conn.close()
 
 
-def test_pln003_bad_key_slot(monkeypatch):
-    conn = _minidb(monkeypatch, True)
+def test_pln003_bad_key_slot():
+    conn = _minidb()
     plan, join = _join_plan(conn, JOIN_SQL)
-    join.key_kernels = [vector._Kernel(lambda b, ev: [], slot=99)]
+    join.key_kernels = [vector._Kernel(lambda b, ctx: [], slot=99)]
     err = _assert_pln("PLN003", conn, plan)
     assert "slot 99" in str(err)
     conn.close()
 
 
-def test_pln003_non_equality_inner_path(monkeypatch):
-    conn = _minidb(monkeypatch, True)
+def test_range_inner_path_needs_a_kernel_per_bound():
+    conn = _minidb()
     plan, join = _join_plan(conn, JOIN_SQL)
-    p = join.path
-    join.path = IndexRange(p.table, p.binding, p.index, list(p.key_exprs))
-    err = _assert_pln("PLN003", conn, plan)
-    assert "IndexRange" in str(err)
+    p = join.inner.path
+    # A range probe with a low and a high bound consumes two values; the
+    # join computes only one.
+    key = p.key_exprs[0]
+    join.inner.path = IndexRange(
+        p.table, p.binding, p.index, [], low=(">=", key), high=("<=", key)
+    )
+    err = _assert_pln("PLN002", conn, plan)
+    assert "key kernels" in str(err)
     conn.close()
 
 
-def test_pln004_row_child(monkeypatch):
-    conn = _minidb(monkeypatch, True)
+def test_pln004_row_child():
+    conn = _minidb()
     plan, join = _join_plan(conn, JOIN_SQL)
-    row_plan = optimizer.lower_select_plan(
-        conn.db, optimizer.build_logical_plan(conn.db, parse("SELECT id FROM res"))
-    )
-    join.child = row_plan
+    # A row-batch producer cannot feed a join, which merges column batches.
+    join.child = optimizer.plan_select(conn.db, parse("SELECT id FROM res")).root
     _assert_pln("PLN004", conn, plan)
     conn.close()

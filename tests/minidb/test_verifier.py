@@ -1,7 +1,7 @@
 """Static plan verifier tests: a hand-broken negative plan per PLN code,
-plus the property that every plan from the differential corpus (row,
-vectorized at several batch sizes, and under every rule toggle) verifies
-with zero violations.
+plus the property that every plan from the differential corpus (at
+several batch sizes, and under every rule toggle) verifies with zero
+violations.
 """
 
 import random
@@ -13,7 +13,7 @@ from repro.minidb import ast_nodes as A
 from repro.minidb import operators as ops
 from repro.minidb import optimizer, vector, verifier
 from repro.minidb.parser import parse
-from repro.minidb.verifier import Contract, PlanVerificationError, ROW
+from repro.minidb.verifier import ROW_BATCH, Contract, PlanVerificationError
 from repro.obs.metrics import metrics as _obs_metrics
 
 from tests.minidb.test_operators import RULES, SEED, SHAPES, _populate, _rand_rows
@@ -40,13 +40,7 @@ def find_op(root, cls):
         op = stack.pop()
         if isinstance(op, cls):
             return op
-        for attr in ("child", "left", "right", "plan"):
-            node = getattr(op, attr, None)
-            if isinstance(node, ops.Operator):
-                stack.append(node)
-        for node in getattr(op, "inputs", ()) or ():
-            if isinstance(node, ops.Operator):
-                stack.append(node)
+        stack.extend(op.children())
     raise AssertionError(f"no {cls.__name__} in plan")
 
 
@@ -62,7 +56,7 @@ def assert_pln(code, plan, db):
 
 def test_pln001_unknown_unqualified_column(conn):
     p = plan_of(conn, "SELECT id FROM items WHERE qty % 7 = 0")
-    flt = find_op(p.root, ops.FilterOp)
+    flt = find_op(p.root, ops.VecFilter)
     flt.condition = A.ColumnRef(None, "nonexistent")
     err = assert_pln("PLN001", p, conn.db)
     assert "nonexistent" in str(err)
@@ -70,7 +64,7 @@ def test_pln001_unknown_unqualified_column(conn):
 
 def test_pln001_unknown_binding(conn):
     p = plan_of(conn, "SELECT id FROM items WHERE qty % 7 = 0")
-    flt = find_op(p.root, ops.FilterOp)
+    flt = find_op(p.root, ops.VecFilter)
     flt.condition = A.ColumnRef("zz", "qty")
     err = assert_pln("PLN001", p, conn.db)
     assert "zz" in str(err)
@@ -78,66 +72,41 @@ def test_pln001_unknown_binding(conn):
 
 def test_pln001_order_by_position_out_of_range(conn):
     p = plan_of(conn, "SELECT id FROM items ORDER BY qty")
-    sort = find_op(p.root, ops.SortOp)
-    sort.order_by[0].expr = A.Literal(9)
+    sort = find_op(p.root, ops.VecSort)
+    sort.spec = [(8, False)]
     assert_pln("PLN001", p, conn.db)
 
 
 # ------------------------------------------------------------------- PLN002
 
 
-def find_key_leaf(root):
-    """The index-probe leaf of a plan: a row scan or a batch gather."""
-    try:
-        return find_op(root, ops._ScanBase)
-    except AssertionError:
-        return find_op(root, ops.VecScan)
+def test_pln002_index_key_arity(conn):
+    p = plan_of(conn, "SELECT id FROM items WHERE cat = 3")
+    scan = find_op(p.root, ops.VecScan)
+    scan.path.key_exprs = scan.path.key_exprs + [A.Literal(1)]
+    err = assert_pln("PLN002", p, conn.db)
+    assert "arity" in str(err)
 
 
-def key_leaf_plans(conn, monkeypatch, sql):
-    """*sql* planned batched and on the row plan, with each plan's key leaf."""
-    out = []
-    for vectorize in (True, False):
-        monkeypatch.setattr(optimizer, "ENABLE_VECTORIZATION", vectorize)
-        p = plan_of(conn, sql)
-        scan = find_key_leaf(p.root)
-        assert isinstance(scan, ops.VecScan) is vectorize
-        out.append((p, scan))
-    return out
-
-
-def test_pln002_index_key_arity(conn, monkeypatch):
-    for p, scan in key_leaf_plans(conn, monkeypatch, "SELECT id FROM items WHERE cat = 3"):
-        scan.path.key_exprs = scan.path.key_exprs + [A.Literal(1)]
-        err = assert_pln("PLN002", p, conn.db)
-        assert "arity" in str(err)
-
-
-def test_pln002_index_key_affinity(conn, monkeypatch):
+def test_pln002_index_key_affinity(conn):
     # idx_items_cat indexes an INTEGER column; probing it with a TEXT
     # key silently returns nothing at run time.
-    for p, scan in key_leaf_plans(conn, monkeypatch, "SELECT id FROM items WHERE cat = 3"):
-        scan.path.key_exprs = [A.Literal("red")]
-        err = assert_pln("PLN002", p, conn.db)
-        assert "affinity" in str(err)
+    p = plan_of(conn, "SELECT id FROM items WHERE cat = 3")
+    scan = find_op(p.root, ops.VecScan)
+    scan.path.key_exprs = [A.Literal("red")]
+    err = assert_pln("PLN002", p, conn.db)
+    assert "affinity" in str(err)
 
 
 def hash_join_plan(conn):
-    """A plan with a hash-join scan, and that scan."""
+    """A plan with a hash-join inner leaf, and that leaf."""
     p = plan_of(
         conn,
         "SELECT i.id, c.name FROM items i JOIN cats c ON c.name = i.color",
     )
-    stack = [p.root]
-    while stack:
-        op = stack.pop()
-        if isinstance(op, ops._ScanBase) and hasattr(op.path, "build_cols"):
-            return p, op
-        for attr in ("child", "left", "right"):
-            node = getattr(op, attr, None)
-            if isinstance(node, ops.Operator):
-                stack.append(node)
-    raise AssertionError("expected a hash-join scan in the plan")
+    join = find_op(p.root, ops.VecIndexJoin)
+    assert hasattr(join.inner.path, "build_cols"), "expected a hash-join leaf"
+    return p, join.inner
 
 
 def test_pln002_hash_join_build_position(conn):
@@ -150,39 +119,33 @@ def test_pln002_hash_join_build_position(conn):
 # ------------------------------------------------------------------- PLN003
 
 
-@pytest.fixture
-def vec_conn(conn, monkeypatch):
-    monkeypatch.setattr(optimizer, "VECTOR_MIN_ROWS", 0)
-    return conn
-
-
-def test_pln003_missing_filter_kernel(vec_conn):
-    # `qty % 2 = 0` is not sargable, so it stays a (vectorized) filter.
-    p = plan_of(vec_conn, "SELECT qty FROM items WHERE qty % 2 = 0")
+def test_pln003_missing_filter_kernel(conn):
+    # `qty % 2 = 0` is not sargable, so it stays a filter.
+    p = plan_of(conn, "SELECT qty FROM items WHERE qty % 2 = 0")
     vf = find_op(p.root, ops.VecFilter)
     vf.kernel = None
-    err = assert_pln("PLN003", p, vec_conn.db)
+    err = assert_pln("PLN003", p, conn.db)
     assert "kernel" in str(err)
 
 
-def test_pln003_scan_slot_out_of_range(vec_conn):
-    p = plan_of(vec_conn, "SELECT qty FROM items")
+def test_pln003_scan_slot_out_of_range(conn):
+    p = plan_of(conn, "SELECT qty FROM items")
     vs = find_op(p.root, ops.VecScan)
     vs.slots = [99]
-    err = assert_pln("PLN003", p, vec_conn.db)
+    err = assert_pln("PLN003", p, conn.db)
     assert "slot" in str(err)
 
 
-def test_pln003_vec_scan_over_hash_join_path(vec_conn):
-    p = plan_of(vec_conn, "SELECT qty FROM items")
+def test_pln003_vec_scan_over_unknown_path(conn):
+    p = plan_of(conn, "SELECT qty FROM items")
     vs = find_op(p.root, ops.VecScan)
-    vs.path = hash_join_plan(vec_conn)[1].path
-    err = assert_pln("PLN003", p, vec_conn.db)
-    assert "HashJoin" in str(err)
+    vs.path = type("Bogus", (), {"table": "items", "binding": "items"})()
+    err = assert_pln("PLN003", p, conn.db)
+    assert "unknown access path" in str(err)
 
 
 def test_pln002_vec_scan_over_in_probe_key_affinity(conn):
-    # A batched IN-probe passes the same key checks as a row InProbe.
+    # A batched IN-probe's items are checked against the index column.
     p = plan_of(conn, "SELECT id FROM items WHERE cat IN (1, 2)")
     vs = find_op(p.root, ops.VecScan)
     assert "IN-PROBE" in vs.describe()
@@ -194,21 +157,21 @@ def test_pln002_vec_scan_over_in_probe_key_affinity(conn):
 # ------------------------------------------------------------------- PLN004
 
 
-def test_pln004_row_consumer_over_column_batch_child(vec_conn):
-    p = plan_of(vec_conn, "SELECT qty FROM items")
+def test_pln004_row_consumer_over_column_batch_child(conn):
+    p = plan_of(conn, "SELECT qty FROM items")
     vs = find_op(p.root, ops.VecScan)
-    broken = ops.DistinctOp(vs)  # row consumer wired to a batch producer
+    broken = ops.VecDistinct(None, vs)  # row-batch consumer on a column-batch leaf
     with pytest.raises(PlanVerificationError) as ei:
-        verifier.verify_tree(vec_conn.db, broken)
+        verifier.verify_tree(conn.db, broken)
     assert ei.value.code == "PLN004"
     assert "protocol" in str(ei.value)
 
 
-def test_pln004_column_batch_root(vec_conn):
-    p = plan_of(vec_conn, "SELECT qty FROM items")
+def test_pln004_column_batch_root(conn):
+    p = plan_of(conn, "SELECT qty FROM items")
     vs = find_op(p.root, ops.VecScan)
     with pytest.raises(PlanVerificationError) as ei:
-        verifier.verify_tree(vec_conn.db, vs)
+        verifier.verify_tree(conn.db, vs)
     assert ei.value.code == "PLN004"
 
 
@@ -217,17 +180,17 @@ def test_pln004_column_batch_root(vec_conn):
 
 def test_pln005_topn_with_negative_limit(conn):
     p = plan_of(conn, "SELECT id FROM items ORDER BY qty LIMIT 7")
-    top = find_op(p.root, ops.TopN)
+    top = find_op(p.root, ops.VecTopN)
     top.limit = A.Literal(-3)
     err = assert_pln("PLN005", p, conn.db)
     assert "negative" in str(err)
 
 
-def test_pln005_vec_topn_with_negative_limit(vec_conn):
-    p = plan_of(vec_conn, "SELECT qty FROM items ORDER BY qty LIMIT 7")
+def test_pln005_vec_topn_with_negative_limit(conn):
+    p = plan_of(conn, "SELECT qty FROM items ORDER BY qty LIMIT 7")
     top = find_op(p.root, ops.VecTopN)
     top.limit = A.Unary("-", A.Literal(3))
-    err = assert_pln("PLN005", p, vec_conn.db)
+    err = assert_pln("PLN005", p, conn.db)
     assert "negative" in str(err)
 
 
@@ -236,8 +199,8 @@ def test_negative_literal_limit_never_fuses_topn(conn):
     # negative LIMIT (= unlimited) to Sort+Limit, so fused plans can
     # treat TopN limits as non-negative.  And it still verifies.
     p = plan_of(conn, "SELECT id FROM items ORDER BY qty LIMIT -3")
-    described = "\n".join(str(line) for line in p.description)
-    assert "TOP-N" not in described
+    described = "\n".join(ops.render_plan(p.root))
+    assert "TOP-N" not in described and "ORDER BY" in described
     verifier.verify_tree(conn.db, p.root, names=list(p.names))
     rows = conn.execute("SELECT id FROM items ORDER BY qty LIMIT -3").fetchall()
     assert len(rows) > 0  # negative limit = unlimited
@@ -255,16 +218,16 @@ def test_pln006_declared_name_arity_drift(conn):
 
 def test_pln006_union_branch_width_drift(conn):
     p = plan_of(conn, "SELECT id FROM cats UNION ALL SELECT tier FROM cats")
-    union = find_op(p.root, ops.UnionOp)
-    proj = find_op(union.inputs[0], ops.ProjectOp)
-    proj.cols = list(proj.cols) + [("expr", A.Literal(1), None)]
+    union = find_op(p.root, ops.VecUnion)
+    proj = find_op(union.inputs[0], ops.VecProject)
+    proj.kernels = list(proj.kernels) + [proj.kernels[0]]
     err = assert_pln("PLN006", p, conn.db)
     assert "UNION" in str(err) or "column counts" in str(err)
 
 
 def test_pln006_aggregate_call_set_drift(conn):
     p = plan_of(conn, "SELECT cat, COUNT(*), SUM(qty) FROM items GROUP BY cat")
-    agg = find_op(p.root, ops.HashAggregate)
+    agg = find_op(p.root, ops.VecAggregate)
     agg.calls = agg.calls[:1]  # lose SUM(qty)
     err = assert_pln("PLN006", p, conn.db)
     assert "call set" in str(err) or "missing" in str(err)
@@ -275,7 +238,7 @@ def test_pln006_aggregate_call_set_drift(conn):
 
 def _contract(**kw):
     base = dict(
-        protocol=ROW,
+        protocol=ROW_BATCH,
         width=2,
         ordering=(False,),
         distinct=True,
@@ -362,8 +325,9 @@ def test_counters_track_plans_and_violations(conn, metrics_on):
     p = plan_of(conn, "SELECT id FROM items")
     assert verifier._PLANS.value > plans0  # plan_select verified it
     assert verifier._VIOLATIONS.value == bad0
-    flt = ops.FilterOp(A.ColumnRef(None, "bogus"), p.root.child)
-    broken_root = ops.ProjectOp(p.root.cols, flt)
+    bogus = A.ColumnRef(None, "bogus")
+    flt = ops.VecFilter(bogus, p.root.kernels[0], p.root.child)
+    broken_root = ops.VecProject(p.root.kernels, flt)
     with pytest.raises(PlanVerificationError):
         verifier.verify_plan(
             conn.db,
@@ -392,14 +356,13 @@ def test_full_corpus_verifies_clean(conn):
     for sql, _op in SHAPES:
         p = plan_of(conn, sql)
         contract = verifier.verify_plan(conn.db, p)
-        assert contract.protocol in ("row", "row-batch"), sql
+        assert contract.protocol == ROW_BATCH, sql
         assert contract.width is None or contract.width == len(p.names), sql
     assert verifier._VIOLATIONS.value == bad0
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 4096])
 def test_vectorized_corpus_verifies_clean(conn, monkeypatch, batch_size):
-    monkeypatch.setattr(optimizer, "VECTOR_MIN_ROWS", 0)
     monkeypatch.setattr(vector, "BATCH_SIZE", batch_size)
     bad0 = verifier._VIOLATIONS.value
     for sql, _op in SHAPES:

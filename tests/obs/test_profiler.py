@@ -5,6 +5,7 @@ import time
 import pytest
 
 import repro.minidb as minidb
+from repro.minidb import vector
 from repro.core import PTDataStore
 from repro.obs.export import profile_to_ptdf, render_flight_text, render_profile_text
 from repro.obs.profiler import (
@@ -82,7 +83,8 @@ def test_execution_errors_are_recorded(prof):
     assert bad["errors"] == 1
 
 
-def test_unfetched_stream_finalizes_on_cursor_close(prof):
+def test_unfetched_stream_finalizes_on_cursor_close(prof, monkeypatch):
+    monkeypatch.setattr(vector, "BATCH_SIZE", 8)
     conn, cur = populated()
     cur.execute("SELECT a FROM t WHERE a > 10")
     cur.close()  # drops the stream without draining it
@@ -90,7 +92,8 @@ def test_unfetched_stream_finalizes_on_cursor_close(prof):
     by_fp = {s["fingerprint"]: s for s in prof.snapshot()["statements"]}
     sel = by_fp["SELECT a FROM t WHERE a > ?"]
     assert sel["calls"] == 1
-    assert sel["rows_returned"] == 1  # just the execute-time prefetch row
+    # Just the execute-time prefetch: the first non-empty batch, a = 11..15.
+    assert sel["rows_returned"] == 5
 
 
 def test_lru_evicts_least_recently_executed():
@@ -203,11 +206,11 @@ def test_drift_tracks_per_operator_qerror(prof):
     cur.fetchall()
     conn.close()
     drift = prof.snapshot()["drift"]
-    assert drift["SeqScan"]["count"] == 1
-    assert drift["SeqScan"]["mean_q"] == 1.0  # scan estimate is exact
-    assert drift["FilterOp"]["count"] == 1
-    assert 2.0 < drift["FilterOp"]["mean_q"] < 4.0
-    assert drift["FilterOp"]["misestimates"] == 0
+    assert drift["VecScan"]["count"] == 1
+    assert drift["VecScan"]["mean_q"] == 1.0  # scan estimate is exact
+    assert drift["VecFilter"]["count"] == 1
+    assert 2.0 < drift["VecFilter"]["mean_q"] < 4.0
+    assert drift["VecFilter"]["misestimates"] == 0
 
 
 def test_misestimates_flagged_at_threshold(prof):
@@ -218,8 +221,8 @@ def test_misestimates_flagged_at_threshold(prof):
     cur.fetchall()
     conn.close()
     drift = prof.snapshot()["drift"]
-    assert drift["FilterOp"]["misestimates"] == 1
-    assert drift["FilterOp"]["max_q"] >= MISESTIMATE_Q
+    assert drift["VecFilter"]["misestimates"] == 1
+    assert drift["VecFilter"]["max_q"] >= MISESTIMATE_Q
 
 
 # ---------------------------------------------------------------- renderers
