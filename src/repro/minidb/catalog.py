@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional
 
 from . import ast_nodes as ast
@@ -49,6 +50,7 @@ class TableMeta:
         self._index_of = {c.name.lower(): i for i, c in enumerate(self.columns)}
         if len(self._index_of) != len(self.columns):
             raise ProgrammingError(f"duplicate column name in table {self.name}")
+        self._sources: dict[Optional[tuple[str, ...]], tuple[Optional[int], ...]] = {}
 
     def column_index(self, name: str) -> int:
         try:
@@ -70,7 +72,28 @@ class TableMeta:
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    @property
+    def sources(self, columns: Optional[list[str]]) -> tuple[Optional[int], ...]:
+        """Per column: its position in an INSERT column list, ``None`` when
+        the list omits it (no list names every column in order)."""
+        key = tuple(columns) if columns else None
+        got = self._sources.get(key)
+        if got is None:
+            src_of: list[Optional[int]] = [None] * len(self.columns)
+            for src_i, name in enumerate(columns or self.column_names):
+                src_of[self.column_index(name)] = src_i
+            got = self._sources[key] = tuple(src_of)
+        return got
+
+    @cached_property
+    def affinities(self) -> list[str]:
+        return [c.affinity for c in self.columns]
+
+    @cached_property
+    def defaults(self) -> list[Any]:
+        """Per column: the value an INSERT that omits it stores (uncoerced)."""
+        return [c.default if c.has_default else None for c in self.columns]
+
+    @cached_property
     def rowid_pk_column(self) -> Optional[int]:
         """Index of a single INTEGER PRIMARY KEY column, if the table has one.
 

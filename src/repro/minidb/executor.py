@@ -3,15 +3,17 @@
 The executor is a thin dispatcher: SELECT is planned by
 :mod:`repro.minidb.optimizer` into a batch operator tree
 (:mod:`repro.minidb.operators`) and streamed batch by batch; DDL goes to
-the catalog; UPDATE and DELETE drain a scan(+filter) tree over the
-planner-chosen access path for the row ids they mutate.  EXPLAIN and
-EXPLAIN ANALYZE render the real operator tree — with per-operator
-``actual rows/batches/loops/time`` hanging off the operators in the
-ANALYZE case.
+the catalog; every INSERT (and each ``executemany`` batch) builds its
+rows into columns and hands storage one batch; UPDATE and DELETE drain a
+scan(+filter) tree over the planner-chosen access path for the row ids
+they mutate.  EXPLAIN and EXPLAIN ANALYZE render the real operator
+tree — with per-operator ``actual rows/batches/loops/time`` hanging off
+the operators in the ANALYZE case.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterator, Optional, Sequence
 
 from ..obs.clock import now as _now
@@ -20,14 +22,14 @@ from . import ast_nodes as ast
 from . import optimizer
 from .analyzer import Analyzer
 from .errors import ProgrammingError, SemanticError
-from .expressions import Evaluator, Scope
+from .expressions import Evaluator, Scope, _children
 from .operators import (
     ExecContext,
     ExecStats,
     Operator,
     render_plan,
 )
-from .sqltypes import coerce
+from .sqltypes import INTEGER, REAL, TEXT, coerce
 from .storage import Database
 
 # Engine metrics (see docs/observability.md).  Scan/access/hash-join
@@ -35,6 +37,106 @@ from .storage import Database
 # statement-level row counters.
 _ROWS_RETURNED = _M.counter("minidb.rows.returned", unit="rows")
 _ROWS_WRITTEN = _M.counter("minidb.rows.written", unit="rows")
+
+
+def _build_rows(
+    meta, columns: Optional[list[str]], sources: Sequence[Any], values_of=None,
+) -> tuple[list[list[Any]], Optional[Exception]]:
+    """Build INSERT rows in order, full width and coerced, given column-wise.
+
+    ``values_of`` maps a source to its VALUES (default: the source is
+    them).  Building stops at the first row that fails — a row of the
+    wrong width (ProgrammingError) or a value its column cannot store
+    (DataError, first in column order) — and returns that error beside
+    the rows built before it; storage raises it unless one of those rows
+    fails a constraint first.
+    """
+    src_of = meta.sources(columns)
+    width = len(columns) if columns else len(src_of)
+    defaults = meta.defaults
+    affinities = meta.affinities
+    built: list[list[Any]] = []
+    pending = None
+    try:
+        for source in sources:
+            values = source if values_of is None else values_of(source)
+            if len(values) != width:
+                raise ProgrammingError(
+                    f"table {meta.name} expects {width} values, got {len(values)}"
+                )
+            built.append([
+                coerce(values[s] if s is not None else defaults[i], affinities[i])
+                for i, s in enumerate(src_of)
+            ])
+    except Exception as exc:
+        pending = exc
+    if not built:
+        return [[] for _ in src_of], pending
+    return list(map(list, zip(*built))), pending
+
+
+def _has_subquery(expr: ast.Expr) -> bool:
+    """True when *expr* holds a subquery (which may read any table)."""
+    if isinstance(expr, (ast.InSelect, ast.Exists, ast.ScalarSelect)):
+        return True
+    return any(_has_subquery(child) for child in _children(expr))
+
+
+#: Affinity -> the one type its coercion returns unchanged.  Columns whose
+#: values all have it (or are None, which every affinity stores) skip
+#: ``coerce``.
+_STORED_AS = {INTEGER: int, TEXT: str, REAL: float}
+_PASSES = {aff: {kind, type(None)} for aff, kind in _STORED_AS.items()}
+
+
+def _placeholder_columns(meta, stmt: ast.Insert, template, rows: list):
+    """``(columns, pending)`` for an all-placeholder INSERT template.
+
+    Builds each destination column once from the parameter rows.  Any
+    failure (a short row, a value its column cannot store) falls back to
+    the row-by-row builder over the same rows, which stops at the first
+    failing row with exactly the error a row-by-row insert raises.
+    """
+    param_of = [
+        template[s].index if s is not None else None for s in meta.sources(stmt.columns)
+    ]
+    need = max((e.index for e in template), default=-1) + 1
+    affinities = meta.affinities
+    fixed = [
+        None if p is not None else coerce(d, affinities[i])
+        for i, (p, d) in enumerate(zip(param_of, meta.defaults))
+    ]
+
+    n = len(rows)
+    try:
+        if not n or min(map(len, rows)) >= need:
+            columns: list[list[Any]] = []
+            for i, p in enumerate(param_of):
+                if p is None:
+                    columns.append([fixed[i]] * n)
+                    continue
+                col = list(map(itemgetter(p), rows))
+                aff = affinities[i]
+                passes = _PASSES.get(aff)
+                if passes is None or not passes.issuperset(map(type, col)):
+                    kind = _STORED_AS.get(aff)
+                    col = [v if type(v) is kind else coerce(v, aff) for v in col]
+                columns.append(col)
+            return columns, None
+    except Exception:
+        pass
+    # Something failed: find the first failing row and its error the way
+    # building the rows one at a time meets them.
+
+    def values_of(params: Sequence[Any]) -> list[Any]:
+        if len(params) < need:
+            raise ProgrammingError(
+                f"statement requires at least {need} parameters, "
+                f"{len(params)} supplied"
+            )
+        return [params[e.index] for e in template]
+
+    return _build_rows(meta, stmt.columns, rows, values_of)
 
 
 class Result:
@@ -219,136 +321,106 @@ class Executor:
     # -- DML ----------------------------------------------------------------------
 
     def _exec_Insert(self, stmt: ast.Insert) -> Result:
+        """One INSERT statement (VALUES rows or a SELECT) as one batch.
+
+        Every source row is evaluated first; then the rows are built
+        (arity, coercion) and handed to storage together, so the statement
+        is atomic: a failing row leaves none of them behind.
+        """
         table = self.db.table(stmt.table)
-        meta = table.meta
-        self.db.lock_for_write(self.txn, meta)
-        if stmt.columns:
-            positions = [meta.column_index(c) for c in stmt.columns]
-        else:
-            positions = list(range(len(meta.columns)))
-        source_rows: list[list[Any]]
+        self.db.lock_for_write(self.txn, table.meta)
         if stmt.select is not None:
-            source_rows = [list(r) for r in self._select_rows(stmt.select)]
+            source_rows = self._select_rows(stmt.select)
         else:
             scope = Scope()
             source_rows = [
                 [self.evaluator.evaluate(e, scope) for e in row] for row in stmt.rows
             ]
-        lastrowid = None
-        count = 0
-        for values in source_rows:
-            if len(values) != len(positions):
-                raise ProgrammingError(
-                    f"table {meta.name} expects {len(positions)} values, got {len(values)}"
-                )
-            full: list[Any] = []
-            for i, col in enumerate(meta.columns):
-                if i in positions:
-                    full.append(values[positions.index(i)])
-                elif col.has_default:
-                    full.append(col.default)
-                else:
-                    full.append(None)
-            full = self.db.coerce_row(meta, full)
-            lastrowid = self.db.insert_row(table, full, txn=self.txn)
-            count += 1
-        _ROWS_WRITTEN.add(count)
-        return Result(rowcount=count, lastrowid=lastrowid)
+        return self._insert(table, *_build_rows(table.meta, stmt.columns, source_rows))
+
+    def _insert(self, table, columns: list[list[Any]], pending) -> Result:
+        applied, lastrowid = self.db.insert_rows(
+            table, columns, txn=self.txn, pending=pending
+        )
+        _ROWS_WRITTEN.add(len(applied))
+        return Result(rowcount=len(applied), lastrowid=lastrowid)
 
     def execute_insert_batch(self, stmt: ast.Insert, seq_of_params) -> Result:
-        """Vectorized INSERT for ``executemany``: plan once, apply all rows.
+        """Set-at-a-time INSERT for ``executemany``: plan once, apply once.
 
-        The statement is analysed once (column positions, defaults); every
-        parameter row then goes straight to storage.  Constraints are still
-        checked per row, but the batch is **statement-atomic**: if any row
-        fails, every row already applied by this batch is undone before the
-        error propagates, and nothing reaches the journal.  On success the
-        whole batch becomes a single journal record (one WAL flush at
-        commit regardless of batch size).
+        The statement is analysed once (column positions, defaults) and
+        the parameter rows are built into columns — for the all-placeholder
+        template one list per destination column, coercing only the values
+        whose type does not already match the column.  Storage then checks
+        and applies the batch in one step (see ``Database.insert_rows``):
+        it is statement-atomic, raises the error a row-by-row loop would
+        meet first, and becomes a single journal record.
         """
         if stmt.select is not None:
             raise ProgrammingError("cannot batch-execute INSERT ... SELECT")
         db = self.db
-        txn = self.txn
-        if txn is None:
-            txn = db.begin()  # joins the open implicit transaction
         table = db.table(stmt.table)
         meta = table.meta
-        db.lock_for_write(txn, meta)
-        if stmt.columns:
-            positions = [meta.column_index(c) for c in stmt.columns]
-        else:
-            positions = list(range(len(meta.columns)))
-        ncols = len(meta.columns)
-        # Per-destination-column source: parameter position or default value.
-        src_of: list[Optional[int]] = [None] * ncols
-        for src_i, dest in enumerate(positions):
-            src_of[dest] = src_i
-        defaults = [c.default if c.has_default else None for c in meta.columns]
+        db.lock_for_write(self.txn, meta)
+        width = len(stmt.columns) if stmt.columns else len(meta.columns)
         for template in stmt.rows:
-            if len(template) != len(positions):
+            if len(template) != width:
                 raise ProgrammingError(
-                    f"table {meta.name} expects {len(positions)} values, "
+                    f"table {meta.name} expects {width} values, "
                     f"got {len(template)}"
                 )
-        affinities = [c.affinity for c in meta.columns]
+        rows = seq_of_params if isinstance(seq_of_params, list) else list(seq_of_params)
         single = stmt.rows[0] if len(stmt.rows) == 1 else None
         if single is not None and all(isinstance(e, ast.Parameter) for e in single):
-            # All-placeholder template (the bulk-load shape): skip the
-            # expression evaluator and map parameters straight to columns.
-            param_of: list[Optional[int]] = [None] * ncols
-            for src_i, dest in enumerate(positions):
-                param_of[dest] = single[src_i].index
-            need = max((e.index for e in single), default=-1) + 1
-            fixed = [
-                None if p is not None else coerce(defaults[i], affinities[i])
-                for i, p in enumerate(param_of)
-            ]
+            # All-placeholder template (the bulk-load shape): parameters
+            # map straight to columns, no expression evaluator.
+            return self._insert(table, *_placeholder_columns(meta, stmt, single, rows))
+        ev = self.evaluator
+        scope = Scope()
 
-            def build_rows() -> Iterator[list[Any]]:
-                for params in seq_of_params:
-                    if len(params) < need:
-                        raise ProgrammingError(
-                            f"statement requires at least {need} parameters, "
-                            f"{len(params)} supplied"
-                        )
-                    yield [
-                        coerce(params[p], affinities[i]) if p is not None else fixed[i]
-                        for i, p in enumerate(param_of)
-                    ]
+        def values_of(source) -> list[Any]:
+            params, k = source
+            if k == 0:  # first template of a parameter row: bind it
+                ev.params = list(params)
+                ev._inlist_cache.clear()  # parameter-dependent, per-row
+            return [ev.evaluate(e, scope) for e in stmt.rows[k]]
 
-        else:
-            ev = self.evaluator
-            scope = Scope()
+        sources = [(params, k) for params in rows for k in range(len(stmt.rows))]
+        if any(_has_subquery(e) for template in stmt.rows for e in template):
+            return self._insert_each(table, stmt.columns, sources, values_of)
+        return self._insert(table, *_build_rows(meta, stmt.columns, sources, values_of))
 
-            def build_rows() -> Iterator[list[Any]]:
-                for params in seq_of_params:
-                    ev.params = list(params)
-                    ev._inlist_cache.clear()  # parameter-dependent, per-row
-                    for template in stmt.rows:
-                        values = [ev.evaluate(e, scope) for e in template]
-                        yield db.coerce_row(
-                            meta,
-                            [
-                                values[src_of[i]] if src_of[i] is not None else defaults[i]
-                                for i in range(ncols)
-                            ],
-                        )
+    def _insert_each(self, table, columns, sources, values_of) -> Result:
+        """``executemany`` over a template with a subquery: row by row.
 
-        undo_mark = len(txn.undo)
+        A subquery may read the target table, so each row is evaluated
+        only after the rows before it are in — one INSERT per parameter
+        row, as sqlite3 runs it.  The statement stays atomic: a failing
+        row unwinds the rows this call already inserted, and a passing
+        call still logs one ``insert_batch`` record.
+        """
+        db = self.db
+        txn = self.txn if self.txn is not None else db.begin()
+        undo_mark, wal_mark = len(txn.undo), len(txn.wal_records)
+        count, lastrowid = 0, None
         try:
-            applied, lastrowid = db.insert_rows(table, build_rows(), txn=txn)
+            for source in sources:
+                built, pending = _build_rows(table.meta, columns, [source], values_of)
+                _applied, lastrowid = db.insert_rows(table, built, txn=txn, pending=pending)
+                count += 1
         except BaseException:
-            # Undo only this batch's mutations, leaving the enclosing
-            # transaction's earlier work intact.
             for entry in reversed(txn.undo[undo_mark:]):
                 db._apply_undo(entry)
             del txn.undo[undo_mark:]
+            del txn.wal_records[wal_mark:]
             raise
-        if db.journal is not None and applied:
-            txn.log(("insert_batch", meta.name, applied))
-        _ROWS_WRITTEN.add(len(applied))
-        return Result(rowcount=len(applied), lastrowid=lastrowid)
+        logged = txn.wal_records[wal_mark:]
+        if len(logged) > 1:
+            txn.wal_records[wal_mark:] = [
+                ("insert_batch", table.meta.name, [pair for rec in logged for pair in rec[2]])
+            ]
+        _ROWS_WRITTEN.add(count)
+        return Result(rowcount=count, lastrowid=lastrowid)
 
     def _exec_Update(self, stmt: ast.Update) -> Result:
         table = self.db.table(stmt.table)

@@ -11,14 +11,14 @@ the first ordered access.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IntegrityError
 from .sqltypes import sort_key
 
 
 def _ordered(key: tuple) -> tuple:
-    return tuple(sort_key(v) for v in key)
+    return tuple(map(sort_key, key))
 
 
 class Index:
@@ -48,17 +48,89 @@ class Index:
                 insort(self._sorted, (_ordered(key), key))
             return
         if self.unique and not any(v is None for v in key):
-            raise self._unique_error(key)
+            raise self.unique_error(key)
         bucket.append(rowid)
+
+    def insert_many(self, keys: Sequence[tuple], rowids: Sequence[int]) -> None:
+        """Add each rowid under its key, in order; the caller has checked
+        uniqueness (see :meth:`first_conflict`).
+
+        New keys are merged into a valid sorted list once per call, never
+        one ``insort`` per key.
+        """
+        m = self._map
+        if self.unique:
+            # A checked UNIQUE batch usually holds only new, distinct keys.
+            fresh = dict(zip(keys, map(list, zip(rowids))))
+            if len(fresh) == len(keys) and m.keys().isdisjoint(fresh):
+                m.update(fresh)
+                if keys and self._sorted_valid:
+                    self._merge_sorted(keys)
+                return
+        get = m.get
+        new: list[tuple] = []
+        for key, rowid in zip(keys, rowids):
+            bucket = get(key)
+            if bucket is None:
+                m[key] = [rowid]
+                new.append(key)
+            else:
+                bucket.append(rowid)
+        if new and self._sorted_valid:
+            self._merge_sorted(new)
+
+    def _merge_sorted(self, keys: list[tuple]) -> None:
+        """Merge *keys* (absent from the sorted list) into it in order."""
+        new = [(_ordered(k), k) for k in keys]
+        new.sort()
+        old = self._sorted
+        if not old or old[-1] < new[0]:
+            old.extend(new)  # the common append-at-the-end case
+            return
+        merged: list[tuple[tuple, tuple]] = []
+        lo = 0
+        for item in new:
+            hi = bisect_left(old, item, lo)
+            merged += old[lo:hi]
+            merged.append(item)
+            lo = hi
+        merged += old[lo:]
+        self._sorted = merged
+
+    def missing(self, keys: Iterable[tuple]) -> set[tuple]:
+        """The keys of *keys* that no row carries."""
+        return set(keys).difference(self._map)  # a mapped key has rowids
+
+    def first_conflict(self, keys: Sequence[tuple]) -> int | None:
+        """Position of the first key of *keys* that a UNIQUE index rejects.
+
+        A key conflicts when it has no NULL and is already indexed or
+        repeats an earlier key of *keys*, which is what inserting them one
+        by one would raise on.  ``None`` when every key can be inserted.
+        """
+        if not self.unique:
+            return None
+        batch = set(keys)
+        if len(batch) == len(keys) and self._map.keys().isdisjoint(batch):
+            return None
+        seen: set[tuple] = set()
+        indexed = self._map
+        for i, key in enumerate(keys):
+            if None in key:
+                continue
+            if key in seen or key in indexed:
+                return i
+            seen.add(key)
+        return None
 
     def check_insert(self, key: tuple) -> None:
         """Raise if inserting *key* would violate uniqueness (no mutation)."""
         if not self.unique or any(v is None for v in key):
             return
         if self._map.get(key):
-            raise self._unique_error(key)
+            raise self.unique_error(key)
 
-    def _unique_error(self, key: tuple) -> IntegrityError:
+    def unique_error(self, key: tuple) -> IntegrityError:
         return IntegrityError(
             f"UNIQUE constraint failed: index {self.name} "
             f"({', '.join(self.columns)}) key {key!r}"
@@ -93,7 +165,7 @@ class Index:
             if bucket is None:
                 new_map[key] = [rowid]
             elif unique and not any(v is None for v in key):
-                raise self._unique_error(key)
+                raise self.unique_error(key)
             else:
                 bucket.append(rowid)
         self._map = new_map
@@ -134,10 +206,6 @@ class Index:
     def lookup(self, key: tuple) -> list[int]:
         """Row ids with exactly *key* (empty list when absent)."""
         return list(self._map.get(key, ()))
-
-    def contains(self, key: tuple) -> bool:
-        """True when any row carries *key* (no result-list allocation)."""
-        return bool(self._map.get(key))
 
     def _ensure_sorted(self) -> None:
         if not self._sorted_valid:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import array as _array
 import threading
 import time
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 from ..obs.metrics import metrics as _M
 from .catalog import Catalog, IndexMeta, TableMeta
@@ -231,11 +231,6 @@ class Table:
         self._column_store = store
         return store
 
-    def allocate_rowid(self) -> int:
-        rid = self.next_rowid
-        self.next_rowid += 1
-        return rid
-
     def scan(self) -> Iterator[tuple[int, tuple]]:
         return iter(self.rows.items())
 
@@ -279,6 +274,11 @@ class TableVersion:
         return store
 
 
+def _keys(columns: Sequence[Sequence], positions: tuple[int, ...]) -> list[tuple]:
+    """Index keys of a batch given column-wise (one tuple per row)."""
+    return list(zip(*map(columns.__getitem__, positions)))
+
+
 class TablePlan:
     """Cached per-table mutation metadata.
 
@@ -306,15 +306,19 @@ class TablePlan:
 class UndoEntry:
     """One reversible storage mutation."""
 
-    __slots__ = ("kind", "table", "rowid", "row", "old_row", "counters")
+    __slots__ = ("kind", "table", "rowid", "row", "old_row", "rows", "counters")
 
     def __init__(self, kind: str, table: str, rowid: int = 0, row: tuple = (),
-                 old_row: tuple = (), counters: tuple[int, int] = (0, 0)) -> None:
-        self.kind = kind  # 'insert' | 'delete' | 'update' | 'counters'
+                 old_row: tuple = (), rows: Sequence[tuple[int, tuple]] = (),
+                 counters: tuple[int, int] = (0, 0)) -> None:
+        self.kind = kind  # 'insert_batch' | 'delete' | 'update'
         self.table = table
         self.rowid = rowid
         self.row = row
         self.old_row = old_row
+        #: insert_batch: the batch's (rowid, row) pairs and the counters
+        #: (next_rowid, next_auto) it started from
+        self.rows = rows
         self.counters = counters
 
 
@@ -337,7 +341,7 @@ class Transaction:
         self.undo: list[UndoEntry] = []
         self.touched: set[str] = set()
         #: pending WAL records as plain tuples, encoded at commit:
-        #: ("insert", table, rowid, row) | ("insert_batch", table, applied)
+        #: ("insert_batch", table, applied)
         #: | ("update", table, rowid, row) | ("delete", table, rowid)
         #: | ("ddl", sql)
         self.wal_records: list[tuple] = []
@@ -696,10 +700,13 @@ class Database:
         table = self.tables.get(entry.table.lower())
         if table is None:
             raise InternalError(f"undo references missing table {entry.table}")
-        if entry.kind == "insert":
+        if entry.kind == "insert_batch":
             table.begin_mutation()
-            self._unindex_row(table, entry.rowid, entry.row)
-            table.rows.pop(entry.rowid, None)
+            rows = table.rows
+            for rowid, row in reversed(entry.rows):
+                self._unindex_row(table, rowid, row)
+                rows.pop(rowid, None)
+            table.next_rowid, table.next_auto = entry.counters
             table.bump_version()
         elif entry.kind == "delete":
             table.begin_mutation()
@@ -712,8 +719,6 @@ class Database:
             table.rows[entry.rowid] = entry.old_row
             self._index_row(table, entry.rowid, entry.old_row, check=False)
             table.bump_version()
-        elif entry.kind == "counters":
-            table.next_rowid, table.next_auto = entry.counters
         else:  # pragma: no cover - defensive
             raise InternalError(f"unknown undo kind {entry.kind}")
 
@@ -731,149 +736,115 @@ class Database:
         for idx, positions in self._plan(table.meta).indexes:
             idx.delete(tuple(row[p] for p in positions), rowid)
 
-    def insert_row(
-        self, table: Table, values: list[Any], txn: Optional[Transaction] = None
-    ) -> int:
-        """Insert a full-width row (already coerced); returns assigned rowid/PK."""
-        meta = table.meta
-        txn = txn if txn is not None else self._txn
-        if txn is None:
-            txn = self.begin()
-        self._touch(table, txn)
-        txn.undo.append(
-            UndoEntry("counters", meta.name, counters=(table.next_rowid, table.next_auto))
-        )
-        auto_col = meta.rowid_pk_column
-        assigned = None
-        if auto_col is not None:
-            if values[auto_col] is None:
-                values[auto_col] = table.next_auto
-            assigned = values[auto_col]
-            if isinstance(assigned, int) and assigned >= table.next_auto:
-                table.next_auto = assigned + 1
-        # NOT NULL checks.
-        for i, name in self._plan(meta).not_null:
-            if values[i] is None:
-                raise IntegrityError(
-                    f"NOT NULL constraint failed: {meta.name}.{name}"
-                )
-        row = tuple(values)
-        rowid = table.allocate_rowid()
-        self._check_foreign_keys_insert(meta, row)
-        table.begin_mutation()
-        try:
-            self._index_row(table, rowid, row, check=True)
-            table.rows[rowid] = row
-        finally:
-            table.bump_version()
-        txn.undo.append(UndoEntry("insert", meta.name, rowid, row))
-        if self.journal is not None:
-            txn.log(("insert", meta.name, rowid, row))
-        return assigned if assigned is not None else rowid
+    def index_rows(self, table: Table, rowids: Sequence[int], columns: Sequence[Sequence]) -> None:
+        """Add a batch of rows, given column-wise, to every index of *table*
+        (no uniqueness check: inserts check first, WAL replay has none)."""
+        for idx, positions in self._plan(table.meta).indexes:
+            idx.insert_many(_keys(columns, positions), rowids)
 
     def insert_rows(
         self,
         table: Table,
-        rows: "Iterator[list[Any]]",
+        columns: list[list[Any]],
         txn: Optional[Transaction] = None,
+        pending: Optional[Exception] = None,
     ) -> tuple[list[tuple[int, tuple]], Optional[Any]]:
-        """Batch insert of coerced full-width rows (vectorized ``executemany``).
+        """Insert a batch of coerced full-width rows, given column-wise.
 
-        Constraints (NOT NULL, UNIQUE, FOREIGN KEY) are still checked per
-        row, but all schema resolution is hoisted out of the loop and only
-        one counters undo entry is written for the whole batch — on
-        rollback it restores the batch-start counters exactly as the
-        per-row entries would have.  Journal hooks are *not* called; the
-        caller logs the returned ``(rowid, row)`` list as one batch record.
+        The one INSERT path: every INSERT statement and ``executemany``
+        lands here once.  The whole batch is checked before anything is
+        mutated — NOT NULL once per column, each distinct FOREIGN KEY once
+        against the parent index, UNIQUE with one set over the batch — and
+        the error raised is the one inserting the rows one by one would
+        meet first: the first failing row, and within it NOT NULL, then
+        FOREIGN KEY, then UNIQUE in plan order.  *pending* is the error
+        that stopped the caller's row builder at the row after the last
+        one given (arity, coercion); it is raised when no given row fails
+        first.  A failed batch mutates nothing.
 
-        Returns ``(applied, lastrowid)``.  On a mid-batch failure the undo
-        entries for already-applied rows are left in place for the caller
-        to unwind (see ``Executor.execute_insert_batch``).
+        A passing batch is applied in one step — bulk index inserts, one
+        ``dict.update`` of the rows, one ``insert_batch`` undo entry and
+        one ``insert_batch`` WAL record.  Returns ``(applied, lastrowid)``.
         """
         meta = table.meta
         plan = self._plan(meta)
+        n = len(columns[0]) if columns else 0
+        first_rowid = table.next_rowid
+        first_auto = next_auto = table.next_auto
+        auto_col = meta.rowid_pk_column
+        if auto_col is not None:
+            col = columns[auto_col]
+            for r, v in enumerate(col):
+                if v is None:
+                    col[r] = v = next_auto
+                if isinstance(v, int) and v >= next_auto:
+                    next_auto = v + 1
+        # Index keys, one tuple per row, by key positions.
+        keys = {}
+        for _idx, positions in plan.indexes:
+            keys[positions] = _keys(columns, positions)
+
+        # Only a row before the current first failure can replace it, and
+        # at the same row the earlier check kind wins.
+        stop, error = n, pending
+        for i, name in plan.not_null:
+            col = columns[i]
+            if None in col:
+                r = col.index(None)
+                if r < stop:
+                    stop, error = r, IntegrityError(
+                        f"NOT NULL constraint failed: {meta.name}.{name}"
+                    )
+        for fk, positions, ref_meta, ref_index, ref_positions in plan.fks:
+            fk_keys = keys.get(positions)
+            if fk_keys is None:
+                fk_keys = keys[positions] = _keys(columns, positions)
+            if stop < n:
+                fk_keys = fk_keys[:stop]
+            if ref_index is not None:
+                missing = ref_index.missing(fk_keys)
+            else:
+                missing = self._unreferenced(fk_keys, ref_meta, ref_positions)
+            if missing:
+                r = self._first_dangling(meta, fk_keys, missing, columns, ref_meta, ref_positions)
+                if r is not None:
+                    stop, error = r, IntegrityError(
+                        f"FOREIGN KEY constraint failed: {meta.name}"
+                        f"({', '.join(fk.columns)}) -> {fk.ref_table}"
+                    )
+        for idx, positions in plan.indexes:
+            if idx.unique:
+                batch_keys = keys[positions] if stop == n else keys[positions][:stop]
+                r = idx.first_conflict(batch_keys)
+                if r is not None:
+                    stop, error = r, idx.unique_error(batch_keys[r])
+        if error is not None:
+            raise error
+        if not n:
+            return [], None
         txn = txn if txn is not None else self._txn
         if txn is None:
             txn = self.begin()
         self._touch(table, txn)
-        undo = txn.undo
-        undo.append(
-            UndoEntry("counters", meta.name, counters=(table.next_rowid, table.next_auto))
-        )
-        auto_col = meta.rowid_pk_column
-        # Specialise single-column keys (the overwhelmingly common shape):
-        # (index, single position or None, all positions).
-        index_ops = [
-            (idx, p[0] if len(p) == 1 else None, p) for idx, p in plan.indexes
-        ]
-        fk_ops = [
-            (fk, p[0] if len(p) == 1 else None, p, ref_meta, ref_index, ref_pos)
-            for fk, p, ref_meta, ref_index, ref_pos in plan.fks
-        ]
-        not_null = plan.not_null
-        table_rows = table.rows
-        applied: list[tuple[int, tuple]] = []
-        lastrowid: Optional[Any] = None
+        # One int object per row id, shared by the row dict and every index.
+        rowids = list(range(first_rowid, first_rowid + n))
+        applied = list(zip(rowids, zip(*columns)))
         table.begin_mutation()
         try:
-            for values in rows:
-                if auto_col is not None:
-                    v = values[auto_col]
-                    if v is None:
-                        v = values[auto_col] = table.next_auto
-                    lastrowid = v
-                    if isinstance(v, int) and v >= table.next_auto:
-                        table.next_auto = v + 1
-                for i, name in not_null:
-                    if values[i] is None:
-                        raise IntegrityError(
-                            f"NOT NULL constraint failed: {meta.name}.{name}"
-                        )
-                row = tuple(values)
-                rowid = table.next_rowid
-                table.next_rowid = rowid + 1
-                if auto_col is None:
-                    lastrowid = rowid
-                for fk, p0, ps, ref_meta, ref_index, ref_positions in fk_ops:
-                    if p0 is not None:
-                        kv = row[p0]
-                        if kv is None:
-                            continue  # NULL FK values pass (SQL MATCH SIMPLE)
-                        key = (kv,)
-                    else:
-                        key = tuple(row[p] for p in ps)
-                        if any(kv is None for kv in key):
-                            continue
-                    if ref_index is not None:
-                        if ref_index.contains(key):
-                            continue
-                    else:
-                        ref_table = self.tables[ref_meta.name.lower()]
-                        if any(
-                            all(r[p] == kv for p, kv in zip(ref_positions, key))
-                            for r in ref_table.rows.values()
-                        ):
-                            continue
-                    raise IntegrityError(
-                        f"FOREIGN KEY constraint failed: {meta.name}"
-                        f"({', '.join(fk.columns)}) -> {fk.ref_table}"
-                    )
-                keys = [
-                    (row[p0],) if p0 is not None else tuple(row[p] for p in ps)
-                    for _idx, p0, ps in index_ops
-                ]
-                for (idx, _p0, _ps), key in zip(index_ops, keys):
-                    if idx.unique:
-                        idx.check_insert(key)
-                for (idx, _p0, _ps), key in zip(index_ops, keys):
-                    idx.insert(key, rowid)
-                table_rows[rowid] = row
-                undo.append(UndoEntry("insert", meta.name, rowid, row))
-                applied.append((rowid, row))
+            for idx, positions in plan.indexes:
+                idx.insert_many(keys[positions], rowids)
+            table.rows.update(applied)
+            table.next_rowid = first_rowid + n
+            table.next_auto = next_auto
         finally:
-            # Always realign the seqlock epoch; on a mid-batch constraint
-            # failure the caller unwinds the applied rows via undo.
             table.bump_version()
+        txn.undo.append(
+            UndoEntry("insert_batch", meta.name, rows=applied,
+                      counters=(first_rowid, first_auto))
+        )
+        if self.journal is not None:
+            txn.log(("insert_batch", meta.name, applied))
+        lastrowid = columns[auto_col][-1] if auto_col is not None else rowids[-1]
         return applied, lastrowid
 
     def update_row(
@@ -891,7 +862,7 @@ class Database:
                 raise IntegrityError(
                     f"NOT NULL constraint failed: {meta.name}.{col.name}"
                 )
-        self._check_foreign_keys_insert(meta, new_row)
+        self._check_foreign_keys(meta, new_row)
         table.begin_mutation()
         try:
             self._unindex_row(table, rowid, old_row)
@@ -933,7 +904,43 @@ class Database:
 
     # -- referential integrity ---------------------------------------------------------
 
-    def _check_foreign_keys_insert(self, meta: TableMeta, row: tuple) -> None:
+    def _unreferenced(
+        self, keys: list[tuple], ref_meta: TableMeta, ref_positions: tuple[int, ...],
+    ) -> set[tuple]:
+        """The distinct non-NULL keys of *keys* no row of the (unindexed)
+        parent has."""
+        ref_rows = self.tables[ref_meta.name.lower()].rows.values()
+        return {
+            key for key in set(keys)
+            if None not in key
+            and not any(all(r[p] == v for p, v in zip(ref_positions, key)) for r in ref_rows)
+        }
+
+    def _first_dangling(
+        self, meta: TableMeta, keys: list[tuple], missing: set[tuple],
+        columns: Sequence[Sequence], ref_meta: TableMeta, ref_positions: tuple[int, ...],
+    ) -> Optional[int]:
+        """Position of the first FK key of a batch with no parent row.
+
+        *missing* holds the batch's keys its parent table lacks.  NULL
+        keys pass (SQL MATCH SIMPLE).  A self-referencing key may also
+        point at a row of the same batch (given column-wise), but only at
+        an *earlier* one — the row it names must already be there when it
+        is inserted.
+        """
+        missing = {key for key in missing if None not in key}
+        if not missing:
+            return None
+        earlier: dict[tuple, int] = {}
+        if ref_meta is meta:
+            for i, key in enumerate(_keys(columns, ref_positions)):
+                earlier.setdefault(key, i)
+        for i, key in enumerate(keys):
+            if key in missing and earlier.get(key, i) >= i:
+                return i
+        return None
+
+    def _check_foreign_keys(self, meta: TableMeta, row: tuple) -> None:
         for fk, positions, ref_meta, ref_index, ref_positions in self._plan(meta).fks:
             values = tuple(row[p] for p in positions)
             if any(v is None for v in values):

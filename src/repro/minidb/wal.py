@@ -233,9 +233,6 @@ class Journal:
 
     def _encode_record(self, rec: tuple) -> dict:
         op = rec[0]
-        if op == "insert":
-            _, table, rowid, row = rec
-            return {"op": "insert", "table": table, "rowid": rowid, "row": row}
         if op == "insert_batch":
             _, table, rows = rec
             return {"op": "insert_batch", "table": table, "rows": rows}
@@ -367,11 +364,10 @@ class Journal:
         table = self.db.tables.get(rec["table"].lower())
         if table is None:
             raise OperationalError(f"WAL references missing table {rec['table']}")
-        if op == "insert":
-            self._apply_insert(table, rec["rowid"], tuple(rec["row"]))
+        if op == "insert":  # written by versions that logged row by row
+            self._apply_insert_batch(table, [(rec["rowid"], rec["row"])])
         elif op == "insert_batch":
-            for rowid, row in rec["rows"]:
-                self._apply_insert(table, rowid, tuple(row))
+            self._apply_insert_batch(table, rec["rows"])
         elif op == "update":
             rowid = rec["rowid"]
             old = table.rows.get(rowid)
@@ -393,14 +389,21 @@ class Journal:
         else:
             raise OperationalError(f"unknown WAL record {op!r}")
 
-    def _apply_insert(self, table: Table, rowid: int, row: tuple) -> None:
-        table.rows[rowid] = row
+    def _apply_insert_batch(self, table: Table, pairs: list) -> None:
+        """Replay one committed batch: bulk index insert, one version bump."""
+        if not pairs:
+            return
+        rowids = [rowid for rowid, _row in pairs]
+        rows = [tuple(row) for _rowid, row in pairs]
+        table.rows.update(zip(rowids, rows))
+        self.db.index_rows(table, rowids, list(zip(*rows)))
         table.bump_version()
-        self.db._index_row(table, rowid, row, check=False)
-        table.next_rowid = max(table.next_rowid, rowid + 1)
+        table.next_rowid = max(table.next_rowid, max(rowids) + 1)
         pk = table.meta.rowid_pk_column
-        if pk is not None and isinstance(row[pk], int):
-            table.next_auto = max(table.next_auto, row[pk] + 1)
+        if pk is not None:
+            ints = [row[pk] for row in rows if isinstance(row[pk], int)]
+            if ints:
+                table.next_auto = max(table.next_auto, max(ints) + 1)
 
     def checkpoint(self) -> None:
         """Fold the WAL into a fresh snapshot and truncate it.

@@ -242,6 +242,13 @@ class TestSessionIsolation:
 # ---------------------------------------------------------------------------
 
 
+def _take_rowid(table):
+    """The next row id of *table*, advancing its counter (a bare writer)."""
+    rowid = table.next_rowid
+    table.next_rowid += 1
+    return rowid
+
+
 class _RacingRows(dict):
     """A row dict whose iteration hands control to a racing writer."""
 
@@ -279,7 +286,7 @@ class TestColumnStoreSeqlock:
         table = Table(_Meta())
         db.tables["t"] = table
         for i in range(10):
-            table.rows[table.allocate_rowid()] = (i,)
+            table.rows[_take_rowid(table)] = (i,)
         table.bump_version()
         return db, table
 
@@ -293,7 +300,7 @@ class TestColumnStoreSeqlock:
         builder.start()
         builder.join(timeout=0.1)
         assert builder.is_alive()  # spinning until the epoch goes even
-        table.rows[table.allocate_rowid()] = (99,)
+        table.rows[_take_rowid(table)] = (99,)
         table.bump_version()
         builder.join(timeout=2.0)
         assert not builder.is_alive()
@@ -327,7 +334,7 @@ class TestColumnStoreSeqlock:
         def writer():
             assert build_started.wait(timeout=5.0)
             table.begin_mutation()
-            dict.__setitem__(table.rows, table.allocate_rowid(), (99,))
+            dict.__setitem__(table.rows, _take_rowid(table), (99,))
             table.bump_version()
             mutation_done.set()
 
@@ -347,7 +354,7 @@ class TestColumnStoreSeqlock:
         def writer():
             while not stop.is_set():
                 table.begin_mutation()
-                table.rows[table.allocate_rowid()] = (1,)
+                table.rows[_take_rowid(table)] = (1,)
                 table.bump_version()
 
         def reader():

@@ -281,3 +281,43 @@ class TestComparisonAffinityGap:
         monkeypatch.setattr(vector, "BATCH_SIZE", batch_size)
         m, _s = pair
         assert m.execute(sql).fetchall() == answer
+
+
+class TestInsertStatementAtomicity:
+    """A failing INSERT leaves none of its rows behind, as in sqlite3."""
+
+    SOURCE = [(1, "a"), (2, "b"), (3, "a")]
+
+    @pytest.fixture
+    def pair(self):
+        m = minidb.connect()
+        s = sqlite3.connect(":memory:")
+        for conn in (m, s):
+            conn.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT UNIQUE)")
+            conn.execute("CREATE TABLE src (k INTEGER, v TEXT)")
+            conn.executemany("INSERT INTO src VALUES (?, ?)", self.SOURCE)
+            conn.commit()
+        yield m, s
+        m.close()
+        s.close()
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'a')",
+            "INSERT INTO t SELECT k, v FROM src ORDER BY k",
+        ],
+        ids=["values", "select"],
+    )
+    def test_failing_row_undoes_the_statement(self, pair, sql):
+        m, s = pair
+        with pytest.raises(minidb.IntegrityError, match="UNIQUE"):
+            m.execute(sql)
+        with pytest.raises(sqlite3.IntegrityError, match="UNIQUE"):
+            s.execute(sql)
+        assert m.execute("SELECT * FROM t").fetchall() == []
+        assert s.execute("SELECT * FROM t").fetchall() == []
+        # The next statement starts from the pre-statement state.
+        for conn in pair:
+            conn.execute("INSERT INTO t VALUES (5, 'a')")
+        assert both(pair, "SELECT * FROM t") == ([(5, "a")], [(5, "a")])

@@ -240,3 +240,53 @@ class TestRebuildEquivalence:
         assert idx._sorted == [] and not idx._sorted_valid
         assert list(idx.iter_ordered()) == [2, 3, 1]
         assert idx._sorted_valid
+
+
+class TestInsertManyEquivalence:
+    """``insert_many`` over batches answers exactly like one ``insert`` per key."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=_index_cases(),
+        cuts=st.lists(st.integers(0, 40), max_size=4),
+        sorted_valid=st.booleans(),
+    )
+    def test_insert_many_matches_inserts(self, case, cuts, sorted_valid):
+        width, unique, keys, probes = case
+        cols = [f"c{i}" for i in range(width)]
+        batched = Index("i", "t", cols, unique=unique)
+        if not sorted_valid:
+            batched.rebuild(iter(()), lambda row: row)  # sorted list built lazily
+        bounds = sorted({0, len(keys), *(c for c in cuts if c <= len(keys))})
+        for a, b in zip(bounds, bounds[1:]):
+            batched.insert_many(keys[a:b], list(range(a, b)))
+        inserted = Index("i", "t", cols, unique=unique)
+        for rid, k in enumerate(keys):
+            inserted.insert(k, rid)
+        assert batched._map == inserted._map
+        assert batched._sorted_valid == sorted_valid
+        if sorted_valid:  # the merged list is the one insort maintained
+            assert batched._sorted == inserted._sorted
+        assert _observe(batched, width, probes) == _observe(inserted, width, probes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        existing=st.lists(st.tuples(_values), max_size=10),
+        keys=st.lists(st.tuples(_values), max_size=20),
+    )
+    def test_first_conflict_is_where_inserts_fail(self, existing, keys):
+        idx = Index("u", "t", ["a"], unique=True)
+        ref = Index("u", "t", ["a"], unique=True)
+        for rid, k in enumerate(existing):
+            if None in k or not idx.lookup(k):
+                idx.insert(k, rid)
+                ref.insert(k, rid)
+        expected = None
+        for i, k in enumerate(keys):
+            try:
+                ref.insert(k, 100 + i)
+            except IntegrityError as exc:
+                expected = i
+                assert str(exc) == str(idx.unique_error(k))
+                break
+        assert idx.first_conflict(keys) == expected

@@ -664,11 +664,11 @@ def test_mutator_without_txn_flagged(tmp_path):
         tmp_path,
         """\
         def hack(conn, table, values):
-            conn.db.insert_row(table, values)
+            conn.db.insert_rows(table, values)
         """,
     )
     assert [v.code for v in violations] == ["PTL008"]
-    assert "insert_row" in violations[0].message
+    assert "insert_rows" in violations[0].message
     assert "txn=" in violations[0].message
 
 
@@ -677,7 +677,7 @@ def test_mutator_with_txn_clean(tmp_path):
         tmp_path,
         """\
         def ok(self, table, values):
-            self.db.insert_row(table, values, txn=self.txn)
+            self.db.insert_rows(table, values, txn=self.txn)
             self.db.drop_table("emp", txn=self.txn)
         """,
     )
@@ -712,7 +712,7 @@ def test_ddl_mutators_without_txn_flagged(tmp_path):
 def test_ptl008_owning_modules_exempt(tmp_path):
     source = (
         "def replay(db, table, row):\n"
-        "    db.insert_row(table, row)\n"
+        "    db.insert_rows(table, row)\n"
     )
     for allowed in ("storage.py", "wal.py"):
         path = tmp_path / allowed
@@ -724,12 +724,12 @@ def test_ptl008_owning_modules_exempt(tmp_path):
 
 
 def test_non_database_receiver_not_flagged(tmp_path):
-    # `gen.insert_row` on an arbitrary object is not the engine Database.
+    # `gen.insert_rows` on an arbitrary object is not the engine Database.
     violations = lint_source(
         tmp_path,
         """\
         def ok(gen, table, values):
-            gen.insert_row(table, values)
+            gen.insert_rows(table, values)
         """,
     )
     assert violations == []
@@ -740,7 +740,7 @@ def test_ptl008_noqa_suppresses(tmp_path):
         tmp_path,
         """\
         def embedded_only(conn, table, values):
-            conn.db.insert_row(table, values)  # noqa: PTL008
+            conn.db.insert_rows(table, values)  # noqa: PTL008
         """,
     )
     assert violations == []

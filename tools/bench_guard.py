@@ -2,10 +2,13 @@
 
 ``python -m tools.bench_guard baseline.json candidate.json`` exits 1 when
 a guarded metric in the candidate regresses more than the allowed
-fraction from the committed baseline.  CI copies the committed
-``BENCH_scalability.json`` aside, re-runs the scalability benchmark, then
-runs this guard so a PR cannot silently regress the bulk-load or
-query-execution paths.
+fraction from the baseline.  CI's ``bench-regression`` job runs the
+scalability benchmark on the base commit (a worktree of the pull
+request's base, or of the commit before a push) for the baseline, then
+on the commit itself, on the same runner, then runs this guard so a PR
+cannot silently regress the bulk-load or query-execution paths.  (The
+``sharded-bench`` and ``load-generator-smoke`` jobs still compare
+against the committed ``BENCH_scalability.json``.)
 
 Guarded keys are dotted paths into the report.  Direction is inferred
 from the key name: keys ending in ``_seconds`` are latencies (lower is

@@ -79,7 +79,6 @@ _PTL007_MUTATORS = frozenset(
 #: transaction, which takes no locks and is wrong in shared mode.
 PTL008_MUTATORS = frozenset(
     {
-        "insert_row",
         "insert_rows",
         "update_row",
         "delete_row",
