@@ -150,9 +150,10 @@ class MinidbBackend(Backend):
 
     def db_size_bytes(self) -> int:
         """Rough in-memory footprint: total stored cell count (see Table 1)."""
+        db = self.connection.db
         total = 0
-        for table in self.connection.db.tables.values():
-            for row in table.rows.values():
+        for name in db.tables:
+            for row in db.table(name).rows.values():
                 total += sum(len(str(v)) + 9 for v in row)
         return total
 

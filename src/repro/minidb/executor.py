@@ -338,9 +338,10 @@ class Executor:
             ]
         return self._insert(table, *_build_rows(table.meta, stmt.columns, source_rows))
 
-    def _insert(self, table, columns: list[list[Any]], pending) -> Result:
+    def _insert(self, table, columns: list[list[Any]], pending,
+                statement_rows: Optional[int] = None) -> Result:
         applied, lastrowid = self.db.insert_rows(
-            table, columns, txn=self.txn, pending=pending
+            table, columns, txn=self.txn, pending=pending, statement_rows=statement_rows
         )
         _ROWS_WRITTEN.add(len(applied))
         return Result(rowcount=len(applied), lastrowid=lastrowid)
@@ -374,7 +375,7 @@ class Executor:
         if single is not None and all(isinstance(e, ast.Parameter) for e in single):
             # All-placeholder template (the bulk-load shape): parameters
             # map straight to columns, no expression evaluator.
-            return self._insert(table, *_placeholder_columns(meta, stmt, single, rows))
+            return self._insert(table, *_placeholder_columns(meta, stmt, single, rows), 1)
         ev = self.evaluator
         scope = Scope()
 
@@ -388,7 +389,8 @@ class Executor:
         sources = [(params, k) for params in rows for k in range(len(stmt.rows))]
         if any(_has_subquery(e) for template in stmt.rows for e in template):
             return self._insert_each(table, stmt.columns, sources, values_of)
-        return self._insert(table, *_build_rows(meta, stmt.columns, sources, values_of))
+        return self._insert(table, *_build_rows(meta, stmt.columns, sources, values_of),
+                            len(stmt.rows))
 
     def _insert_each(self, table, columns, sources, values_of) -> Result:
         """``executemany`` over a template with a subquery: row by row.

@@ -5,7 +5,8 @@ row ids carrying that key.  It maintains both a hash map (O(1) equality
 probes — the access path pr-filter evaluation leans on) and a lazily
 rebuilt sorted key list for range scans and ordered iteration.  A bulk
 :meth:`Index.rebuild` fills only the hash map; the sorted list is built on
-the first ordered access.
+the first ordered access.  An index on a table a lazy open left encoded
+(:meth:`Index.defer`) has neither until the table is first touched.
 """
 
 from __future__ import annotations
@@ -36,6 +37,13 @@ class Index:
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._map.values())
+
+    def defer(self) -> None:
+        """Drop the (empty) structures while the index's table is still
+        encoded: they reappear when :meth:`rebuild` runs on its first
+        touch, and a read that bypasses ``Database.indexes_on()`` fails
+        loudly instead of answering from an empty index."""
+        del self._map, self._sorted, self._sorted_valid
 
     # -- maintenance ------------------------------------------------------------
 
@@ -148,26 +156,28 @@ class Index:
             del self._map[key]
             self._sorted_valid = False  # lazy removal
 
-    def rebuild(self, rows: Iterable[tuple[int, tuple]], key_of) -> None:
-        """Recreate from scratch given an iterable of (rowid, row).
+    def rebuild(self, keys: Sequence[tuple], rowids: Sequence[int]) -> None:
+        """Recreate from scratch given each row's key and rowid, in step.
 
-        One pass over the rows fills a fresh hash map; the sorted key list
-        is left invalid and built once by :meth:`_ensure_sorted` on the
+        One pass fills a fresh hash map (one C-level ``dict`` build when
+        a UNIQUE index's keys are all distinct); the sorted key list is
+        left invalid and built once by :meth:`_ensure_sorted` on the
         first ordered access.  On a UNIQUE violation the index keeps its
         previous contents.
         """
-        new_map: dict[tuple, list[int]] = {}
-        get = new_map.get
-        unique = self.unique
-        for rowid, row in rows:
-            key = key_of(row)
-            bucket = get(key)
-            if bucket is None:
-                new_map[key] = [rowid]
-            elif unique and not any(v is None for v in key):
-                raise self.unique_error(key)
-            else:
-                bucket.append(rowid)
+        new_map = dict(zip(keys, map(list, zip(rowids)))) if self.unique else {}
+        if len(new_map) != len(keys):
+            new_map = {}
+            get = new_map.get
+            unique = self.unique
+            for key, rowid in zip(keys, rowids):
+                bucket = get(key)
+                if bucket is None:
+                    new_map[key] = [rowid]
+                elif unique and None not in key:
+                    raise self.unique_error(key)
+                else:
+                    bucket.append(rowid)
         self._map = new_map
         self._sorted = []
         self._sorted_valid = False

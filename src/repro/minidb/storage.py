@@ -28,7 +28,7 @@ from __future__ import annotations
 import array as _array
 import threading
 import time
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..obs.metrics import metrics as _M
 from .catalog import Catalog, IndexMeta, TableMeta
@@ -174,7 +174,9 @@ class Table:
 
     Rows (``rowid -> tuple``) stay the write path; ``column_store()``
     derives a columnar read snapshot for vectorized scans, invalidated by
-    ``data_version`` which every mutation bumps.
+    ``data_version`` which every mutation bumps.  A lazy open leaves a
+    table *encoded* (:meth:`defer`): ``rows`` is unset until the table is
+    first reached through ``Database.table()`` or ``indexes_on()``.
     """
 
     def __init__(self, meta: TableMeta) -> None:
@@ -191,9 +193,28 @@ class Table:
         self._column_store: Optional[ColumnStore] = None
         #: Last committed copy-on-write version (shared mode only).
         self.published: Optional[TableVersion] = None
+        #: the snapshot body the rows are still encoded in (see defer),
+        #: ``None`` once they are decoded
+        self.encoded: Optional[bytes] = None
+        self._load: Optional[Callable[[], None]] = None
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def defer(self, body: bytes, load: Callable[[], None]) -> None:
+        """Leave the rows encoded as *body*, ``rows`` unset, until the
+        first touch through ``Database.table()`` or ``indexes_on()``
+        calls :meth:`materialise`.  *load* decodes them and builds the
+        table's indexes; until then a checkpoint copies *body* as it is.
+        """
+        del self.rows
+        self.encoded = body
+        self._load = load
+
+    def materialise(self) -> None:
+        """Decode a table :meth:`defer` left encoded (no-op once decoded)."""
+        if self.encoded is not None:
+            self._load()
 
     def begin_mutation(self) -> None:
         """Mark a row mutation in flight (epoch goes odd)."""
@@ -443,8 +464,8 @@ class Database:
             if self.shared:
                 return
             self.shared = True
-            for table in self.tables.values():
-                self._publish_table(table)
+            for key in self.tables:
+                self._publish_table(self.table(key))
 
     def _publish_table(self, table: Table) -> None:
         """Publish the live table state as the committed version.
@@ -562,8 +583,9 @@ class Database:
         idx = Index(imeta.name, imeta.table, imeta.columns, unique=imeta.unique)
         table = self.table(imeta.table)
         positions = [table.meta.column_index(c) for c in imeta.columns]
+        rows = table.rows
         try:
-            idx.rebuild(table.scan(), lambda row: tuple(row[p] for p in positions))
+            idx.rebuild([tuple(row[p] for p in positions) for row in rows.values()], list(rows))
         except IntegrityError:
             # Existing data violates the new UNIQUE index: undo registration.
             self.catalog.drop_index(imeta.name)
@@ -582,10 +604,21 @@ class Database:
             txn.touched.add(imeta.table.lower())
 
     def table(self, name: str) -> Table:
+        """The table *name*, decoded first if a lazy open left it encoded."""
         meta = self.catalog.table(name)  # raises ProgrammingError if absent
-        return self.tables[meta.name.lower()]
+        table = self.tables[meta.name.lower()]
+        if table.encoded is not None:
+            table.materialise()
+        return table
 
     def indexes_on(self, table: str) -> list[Index]:
+        """The indexes on *table*, built first if it is still encoded."""
+        live = self.tables.get(table.lower())
+        if live is not None and live.encoded is not None:
+            live.materialise()
+        return self._indexes_of(table)
+
+    def _indexes_of(self, table: str) -> list[Index]:
         return [
             self.indexes[m.name.lower()]
             for m in self.catalog.indexes_on(table)
@@ -736,6 +769,17 @@ class Database:
         for idx, positions in self._plan(table.meta).indexes:
             idx.delete(tuple(row[p] for p in positions), rowid)
 
+    def fill(self, table: Table, rowids: list[int], columns: Sequence[Sequence]) -> None:
+        """Set the rows of a table read from a snapshot, given column-wise,
+        and rebuild every index on it from the columns."""
+        meta = table.meta
+        for idx in self._indexes_of(meta.name):
+            positions = tuple(map(meta.column_index, idx.columns))
+            idx.rebuild(_keys(columns, positions), rowids)
+        table.rows = dict(zip(rowids, zip(*columns)))
+        table.encoded = table._load = None
+        table.bump_version()
+
     def index_rows(self, table: Table, rowids: Sequence[int], columns: Sequence[Sequence]) -> None:
         """Add a batch of rows, given column-wise, to every index of *table*
         (no uniqueness check: inserts check first, WAL replay has none)."""
@@ -748,6 +792,7 @@ class Database:
         columns: list[list[Any]],
         txn: Optional[Transaction] = None,
         pending: Optional[Exception] = None,
+        statement_rows: Optional[int] = None,
     ) -> tuple[list[tuple[int, tuple]], Optional[Any]]:
         """Insert a batch of coerced full-width rows, given column-wise.
 
@@ -755,12 +800,16 @@ class Database:
         lands here once.  The whole batch is checked before anything is
         mutated — NOT NULL once per column, each distinct FOREIGN KEY once
         against the parent index, UNIQUE with one set over the batch — and
-        the error raised is the one inserting the rows one by one would
-        meet first: the first failing row, and within it NOT NULL, then
-        FOREIGN KEY, then UNIQUE in plan order.  *pending* is the error
-        that stopped the caller's row builder at the row after the last
-        one given (arity, coercion); it is raised when no given row fails
-        first.  A failed batch mutates nothing.
+        the error raised is the one sqlite3 would meet first running the
+        batch: NOT NULL and UNIQUE at the failing row, FOREIGN KEY at the
+        end of the failing row's statement (which is how sqlite3 checks
+        it, so a row may name a parent its own statement inserts).
+        *statement_rows* is the number of rows per statement —
+        ``executemany`` runs one statement per parameter row — and
+        ``None`` makes the whole batch one statement.  *pending* is the
+        error that stopped the caller's row builder at the row after the
+        last one given (arity, coercion); it is raised when no given row
+        fails first.  A failed batch mutates nothing.
 
         A passing batch is applied in one step — bulk index inserts, one
         ``dict.update`` of the rows, one ``insert_batch`` undo entry and
@@ -784,40 +833,47 @@ class Database:
         for _idx, positions in plan.indexes:
             keys[positions] = _keys(columns, positions)
 
-        # Only a row before the current first failure can replace it, and
-        # at the same row the earlier check kind wins.
-        stop, error = n, pending
+        # Errors rank by when sqlite3 would raise them: 2*r for a row
+        # error at row r (*pending* is one at row n), 2*end - 1 for a
+        # FOREIGN KEY error of a statement ending before row end.  Only a
+        # lower rank replaces the current first failure, and only rows
+        # before ``limit`` can produce one.
+        rank, error = (2 * n if pending is not None else 2 * n + 2), pending
         for i, name in plan.not_null:
             col = columns[i]
             if None in col:
                 r = col.index(None)
-                if r < stop:
-                    stop, error = r, IntegrityError(
+                if 2 * r < rank:
+                    rank, error = 2 * r, IntegrityError(
                         f"NOT NULL constraint failed: {meta.name}.{name}"
                     )
         for fk, positions, ref_meta, ref_index, ref_positions in plan.fks:
             fk_keys = keys.get(positions)
             if fk_keys is None:
                 fk_keys = keys[positions] = _keys(columns, positions)
-            if stop < n:
-                fk_keys = fk_keys[:stop]
+            limit = (rank + 1) // 2
+            if limit < n:
+                fk_keys = fk_keys[:limit]
             if ref_index is not None:
                 missing = ref_index.missing(fk_keys)
             else:
                 missing = self._unreferenced(fk_keys, ref_meta, ref_positions)
             if missing:
-                r = self._first_dangling(meta, fk_keys, missing, columns, ref_meta, ref_positions)
-                if r is not None:
-                    stop, error = r, IntegrityError(
+                end = self._first_dangling(
+                    meta, fk_keys, missing, columns, ref_meta, ref_positions, statement_rows
+                )
+                if end is not None and 2 * end - 1 < rank:
+                    rank, error = 2 * end - 1, IntegrityError(
                         f"FOREIGN KEY constraint failed: {meta.name}"
                         f"({', '.join(fk.columns)}) -> {fk.ref_table}"
                     )
         for idx, positions in plan.indexes:
             if idx.unique:
-                batch_keys = keys[positions] if stop == n else keys[positions][:stop]
+                limit = (rank + 1) // 2
+                batch_keys = keys[positions] if limit >= n else keys[positions][:limit]
                 r = idx.first_conflict(batch_keys)
                 if r is not None:
-                    stop, error = r, idx.unique_error(batch_keys[r])
+                    rank, error = 2 * r, idx.unique_error(batch_keys[r])
         if error is not None:
             raise error
         if not n:
@@ -909,7 +965,7 @@ class Database:
     ) -> set[tuple]:
         """The distinct non-NULL keys of *keys* no row of the (unindexed)
         parent has."""
-        ref_rows = self.tables[ref_meta.name.lower()].rows.values()
+        ref_rows = self.table(ref_meta.name).rows.values()
         return {
             key for key in set(keys)
             if None not in key
@@ -919,25 +975,31 @@ class Database:
     def _first_dangling(
         self, meta: TableMeta, keys: list[tuple], missing: set[tuple],
         columns: Sequence[Sequence], ref_meta: TableMeta, ref_positions: tuple[int, ...],
+        statement_rows: Optional[int],
     ) -> Optional[int]:
-        """Position of the first FK key of a batch with no parent row.
+        """End (exclusive row position) of the first statement of a batch
+        that leaves an FK key with no parent row.
 
         *missing* holds the batch's keys its parent table lacks.  NULL
         keys pass (SQL MATCH SIMPLE).  A self-referencing key may also
-        point at a row of the same batch (given column-wise), but only at
-        an *earlier* one — the row it names must already be there when it
-        is inserted.
+        point at a row of the same batch (given column-wise) that its own
+        statement or an earlier one inserts: the key is checked when its
+        statement ends.  ``None`` *statement_rows* makes the batch (and
+        any rows past it) one statement, ending after the last row.
         """
         missing = {key for key in missing if None not in key}
         if not missing:
             return None
-        earlier: dict[tuple, int] = {}
+        first: dict[tuple, int] = {}
         if ref_meta is meta:
-            for i, key in enumerate(_keys(columns, ref_positions)):
-                earlier.setdefault(key, i)
+            for j, key in enumerate(_keys(columns, ref_positions)):
+                first.setdefault(key, j)
+        k = statement_rows
         for i, key in enumerate(keys):
-            if key in missing and earlier.get(key, i) >= i:
-                return i
+            if key in missing:
+                end = (i // k + 1) * k if k else len(columns[0]) + 1
+                if first.get(key, end) >= end:
+                    return end
         return None
 
     def _check_foreign_keys(self, meta: TableMeta, row: tuple) -> None:
@@ -949,7 +1011,7 @@ class Database:
                 if ref_index.lookup(values):
                     continue
             else:
-                ref_table = self.tables[ref_meta.name.lower()]
+                ref_table = self.table(ref_meta.name)
                 if any(
                     all(r[p] == v for p, v in zip(ref_positions, values))
                     for r in ref_table.rows.values()
@@ -973,7 +1035,7 @@ class Database:
                 key = tuple(row[meta.column_index(c)] for c in ref_cols)
                 if any(v is None for v in key):
                     continue
-                child = self.tables[other.name.lower()]
+                child = self.table(other.name)
                 if self._key_exists(other, fk.columns, key, table=child):
                     raise IntegrityError(
                         f"FOREIGN KEY constraint failed: {other.name}"
@@ -983,7 +1045,7 @@ class Database:
     def _key_exists(
         self, meta: TableMeta, columns: list[str], values: tuple, table: Optional[Table] = None
     ) -> bool:
-        table = table or self.tables[meta.name.lower()]
+        table = table or self.table(meta.name)
         # Prefer an index whose leading columns match.
         for idx in self.indexes_on(meta.name):
             if [c.lower() for c in idx.columns] == [c.lower() for c in columns]:

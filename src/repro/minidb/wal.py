@@ -2,7 +2,7 @@
 
 A file-backed database ``<path>`` consists of:
 
-* ``<path>`` — a JSON snapshot of the catalog and all rows, written by
+* ``<path>`` — a snapshot of the catalog and all rows, written by
   :func:`write_snapshot` (on checkpoint/close), and
 * ``<path>.wal`` — a JSON-lines log of committed mutations since the last
   snapshot.  On open the snapshot is loaded and the WAL replayed, so a
@@ -10,10 +10,20 @@ A file-backed database ``<path>`` consists of:
   the WAL back to its last commit marker, so an uncommitted or torn tail
   never ends up in front of a later commit.
 
+The snapshot (format version 2) is one JSON header line — catalog, index
+definitions, and per table its counters and the byte length of its body
+— then one body line per table holding its rows column-wise:
+``[[rowid…], [col0…], [col1…], …]``.  Open reads the header and leaves
+each table encoded; its first touch (``Database.table()`` or
+``indexes_on()``) decodes the body and builds all of its indexes
+(:func:`_defer`).  A
+checkpoint copies the body of a table still encoded byte for byte.
+Format 1 (one JSON document) still opens, eagerly, and the next
+checkpoint that writes rewrites it as format 2.
+
 A checkpoint with nothing to fold (no commit since the last one, no WAL
 on disk, a snapshot already written) writes nothing, so a read-only
-session closes without touching the file.  Open decodes the snapshot and
-rebuilds every index in one pass over its table's rows.
+session closes without touching the file.
 
 Mutation records accumulate on the :class:`~repro.minidb.storage.Transaction`
 (as plain tuples) and reach the WAL file only at commit, so rollback
@@ -30,17 +40,17 @@ import base64
 import json
 import os
 import threading
-from operator import itemgetter
 from typing import Any
 
 from ..obs.logsetup import get_logger
 from ..obs.metrics import metrics as _M
+from ..obs.tracing import trace as _trace
 from .catalog import ColumnMeta, ForeignKeyMeta, IndexMeta, TableMeta
 from .errors import OperationalError
 from .index import Index
 from .storage import Database, Table
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 _log = get_logger("minidb.wal")
 
@@ -52,6 +62,7 @@ _WAL_COMMITS = _M.counter("minidb.wal.commits")
 _WAL_REPLAYED = _M.counter("minidb.wal.replayed_records")
 _WAL_GROUP_COMMITS = _M.counter("minidb.wal.group_commits")
 _WAL_PIGGYBACKED = _M.counter("minidb.wal.piggybacked_fsyncs")
+_TABLES_MATERIALISED = _M.counter("minidb.wal.tables_materialised")
 
 
 # BLOBs travel as {"__blob__": "<base64>"}.  The codec hooks run inside
@@ -72,15 +83,8 @@ def _decode_blob(obj: dict) -> Any:
 
 
 _encode = json.JSONEncoder(default=_encode_blob).encode
+_encode_compact = json.JSONEncoder(default=_encode_blob, separators=(",", ":")).encode
 _decode = json.JSONDecoder(object_hook=_decode_blob).decode
-
-
-def _key_getter(positions: list[int]):
-    """Row -> index key tuple, without a per-row generator."""
-    if len(positions) == 1:
-        (p,) = positions
-        return lambda row: (row[p],)
-    return itemgetter(*positions)
 
 
 def _table_meta_to_dict(meta: TableMeta) -> dict:
@@ -135,76 +139,140 @@ def _table_meta_from_dict(d: dict) -> TableMeta:
     return meta
 
 
+def _encode_body(table: Table) -> bytes:
+    """One table's rows as its snapshot line: ``[[rowid…], [col0…], …]``."""
+    rows = table.rows
+    columns = list(zip(*rows.values())) if rows else [()] * len(table.meta.columns)
+    return _encode_compact([list(rows), *columns]).encode("ascii")
+
+
 def write_snapshot(db: Database, path: str) -> None:
-    """Write the full database state atomically (tmp file + rename)."""
-    doc = {
-        "version": _FORMAT_VERSION,
-        "tables": [],
-        "indexes": [
-            {
-                "name": im.name,
-                "table": im.table,
-                "columns": im.columns,
-                "unique": im.unique,
-            }
-            for im in db.catalog.indexes.values()
-            if not im.name.startswith("__")
-        ],
-    }
-    for key, table in db.tables.items():
-        doc["tables"].append(
-            {
-                "meta": _table_meta_to_dict(table.meta),
-                "next_rowid": table.next_rowid,
-                "next_auto": table.next_auto,
-                "rows": table.rows,  # int rowids encode as their str()
-            }
-        )
-    data = _encode(doc)  # one shot through the C encoder
+    """Write the full database state atomically (tmp file + rename).
+
+    A table still encoded since a lazy open is written as the body line
+    it was read from, byte for byte.
+    """
+    tables = []
+    bodies = []
+    for table in db.tables.values():
+        body = table.encoded
+        if body is None:
+            body = _encode_body(table)
+        bodies.append(body)
+        tables.append({
+            "meta": _table_meta_to_dict(table.meta),
+            "next_rowid": table.next_rowid,
+            "next_auto": table.next_auto,
+            "bytes": len(body),
+        })
+    indexes = [
+        {"name": im.name, "table": im.table, "columns": im.columns, "unique": im.unique}
+        for im in db.catalog.indexes.values()
+        if not im.name.startswith("__")
+    ]
+    header = {"version": _FORMAT_VERSION, "indexes": indexes, "tables": tables}
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
+    with open(tmp, "wb") as fh:
+        fh.write(_encode_compact(header).encode("ascii"))
+        fh.write(b"\n")
+        for body in bodies:
+            fh.write(body)
+            fh.write(b"\n")
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
+def _register(db: Database, tdoc: dict) -> Table:
+    """Add one snapshot table (empty) and its implicit indexes to *db*."""
+    meta = _table_meta_from_dict(tdoc["meta"])
+    db.catalog.tables[meta.name.lower()] = meta
+    table = Table(meta)
+    table.next_rowid = tdoc["next_rowid"]
+    table.next_auto = tdoc["next_auto"]
+    db.tables[meta.name.lower()] = table
+    if meta.primary_key:
+        db._make_internal_index(meta, meta.primary_key, unique=True, tag="pk")
+    for i, uq in enumerate(meta.unique_sets):
+        db._make_internal_index(meta, uq, unique=True, tag=f"uq{i}")
+    return table
+
+
 def load_snapshot(db: Database, path: str) -> None:
-    """Populate an empty Database from a snapshot file."""
+    """Populate an empty Database from a snapshot file.
+
+    A v2 file is read up to its header: each table stays encoded until
+    it is first touched (see :func:`_defer`).
+    A v1 file is decoded whole, with every index, as it always was.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = _decode(fh.read())
-    except (OSError, ValueError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        head_end = data.find(b"\n")
+        if head_end < 0:  # format 1: one document, no newline
+            head_end = len(data)
+        doc = _decode(data[:head_end].decode("utf-8"))
+        version = doc.get("version")
+    except (OSError, ValueError, AttributeError) as exc:
         raise OperationalError(f"cannot read database file {path}: {exc}") from exc
-    if doc.get("version") != _FORMAT_VERSION:
-        raise OperationalError(
-            f"unsupported database format version {doc.get('version')!r}"
-        )
-    for tdoc in doc["tables"]:
-        meta = _table_meta_from_dict(tdoc["meta"])
-        db.catalog.tables[meta.name.lower()] = meta
-        table = Table(meta)
-        table.next_rowid = tdoc["next_rowid"]
-        table.next_auto = tdoc["next_auto"]
-        rows = tdoc["rows"]
-        table.rows = dict(zip(map(int, rows), map(tuple, rows.values())))
-        table.bump_version()
-        db.tables[meta.name.lower()] = table
-        if meta.primary_key:
-            db._make_internal_index(meta, meta.primary_key, unique=True, tag="pk")
-        for i, uq in enumerate(meta.unique_sets):
-            db._make_internal_index(meta, uq, unique=True, tag=f"uq{i}")
+    if version not in (1, _FORMAT_VERSION):
+        raise OperationalError(f"unsupported database format version {version!r}")
+    tables = [_register(db, tdoc) for tdoc in doc["tables"]]
     for idoc in doc["indexes"]:
         imeta = IndexMeta(idoc["name"], idoc["table"], list(idoc["columns"]), idoc["unique"])
         db.catalog.indexes[imeta.name.lower()] = imeta
         db.indexes[imeta.name.lower()] = Index(
             imeta.name, imeta.table, imeta.columns, imeta.unique
         )
-    # Rebuild all index contents from rows.
-    for key, table in db.tables.items():
-        for idx in db.indexes_on(table.meta.name):
-            positions = [table.meta.column_index(c) for c in idx.columns]
-            idx.rebuild(table.scan(), _key_getter(positions))
+    if version == 1:
+        for table, tdoc in zip(tables, doc["tables"]):
+            rows = tdoc["rows"]
+            columns = list(zip(*rows.values())) or [()] * len(table.meta.columns)
+            db.fill(table, list(map(int, rows)), columns)
+        return
+    sizes = [tdoc["bytes"] for tdoc in doc["tables"]]
+    offset = head_end + 1
+    if len(data) - offset != sum(sizes) + len(sizes):
+        raise OperationalError(
+            f"cannot read database file {path}: {len(data) - offset} bytes of table "
+            f"data, the header lists {sum(sizes) + len(sizes)}"
+        )
+    lock = threading.Lock()
+    for table, size in zip(tables, sizes):
+        _defer(db, path, table, data[offset:offset + size], lock)
+        offset += size + 1
+
+
+def _defer(db: Database, path: str, table: Table, body: bytes, lock: threading.Lock) -> None:
+    """Leave *table* encoded as *body*; its first touch through
+    ``Database.table()`` or ``indexes_on()`` decodes it and builds all of
+    its indexes at once."""
+    name = table.meta.name
+    width = len(table.meta.columns) + 1
+
+    def load() -> None:
+        with lock:
+            if table.encoded is None:  # another thread decoded it first
+                return
+            with _trace.span("wal.materialise", cat="minidb", table=name):
+                try:
+                    arrays = _decode(table.encoded.decode("ascii"))
+                except ValueError as exc:
+                    raise OperationalError(
+                        f"cannot read table {name} of database file {path}: {exc}"
+                    ) from exc
+                if not (isinstance(arrays, list) and len(arrays) == width and all(
+                        isinstance(a, list) and len(a) == len(arrays[0]) for a in arrays)):
+                    raise OperationalError(
+                        f"cannot read table {name} of database file {path}: "
+                        f"expected {width} arrays of equal length"
+                    )
+                db.fill(table, arrays[0], arrays[1:])
+            _TABLES_MATERIALISED.inc()
+
+    table.defer(body, load)
+    for idx in db._indexes_of(name):
+        idx.defer()
 
 
 class Journal:
@@ -361,9 +429,9 @@ class Journal:
 
             Executor(self.db).execute(parse(rec["sql"]))
             return
-        table = self.db.tables.get(rec["table"].lower())
-        if table is None:
+        if rec["table"].lower() not in self.db.tables:
             raise OperationalError(f"WAL references missing table {rec['table']}")
+        table = self.db.table(rec["table"])
         if op == "insert":  # written by versions that logged row by row
             self._apply_insert_batch(table, [(rec["rowid"], rec["row"])])
         elif op == "insert_batch":

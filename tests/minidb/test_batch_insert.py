@@ -161,9 +161,10 @@ class TestBatchCases:
         rows = [(20, 1, None, "q", 1, 0.0), (21, 1, 20, "r", 1, 0.0)]
         assert _check_batch(rows) is None
 
-    def test_self_fk_to_its_own_row_fails_like_row_by_row(self):
-        err = _check_batch([(20, 1, 20, "q", 1, 0.0)])
-        assert "FOREIGN KEY" in str(err)
+    def test_self_fk_to_its_own_row_passes_like_row_by_row(self):
+        # sqlite3 checks the key when the row's statement ends, by which
+        # time the row itself is in the table.
+        assert _check_batch([(20, 1, 20, "q", 1, 0.0)]) is None
 
     def test_in_batch_unique_duplicate(self):
         rows = [(20, 1, None, "q", 1, 0.0), (21, 1, None, "q", 2, 0.0)]

@@ -321,3 +321,70 @@ class TestInsertStatementAtomicity:
         for conn in pair:
             conn.execute("INSERT INTO t VALUES (5, 'a')")
         assert both(pair, "SELECT * FROM t") == ([(5, "a")], [(5, "a")])
+
+
+class TestSelfReferencingForeignKey:
+    """A FOREIGN KEY to the same table is checked when its statement ends,
+    as sqlite3 (``foreign_keys=ON``) checks it: one INSERT may reference
+    any row it inserts, and ``executemany`` runs one statement per
+    parameter row, so a row may reference itself and earlier rows only."""
+
+    DDL = "CREATE TABLE t (id INTEGER PRIMARY KEY, pid INTEGER REFERENCES t(id))"
+
+    @pytest.fixture
+    def pair(self):
+        m = minidb.connect()
+        s = sqlite3.connect(":memory:")
+        s.execute("PRAGMA foreign_keys = ON")
+        for conn in (m, s):
+            conn.execute(self.DDL)
+            conn.execute("CREATE TABLE src (k INTEGER)")
+            conn.executemany("INSERT INTO src VALUES (?)", [(1,), (2,)])
+            conn.commit()
+        yield m, s
+        m.close()
+        s.close()
+
+    @staticmethod
+    def _outcome(conn, call):
+        try:
+            call(conn)
+        except (minidb.IntegrityError, sqlite3.IntegrityError):
+            conn.rollback()
+            return "IntegrityError", conn.execute("SELECT * FROM t ORDER BY id").fetchall()
+        return "ok", conn.execute("SELECT * FROM t ORDER BY id").fetchall()
+
+    def _agree(self, pair, call):
+        m, s = pair
+        got, want = self._outcome(m, call), self._outcome(s, call)
+        assert got == want
+        return got[0]
+
+    @pytest.mark.parametrize(
+        "sql, outcome",
+        [
+            ("INSERT INTO t VALUES (5, 5)", "ok"),
+            ("INSERT INTO t VALUES (7, 8), (8, NULL)", "ok"),
+            ("INSERT INTO t VALUES (7, 8), (8, 7)", "ok"),
+            ("INSERT INTO t VALUES (7, 9), (8, NULL)", "IntegrityError"),
+            ("INSERT INTO t (pid) VALUES (1), (2)", "ok"),
+            ("INSERT INTO t SELECT k, 3 - k FROM src", "ok"),
+            ("INSERT INTO t SELECT k, k + 1 FROM src", "IntegrityError"),
+        ],
+    )
+    def test_one_statement_sees_its_own_rows(self, pair, sql, outcome):
+        assert self._agree(pair, lambda conn: conn.execute(sql)) == outcome
+
+    @pytest.mark.parametrize(
+        "sql, params, outcome",
+        [
+            ("INSERT INTO t VALUES (?, ?)", [(1, 1), (2, 1), (3, 2)], "ok"),
+            ("INSERT INTO t VALUES (?, ?)", [(1, 2), (2, None)], "IntegrityError"),
+            ("INSERT INTO t VALUES (?, ?)", [(1, None), (2, 3), (3, 2)], "IntegrityError"),
+            ("INSERT INTO t VALUES (?, ?), (?, ?)", [(1, 2, 2, None), (3, 4, 4, 1)], "ok"),
+            ("INSERT INTO t VALUES (?, ?), (?, ?)", [(1, 3, 2, None), (3, 4, 4, 3)],
+             "IntegrityError"),
+        ],
+    )
+    def test_executemany_is_one_statement_per_parameter_row(self, pair, sql, params, outcome):
+        assert self._agree(pair, lambda conn: conn.executemany(sql, params)) == outcome

@@ -196,7 +196,7 @@ class TestRebuildEquivalence:
     def _pair(width, unique, keys):
         cols = [f"c{i}" for i in range(width)]
         built = Index("i", "t", cols, unique=unique)
-        built.rebuild(((rid, k) for rid, k in enumerate(keys)), lambda row: row)
+        built.rebuild(keys, range(len(keys)))
         inserted = Index("i", "t", cols, unique=unique)
         for rid, k in enumerate(keys):
             inserted.insert(k, rid)
@@ -224,10 +224,10 @@ class TestRebuildEquivalence:
         assert _observe(snap, width, probes) == expected
 
     def test_rebuild_unique_violation_names_index(self):
-        rows = [(1, ("a", 1)), (2, (None, 1)), (3, (None, 1)), (4, ("a", 1))]
+        keys = [("a", 1), (None, 1), (None, 1), ("a", 1)]
         idx = Index("uq_ab", "t", ["a", "b"], unique=True)
         with pytest.raises(IntegrityError, match="index uq_ab") as exc:
-            idx.rebuild(iter(rows), lambda row: row)
+            idx.rebuild(keys, [1, 2, 3, 4])
         ref = Index("uq_ab", "t", ["a", "b"], unique=True)
         ref.insert(("a", 1), 1)
         with pytest.raises(IntegrityError) as ref_exc:
@@ -236,7 +236,7 @@ class TestRebuildEquivalence:
 
     def test_rebuild_sorts_lazily(self):
         idx = Index("i", "t", ["a"])
-        idx.rebuild(iter([(1, (3,)), (2, (1,)), (3, (2,))]), lambda row: row)
+        idx.rebuild([(3,), (1,), (2,)], [1, 2, 3])
         assert idx._sorted == [] and not idx._sorted_valid
         assert list(idx.iter_ordered()) == [2, 3, 1]
         assert idx._sorted_valid
@@ -256,7 +256,7 @@ class TestInsertManyEquivalence:
         cols = [f"c{i}" for i in range(width)]
         batched = Index("i", "t", cols, unique=unique)
         if not sorted_valid:
-            batched.rebuild(iter(()), lambda row: row)  # sorted list built lazily
+            batched.rebuild([], [])  # sorted list built lazily
         bounds = sorted({0, len(keys), *(c for c in cuts if c <= len(keys))})
         for a, b in zip(bounds, bounds[1:]):
             batched.insert_many(keys[a:b], list(range(a, b)))

@@ -126,16 +126,29 @@ class TestCheckpoint:
 
     def test_snapshot_is_valid_json(self, db_path):
         make_db(db_path).close()
-        with open(db_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        assert doc["version"] == 1
-        assert any(t["meta"]["name"] == "t" for t in doc["tables"])
+        header, bodies = _read_v2(db_path)
+        assert header["version"] == 2
+        assert [t["meta"]["name"] for t in header["tables"]] == ["t"]
+        assert bodies["t"] == [[1, 2], [1, 2], ["one", "two"]]
 
     def test_corrupt_snapshot_raises_operational_error(self, db_path):
         with open(db_path, "w", encoding="utf-8") as fh:
             fh.write("this is not json")
         with pytest.raises(minidb.OperationalError):
             minidb.connect(db_path)
+
+
+def _read_v2(path):
+    """A format-2 snapshot as ``(header, {table name: body arrays})``."""
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    header = json.loads(lines[0])
+    assert lines[-1] == b""  # every line ends in a newline
+    body_lines = lines[1:-1]
+    assert [len(b) for b in body_lines] == [t["bytes"] for t in header["tables"]]
+    return header, {
+        t["meta"]["name"]: json.loads(b) for t, b in zip(header["tables"], body_lines)
+    }
 
 
 def _append_wal(path, text):
@@ -285,18 +298,15 @@ class TestReadOnlyClose:
         c2 = minidb.connect(db_path)
         c2.close()
         assert not os.path.exists(db_path + ".wal")
-        with open(db_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        (t,) = [t for t in doc["tables"] if t["meta"]["name"] == "t"]
-        assert sorted(row[1] for row in t["rows"].values()) == ["one", "three", "two"]
+        _header, bodies = _read_v2(db_path)
+        assert sorted(bodies["t"][2]) == ["one", "three", "two"]
         c.close()
 
     def test_new_path_writes_snapshot(self, db_path):
         assert not os.path.exists(db_path)
         minidb.connect(db_path).close()
-        with open(db_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        assert doc["version"] == 1 and doc["tables"] == []
+        header, bodies = _read_v2(db_path)
+        assert header["version"] == 2 and header["tables"] == [] and bodies == {}
 
 
 def _reference_snapshot(db) -> str:
@@ -330,10 +340,8 @@ def _reference_snapshot(db) -> str:
 
 
 def _table_state(db) -> dict:
-    return {
-        key: (t.next_rowid, t.next_auto, dict(t.rows))
-        for key, t in db.tables.items()
-    }
+    tables = {key: db.table(key) for key in db.tables}
+    return {key: (t.next_rowid, t.next_auto, dict(t.rows)) for key, t in tables.items()}
 
 
 class TestSnapshotCodec:
@@ -354,12 +362,30 @@ class TestSnapshotCodec:
         c.commit()
         return c
 
-    def test_bytes_identical_to_streaming_encoder(self, db_path):
-        c = self._mixed_store(db_path)
-        expected = _reference_snapshot(c.db)
+    def test_v2_round_trip_keeps_every_value(self, db_path):
+        c = minidb.connect(db_path)
+        c.execute("CREATE TABLE k (id INTEGER PRIMARY KEY, b BLOB, i INTEGER, "
+                  "f REAL, s TEXT, v NUMERIC)")
+        c.execute("CREATE INDEX k_s ON k (s, i)")
+        rows = [
+            (1, b"\x00\x01\xfe", 2 ** 53 + 1, 0.1, "caf\u00e9 \u2603 \"q\"\n", b""),
+            (2, None, -(2 ** 63), -1e-300, None, 2 ** 64),
+            (3, b"\xff" * 40, None, float("inf"), "\U0001f600", None),
+            (4, None, 0, 1.5e308, "", "\x00 nul"),
+        ]
+        c.executemany("INSERT INTO k VALUES (?, ?, ?, ?, ?, ?)", rows)
+        c.commit()
+        before = _table_state(c.db)
         c.close()
-        with open(db_path, "r", encoding="utf-8") as fh:
-            assert fh.read() == expected
+        header, bodies = _read_v2(db_path)
+        assert header["version"] == 2
+        assert bodies["k"][0] == [1, 2, 3, 4]  # rowids, then one array per column
+        c = minidb.connect(db_path)
+        assert _table_state(c.db) == before
+        assert c.execute("SELECT * FROM k ORDER BY id").fetchall() == rows
+        assert c.execute("SELECT id FROM k WHERE i = ?", (2 ** 53 + 1,)).fetchall() == [(1,)]
+        assert c.execute("SELECT id FROM k WHERE s = '\U0001f600'").fetchall() == [(3,)]
+        c.close()
 
     def test_round_trip_table_rows(self, db_path):
         c = self._mixed_store(db_path)
@@ -446,3 +472,257 @@ class TestBatchReplay:
         assert replayed.execute("SELECT MAX(id), COUNT(*) FROM t").fetchall() == [(100, 70)]
         clean.close()
         replayed.close()
+
+
+def _encoded(db):
+    """Names of the tables a lazy open has not decoded yet."""
+    return sorted(t.meta.name for t in db.tables.values() if t.encoded is not None)
+
+
+def _index_state(db):
+    return {name: repr(idx._map) for name, idx in sorted(db.indexes.items())}
+
+
+class TestLazyOpen:
+    """A v2 open reads the header only; a table is decoded, with all of
+    its indexes, on first touch."""
+
+    def _store(self, path):
+        c = minidb.connect(path)
+        c.execute("CREATE TABLE p (id INTEGER PRIMARY KEY, name TEXT UNIQUE)")
+        c.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, pid INTEGER REFERENCES p(id), "
+                  "sid INTEGER REFERENCES t(id), g INTEGER, x REAL, UNIQUE (g, x))")
+        c.execute("CREATE INDEX t_g ON t (g)")
+        c.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, v TEXT)")
+        c.executemany("INSERT INTO p VALUES (?, ?)", [(i, f"p{i}") for i in range(1, 6)])
+        c.executemany("INSERT INTO t (pid, sid, g, x) VALUES (?, ?, ?, ?)",
+                      [(1 + i % 5, None if i == 0 else i, i % 4, i / 8) for i in range(30)])
+        c.executemany("INSERT INTO u (v) VALUES (?)", [("a",), ("b",)])
+        c.commit()
+        c.close()
+
+    def _eager(self, path, eager_path):
+        """The same store as a v1 file, which opens eagerly."""
+        c = minidb.connect(path)
+        _table_state(c.db)  # decode every table
+        text = _reference_snapshot(c.db)
+        c.close()
+        with open(eager_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return minidb.connect(eager_path)
+
+    def test_open_decodes_nothing_and_a_query_decodes_its_tables(self, db_path):
+        self._store(db_path)
+        c = minidb.connect(db_path)
+        assert _encoded(c.db) == ["p", "t", "u"]
+        assert c.execute("SELECT COUNT(*) FROM u").fetchall() == [(2,)]
+        assert _encoded(c.db) == ["p", "t"]
+        assert not hasattr(c.db.indexes["t_g"], "_map")  # unbuilt, not empty
+        # Reaching an index decodes its table and builds every index on it.
+        (idx,) = [i for i in c.db.indexes_on("t") if i.name == "t_g"]
+        assert _encoded(c.db) == ["p"]
+        assert idx.lookup((1,)) == [2, 6, 10, 14, 18, 22, 26, 30]
+        assert all(hasattr(i, "_map") for i in c.db._indexes_of("t"))
+        c.close()
+
+    def test_count_only_query_leaves_untouched_tables_encoded(self, db_path):
+        from repro.core import PTDataStore
+        from repro.core.query import QueryEngine
+        from repro.core import ByName, Expansion, PrFilter
+
+        data = os.path.join(os.path.dirname(__file__), "..", "..", "examples",
+                            "data", "quickstart.ptdf")
+        store = PTDataStore(database=db_path)
+        store.load_file(data)
+        store.close()
+        store = PTDataStore(database=db_path, initialize=False)
+        db = store.backend.connection.db
+        engine = QueryEngine(store)
+        prf = PrFilter()
+        prf.add(ByName("/lin-2p", Expansion("D")))
+        families = store.resolve_prfilter(prf)
+        assert engine.count_for_family(families[0]) == len(engine.result_ids(families)) > 0
+        left = _encoded(db)
+        assert "performance_result" in left and "resource_attribute" in left
+        store.close()
+
+    def test_writes_to_lazy_tables_match_an_eager_store(self, db_path, tmp_path):
+        self._store(db_path)
+        lazy = minidb.connect(db_path)
+        eager = self._eager(db_path, str(tmp_path / "eager.db"))
+        assert _encoded(lazy.db) == ["p", "t", "u"] and _encoded(eager.db) == []
+        ops = [  # (statement, fails)
+            ("INSERT INTO t (pid, sid, g, x) VALUES (2, 3, 9, 0.5)", False),
+            ("INSERT INTO t (pid, sid, g, x) VALUES (2, 3, 1, 0.125)", True),  # UNIQUE (g, x)
+            ("UPDATE t SET g = 7 WHERE id % 3 = 0", False),
+            ("DELETE FROM t WHERE id = 30", False),
+            ("DELETE FROM t WHERE id = 5", True),  # row 6 references it
+            ("DELETE FROM p WHERE id = 1", True),
+            ("INSERT INTO u (v) VALUES ('c')", False),
+        ]
+        for sql, fails in ops:
+            for conn in (lazy, eager):
+                if fails:
+                    with pytest.raises(minidb.IntegrityError):
+                        conn.execute(sql)
+                else:
+                    conn.execute(sql)
+        for conn in (lazy, eager):
+            conn.commit()
+        assert _table_state(lazy.db) == _table_state(eager.db)
+        assert _index_state(lazy.db) == _index_state(eager.db)
+        for sql in ("SELECT id FROM t WHERE g = 7 ORDER BY id",
+                    "SELECT id, x FROM t WHERE g = 1 AND x > 0.2",
+                    "SELECT name FROM p WHERE id = 3"):
+            assert lazy.execute(sql).fetchall() == eager.execute(sql).fetchall()
+        lazy.close()
+        eager.close()
+        reopened = minidb.connect(db_path)
+        assert _table_state(reopened.db) == _table_state(lazy.db)
+        reopened.close()
+
+    def test_wal_replay_decodes_only_the_tables_it_touches(self, db_path):
+        self._store(db_path)
+        c = minidb.connect(db_path)
+        c.execute("INSERT INTO u (v) VALUES ('c')")
+        c.commit()  # crash: never closed
+        # ...and a record whose commit marker never made it.
+        _append_wal(db_path, json.dumps({"op": "delete", "table": "t", "rowid": 1}) + "\n")
+        _append_wal(db_path, '{"op": "ins')
+        c2 = minidb.connect(db_path)
+        assert _encoded(c2.db) == ["p", "t"]
+        assert c2.execute("SELECT v FROM u ORDER BY id").fetchall() == [("a",), ("b",), ("c",)]
+        assert c2.execute("SELECT COUNT(*) FROM t").fetchall() == [(30,)]
+        c2.close()
+        c.close()
+        header, bodies = _read_v2(db_path)
+        assert bodies["u"][2] == ["a", "b", "c"] and len(bodies["t"][0]) == 30
+
+    def test_untouched_tables_are_copied_verbatim_at_checkpoint(self, db_path):
+        self._store(db_path)
+        header, bodies = _read_v2(db_path)
+        # Re-spell table t's body with spaces: valid, but not what the
+        # writer produces, so only a verbatim copy keeps it.
+        spaced = json.dumps(bodies["t"]).encode()
+        header["tables"][1]["bytes"] = len(spaced)
+        with open(db_path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[0], lines[2] = json.dumps(header).encode(), spaced
+        with open(db_path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        c = minidb.connect(db_path)
+        c.execute("UPDATE u SET v = 'z' WHERE id = 1")
+        c.commit()
+        assert _encoded(c.db) == ["p", "t"]
+        c.close()
+        header, after = _read_v2(db_path)
+        with open(db_path, "rb") as fh:
+            new_lines = fh.read().split(b"\n")
+        assert [t["meta"]["name"] for t in header["tables"]] == ["p", "t", "u"]
+        assert new_lines[1:3] == lines[1:3]  # p and t: byte for byte
+        assert after["u"][2] == ["z", "b"] and after["t"] == bodies["t"]
+
+    def test_engine_connect_after_lazy_open(self, db_path):
+        self._store(db_path)
+        engine = minidb.Engine(db_path)
+        assert _encoded(engine.db) == ["p", "t", "u"]
+        s = engine.connect()
+        assert _encoded(engine.db) == []
+        assert s.execute("SELECT COUNT(*) FROM t WHERE g = 1").fetchall() == [(8,)]
+        s.execute("INSERT INTO u (v) VALUES ('c')")
+        s.commit()
+        s.close()
+        engine.close()
+        c = minidb.connect(db_path)
+        assert c.execute("SELECT v FROM u ORDER BY id").fetchall() == [("a",), ("b",), ("c",)]
+        c.close()
+
+    def test_truncated_body_raises_at_open(self, db_path):
+        self._store(db_path)
+        with open(db_path, "rb+") as fh:
+            fh.truncate(os.path.getsize(db_path) - 5)
+        with pytest.raises(minidb.OperationalError, match="bytes of table data"):
+            minidb.connect(db_path)
+
+    def test_corrupt_body_raises_on_first_touch(self, db_path):
+        self._store(db_path)
+        with open(db_path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[2] = b"[" + b"x" * (len(lines[2]) - 1)  # table t, same length
+        with open(db_path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        c = minidb.connect(db_path)
+        assert c.execute("SELECT COUNT(*) FROM u").fetchall() == [(2,)]
+        for _ in range(2):  # still encoded after a failed decode
+            with pytest.raises(minidb.OperationalError) as exc:
+                c.execute("SELECT COUNT(*) FROM t")
+            assert "table t" in str(exc.value) and db_path in str(exc.value)
+            assert isinstance(exc.value.__cause__, json.JSONDecodeError)
+        assert _encoded(c.db) == ["p", "t"]
+        c.close()
+
+    @pytest.mark.parametrize("body", [b"12345", b"[[1],[1],[1],[1],[1]]", b"[[1,2]]"])
+    def test_body_of_the_wrong_shape_raises_on_first_touch(self, db_path, body):
+        c = minidb.connect(db_path)
+        c.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, v TEXT)")
+        c.commit()
+        c.close()
+        with open(db_path, "rb") as fh:
+            header = json.loads(fh.readline())
+        header["tables"][0]["bytes"] = len(body)
+        with open(db_path, "wb") as fh:
+            fh.write(json.dumps(header).encode() + b"\n" + body + b"\n")
+        c = minidb.connect(db_path)
+        with pytest.raises(minidb.OperationalError, match="table u of database file"):
+            c.execute("SELECT * FROM u")
+        c.close()
+
+    def test_materialise_is_counted_and_traced(self, db_path):
+        from repro.obs.metrics import metrics
+        from repro.obs.tracing import trace
+
+        self._store(db_path)
+        metrics.enable()
+        metrics.reset()
+        trace.enable()
+        trace.clear()
+        try:
+            c = minidb.connect(db_path)
+            c.execute("SELECT COUNT(*) FROM t").fetchall()
+            c.close()
+            count = metrics.snapshot()["minidb.wal.tables_materialised"]["value"]
+            spans = [s for s in trace.spans() if s.name == "wal.materialise"]
+        finally:
+            metrics.disable()
+            trace.disable()
+            trace.clear()
+        assert count == 1
+        assert [(s.cat, s.args) for s in spans] == [("minidb", {"table": "t"})]
+
+
+class TestFormat1Upgrade:
+    def test_v1_file_opens_read_only_then_is_rewritten_as_v2(self, db_path):
+        TestLazyOpen()._store(db_path)
+        c = minidb.connect(db_path)
+        state = _table_state(c.db)
+        text = _reference_snapshot(c.db)
+        c.close()
+        with open(db_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        before = _file_state(db_path)
+        c = minidb.connect(db_path)
+        assert _encoded(c.db) == [] and _table_state(c.db) == state
+        c.close()
+        assert _file_state(db_path) == before  # a read-only session writes nothing
+        c = minidb.connect(db_path)
+        c.execute("INSERT INTO u (v) VALUES ('c')")
+        c.execute("DELETE FROM u WHERE v = 'c'")
+        c.commit()
+        c.close()
+        header, _bodies = _read_v2(db_path)
+        assert header["version"] == 2
+        c = minidb.connect(db_path)
+        assert _encoded(c.db) == ["p", "t", "u"]
+        after = _table_state(c.db)
+        c.close()
+        assert {k: v[2] for k, v in after.items()} == {k: v[2] for k, v in state.items()}
