@@ -18,6 +18,7 @@ import pytest
 
 import repro.minidb as minidb
 from repro.core import ByName, Expansion, PTDataStore, PrFilter
+from repro.core.bulkload import BulkLoader
 from repro.minidb import optimizer as minidb_optimizer
 from repro.minidb import vector as minidb_vector
 from repro.core.query import QueryEngine
@@ -54,10 +55,19 @@ def ptdf_records():
 
 
 def _load_n(records_list, n, bulk=True):
+    """Load the first *n* executions into a fresh store.
+
+    Without *bulk* this is the per-row ablation: the same loader,
+    flushing after every record.
+    """
     store = PTDataStore()
     total = 0
     for records in records_list[:n]:
-        total += store.load_records(records, bulk=bulk).results
+        if bulk:
+            stats = store.load_records(records)
+        else:
+            stats = BulkLoader(store, flush_every=1).load(records)
+        total += stats.results
     return store, total
 
 
@@ -107,6 +117,9 @@ class TestLoadScaling:
 
 class TestBulkVsPerRow:
     """Vectorized bulk load vs the per-row ablation (paper Section 4.3).
+
+    The per-row path is the one loader flushing after every record
+    (``BulkLoader(store, flush_every=1)``).
 
     Emits ``BENCH_scalability.json`` — the machine-readable perf baseline
     tracked across PRs: load rows/s for both paths, the speedup, family

@@ -1,23 +1,19 @@
-"""Bulk PTdf ingest for :class:`~repro.core.datastore.PTDataStore`.
+"""The one PTdf writer of :class:`~repro.core.datastore.PTDataStore`.
 
-The per-row load path issues one INSERT per PTdf record component plus
-closure-table writes per resource — fine for interactive edits, far too
-slow at Paradyn scale (the paper's Section 4.3 study loads ~45k results).
-This module implements the batched fast path: records are resolved
-against the store's name→id caches, ids are assigned client-side from
-per-table counters, and rows buffer in memory until they are flushed via
-``executemany`` in foreign-key dependency order.  The closure tables
-(``resource_has_ancestor``/``resource_has_descendant``) are populated in
-bulk per load instead of per insert.
+Records are resolved against the store's name→id caches, ids are
+assigned client-side from per-table counters, and rows buffer in memory
+until they are flushed via ``executemany`` in foreign-key dependency
+order.  The closure tables (``resource_has_ancestor`` /
+``resource_has_descendant``) are written alongside each new resource.
 
-The produced database is **identical** to the per-row path's: within each
-table, rows arrive in the same order with the same values, so id
-sequences, rowids and snapshots all match (asserted by
-``tests/core/test_bulk_load.py`` and the scalability benchmark).
-
-On any failure the loader rolls the backend transaction back and re-warms
-the store's caches from the database, so a failed bulk load leaves the
-store exactly as it was.
+:meth:`BulkLoader.load` applies a whole record stream and commits it;
+on any failure it rolls the backend transaction back and re-warms the
+store's caches from the database, so a failed load leaves the store
+exactly as it was.  The store's ``add_*`` methods are single-record
+writes: one handler call, one :meth:`BulkLoader.flush`, no commit, and
+:meth:`BulkLoader.discard` on failure.  A record streamed through
+:meth:`load` and the same record written through ``add_*`` produce the
+same rows with the same ids (asserted by ``tests/core/test_bulk_load.py``).
 """
 
 from __future__ import annotations
@@ -150,10 +146,12 @@ _SHARD_CLOSURE_REPL = _M.counter("shard.closure_rows_replicated", unit="rows")
 
 
 class BulkLoader:
-    """One bulk load: buffer rows per table, flush via ``executemany``.
+    """One write: buffer rows per table, flush via ``executemany``.
 
-    A loader is single-use; :meth:`load` consumes the record stream and
-    returns the same :class:`LoadStats` the per-row path would.
+    A loader is single-use.  :meth:`load` consumes a record stream and
+    returns its :class:`LoadStats`; ``PTDataStore.add_*`` call one
+    handler and :meth:`flush`.  *flush_every* bounds the buffered rows
+    (``flush_every=1`` flushes after every record).
     """
 
     def __init__(self, store: "PTDataStore", flush_every: int = 50_000) -> None:
@@ -236,6 +234,11 @@ class BulkLoader:
         """Leave the store exactly as before the load: roll back the
         backend transaction and rebuild the caches from it."""
         self.backend.rollback()
+        self.discard()
+
+    def discard(self) -> None:
+        """Forget what this loader cached but did not flush: rebuild the
+        store's caches from the database, without rolling it back."""
         self.store._resource_obj_cache.clear()
         self.store._warm_caches()
 
@@ -254,7 +257,7 @@ class BulkLoader:
                 self._buffers[table] = []
         self._buffered = 0
 
-    # -- per-record handlers (mirror PTDataStore.add_* semantics) ----------------
+    # -- per-record handlers (also PTDataStore.add_*, one call each) -------------
 
     def _application(self, name: str) -> int:
         aid = self.store._app_ids.get(name)
@@ -473,8 +476,8 @@ class ShardedBulkLoader(BulkLoader):
       expand descendant filters locally.
     """
 
-    def __init__(self, sstore: "ShardedPTDataStore", flush_every: int = 50_000) -> None:
-        super().__init__(sstore.catalog, flush_every)
+    def __init__(self, sstore: "ShardedPTDataStore") -> None:
+        super().__init__(sstore.catalog)
         self.sstore = sstore
         self.router = sstore.router
         self._shard_buffers: list[dict[str, list[tuple]]] = [
@@ -516,6 +519,7 @@ class ShardedBulkLoader(BulkLoader):
 
     def flush(self) -> None:
         super().flush()
+        self.sstore._eval_indexes.clear()
         for shard, buffers in enumerate(self._shard_buffers):
             backend = self.sstore.shard_backends[shard]
             for table in _SHARD_FLUSH_ORDER:
@@ -535,9 +539,12 @@ class ShardedBulkLoader(BulkLoader):
             backend.commit()
 
     def _rollback_all(self) -> None:
-        super()._rollback_all()
         for backend in self.sstore.shard_backends:
             backend.rollback()
+        super()._rollback_all()
+
+    def discard(self) -> None:
+        super().discard()
         self.sstore._warm_shard_state()
 
     # -- focus + closure replication -------------------------------------------

@@ -6,6 +6,12 @@ interface offers ("requesting information about resources and their
 attributes, details of individual executions, and performance results"),
 and resolution of resource filters into resource families.
 
+Every write goes through :class:`~repro.core.bulkload.BulkLoader`, the
+store's one writer: :meth:`PTDataStore.load_records` applies a whole
+record stream and commits it, and each ``add_*`` method is a
+single-record write through the same handler, flushed but left
+uncommitted in the caller's transaction.
+
 Two behaviours match the paper's performance notes:
 
 * the ``resource_has_ancestor`` / ``resource_has_descendant`` closure
@@ -29,22 +35,11 @@ from ..obs.logsetup import get_logger
 from ..obs.metrics import metrics as _M
 from ..obs.tracing import trace as _trace
 from ..ptdf import basetypes
-from ..ptdf.format import (
-    ApplicationRec,
-    ExecutionRec,
-    PerfResultRec,
-    PerfResultSeriesRec,
-    Record,
-    ResourceAttributeRec,
-    ResourceConstraintRec,
-    ResourceRec,
-    ResourceSet,
-    ResourceTypeRec,
-    split_name,
-)
+from ..ptdf.format import PerfResultRec, PerfResultSeriesRec, Record, ResourceSet
 from ..ptdf.lint import Diagnostic, load_gate
 from ..ptdf.parser import parse_document, parse_document_file
 from . import schema as schema_mod
+from .bulkload import BulkLoader
 from .filters import (
     ByAttributes,
     ByConstraint,
@@ -184,6 +179,29 @@ class PTDataStore:
             self.backend.rollback()
         self.close()
 
+    # ------------------------------------------------------------------ writes
+    # Each add_* writes the rows and ids a load of the same record would.
+
+    def _loader(self) -> BulkLoader:
+        return BulkLoader(self)
+
+    def _write(self, handler: str, *args) -> int:
+        """Run one loader handler, flush its rows and return its id.
+
+        The transaction stays open: committing is the caller's.  Handlers
+        check a record before any of its rows are flushed, so a rejected
+        record writes nothing; the loader then drops what this call
+        cached, leaving earlier uncommitted writes in place.
+        """
+        loader = self._loader()
+        try:
+            new_id = getattr(loader, handler)(*args)
+            loader.flush()
+        except BaseException:
+            loader.discard()
+            raise
+        return new_id
+
     # --------------------------------------------------------------- type system
 
     def add_resource_type(self, type_path: str) -> int:
@@ -193,22 +211,7 @@ class PTDataStore:
         for user extensions ("users may add new hierarchies or new types
         within the base hierarchies").
         """
-        segments = [s for s in type_path.split("/") if s]
-        if not segments:
-            raise ValueError(f"empty resource type path {type_path!r}")
-        parent_id: Optional[int] = None
-        tid = -1
-        for depth in range(1, len(segments) + 1):
-            path = "/".join(segments[:depth])
-            tid = self._type_ids.get(path, -1)
-            if tid < 0:
-                tid = self.backend.insert(
-                    "INSERT INTO focus_framework (name, base_name, parent_id) VALUES (?, ?, ?)",
-                    (path, segments[depth - 1], parent_id),
-                )
-                self._type_ids[path] = tid
-            parent_id = tid
-        return tid
+        return self._write("_resource_type", type_path)
 
     def resource_type(self, type_path: str) -> Optional[ResourceType]:
         row = self.backend.query_one(
@@ -245,37 +248,16 @@ class PTDataStore:
     # ------------------------------------------------------------ dimension tables
 
     def add_application(self, name: str) -> int:
-        aid = self._app_ids.get(name)
-        if aid is None:
-            aid = self.backend.insert("INSERT INTO application (name) VALUES (?)", (name,))
-            self._app_ids[name] = aid
-        return aid
+        return self._write("_application", name)
 
     def add_execution(self, name: str, application: str) -> int:
-        eid = self._exec_ids.get(name)
-        if eid is None:
-            aid = self.add_application(application)
-            eid = self.backend.insert(
-                "INSERT INTO execution (name, application_id) VALUES (?, ?)", (name, aid)
-            )
-            self._exec_ids[name] = eid
-        return eid
+        return self._write("_execution", name, application)
 
     def add_metric(self, name: str) -> int:
-        mid = self._metric_ids.get(name)
-        if mid is None:
-            mid = self.backend.insert("INSERT INTO metric (name) VALUES (?)", (name,))
-            self._metric_ids[name] = mid
-        return mid
+        return self._write("_metric", name)
 
     def add_tool(self, name: str) -> int:
-        tid = self._tool_ids.get(name)
-        if tid is None:
-            tid = self.backend.insert(
-                "INSERT INTO performance_tool (name) VALUES (?)", (name,)
-            )
-            self._tool_ids[name] = tid
-        return tid
+        return self._write("_tool", name)
 
     # ----------------------------------------------------------------- resources
 
@@ -289,67 +271,15 @@ class PTDataStore:
         ``/Frost/batch/n1/p0`` of type ``machine-less`` hierarchies stays
         consistent with Section 2.1's naming scheme.
         """
-        rid = self._resource_ids.get(name)
-        if rid is not None:
-            return rid
-        segments = split_name(name)
-        type_segments = [s for s in type_path.split("/") if s]
-        if len(segments) != len(type_segments):
-            raise ValueError(
-                f"resource {name!r} has depth {len(segments)} but type "
-                f"{type_path!r} has depth {len(type_segments)}"
-            )
-        self.add_resource_type(type_path)
-        exec_id = self._exec_ids.get(execution) if execution else None
-        if execution and exec_id is None:
-            raise ProgrammingError(f"unknown execution {execution!r}")
-        parent_id: Optional[int] = None
-        ancestor_ids: list[int] = []
-        for depth in range(1, len(segments) + 1):
-            partial = "/" + "/".join(segments[:depth])
-            rid = self._resource_ids.get(partial)
-            if rid is None:
-                tpath = "/".join(type_segments[:depth])
-                rid = self.backend.insert(
-                    "INSERT INTO resource_item "
-                    "(name, base_name, parent_id, focus_framework_id, execution_id) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    (partial, segments[depth - 1], parent_id, self._type_ids[tpath], exec_id),
-                )
-                self._resource_ids[partial] = rid
-                if self.use_closure_tables and ancestor_ids:
-                    self.backend.executemany(
-                        "INSERT INTO resource_has_ancestor (resource_id, ancestor_id) VALUES (?, ?)",
-                        [(rid, a) for a in ancestor_ids],
-                    )
-                    self.backend.executemany(
-                        "INSERT INTO resource_has_descendant (resource_id, descendant_id) VALUES (?, ?)",
-                        [(a, rid) for a in ancestor_ids],
-                    )
-            parent_id = rid
-            ancestor_ids.append(rid)
-        return rid
+        return self._write("_resource", name, type_path, execution)
 
     def add_resource_attribute(
         self, resource: str, attribute: str, value: str, attr_type: str = "string"
     ) -> int:
-        rid = self.resource_id(resource)
-        if attr_type == "resource":
-            # Resource-valued attribute: equivalent to a ResourceConstraint.
-            self.add_resource_constraint(resource, value)
-        return self.backend.insert(
-            "INSERT INTO resource_attribute (resource_id, name, value, attr_type) "
-            "VALUES (?, ?, ?, ?)",
-            (rid, attribute, str(value), attr_type),
-        )
+        return self._write("_resource_attribute", resource, attribute, value, attr_type)
 
     def add_resource_constraint(self, resource1: str, resource2: str) -> int:
-        r1 = self.resource_id(resource1)
-        r2 = self.resource_id(resource2)
-        return self.backend.insert(
-            "INSERT INTO resource_constraint (resource_id_1, resource_id_2) VALUES (?, ?)",
-            (r1, r2),
-        )
+        return self._write("_resource_constraint", resource1, resource2)
 
     def resource_id(self, name: str) -> int:
         rid = self._resource_ids.get(name)
@@ -372,22 +302,6 @@ class PTDataStore:
 
     # ------------------------------------------------------------------ results
 
-    def _focus_for(self, resource_ids: Sequence[int]) -> int:
-        """Find or create the focus holding exactly *resource_ids*."""
-        canonical = ",".join(map(str, sorted(set(resource_ids))))
-        fid = self._focus_ids.get(canonical)
-        if fid is not None:
-            return fid
-        fid = self.backend.insert(
-            "INSERT INTO focus (resource_hash) VALUES (?)", (canonical,)
-        )
-        self.backend.executemany(
-            "INSERT INTO focus_has_resource (focus_id, resource_id) VALUES (?, ?)",
-            [(fid, rid) for rid in sorted(set(resource_ids))],
-        )
-        self._focus_ids[canonical] = fid
-        return fid
-
     def add_perf_result(
         self,
         execution: str,
@@ -396,37 +310,10 @@ class PTDataStore:
         metric: str,
         value: Optional[float],
         units: str = "",
-        start_time: Optional[str] = None,
-        end_time: Optional[str] = None,
     ) -> int:
         """Store one performance result with one or more contexts."""
-        if isinstance(resource_sets, ResourceSet):
-            resource_sets = (resource_sets,)
-        eid = self._exec_ids.get(execution)
-        if eid is None:
-            raise ProgrammingError(f"unknown execution {execution!r}")
-        mid = self.add_metric(metric)
-        tid = self.add_tool(tool)
-        pr_id = self.backend.insert(
-            "INSERT INTO performance_result "
-            "(execution_id, metric_id, performance_tool_id, value, units, start_time, end_time) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (eid, mid, tid, value, units, start_time, end_time),
-        )
-        self._associate_foci(pr_id, resource_sets)
-        return pr_id
-
-    def _associate_foci(self, pr_id: int, resource_sets) -> None:
-        assoc = []
-        for rs in resource_sets:
-            ids = [self.resource_id(n) for n in rs.names]
-            fid = self._focus_for(ids)
-            assoc.append((pr_id, fid, rs.set_type))
-        self.backend.executemany(
-            "INSERT INTO performance_result_has_focus "
-            "(performance_result_id, focus_id, focus_type) VALUES (?, ?, ?)",
-            assoc,
-        )
+        rec = PerfResultRec(execution, resource_sets, tool, metric, value, units)
+        return self._write("_perf_result", rec)
 
     def add_vector_result(
         self,
@@ -448,37 +335,11 @@ class PTDataStore:
         with their time bounds.  ``None`` entries (Paradyn's ``nan`` bins)
         are not stored, matching the scalar loader's behaviour.
         """
-        if isinstance(resource_sets, ResourceSet):
-            resource_sets = (resource_sets,)
-        eid = self._exec_ids.get(execution)
-        if eid is None:
-            raise ProgrammingError(f"unknown execution {execution!r}")
-        mid = self.add_metric(metric)
-        tid = self.add_tool(tool)
-        defined = [v for v in values if v is not None]
-        mean = sum(defined) / len(defined) if defined else None
-        end_time = start_time + bin_width * len(values)
-        pr_id = self.backend.insert(
-            "INSERT INTO performance_result "
-            "(execution_id, metric_id, performance_tool_id, value, units, "
-            "start_time, end_time, value_type) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            (eid, mid, tid, mean, units, repr(start_time), repr(end_time), "vector"),
+        rec = PerfResultSeriesRec(
+            execution, resource_sets, tool, metric, units,
+            start_time, bin_width, tuple(values),
         )
-        rows = []
-        for i, v in enumerate(values):
-            if v is None:
-                continue
-            rows.append(
-                (pr_id, i, start_time + i * bin_width, start_time + (i + 1) * bin_width, v)
-            )
-        self.backend.executemany(
-            "INSERT INTO performance_result_vector "
-            "(performance_result_id, bin_index, bin_start, bin_end, value) "
-            "VALUES (?, ?, ?, ?, ?)",
-            rows,
-        )
-        self._associate_foci(pr_id, resource_sets)
-        return pr_id
+        return self._write("_vector_result", rec)
 
     def vector_of(self, result_id: int) -> list[tuple[int, float, float, float]]:
         """(bin_index, bin_start, bin_end, value) rows of a vector result."""
@@ -494,18 +355,15 @@ class PTDataStore:
 
     # ------------------------------------------------------------------- loading
 
-    def load_records(
-        self, records: Iterable[Record], bulk: bool = True
-    ) -> LoadStats:
+    def load_records(self, records: Iterable[Record]) -> LoadStats:
         """Load PTdf records (the PTdataStore load interface of Figure 6).
 
-        By default this dispatches to :meth:`load_bulk`; pass
-        ``bulk=False`` for the original per-row path.  Both produce
-        identical databases; the bulk path is what survives Paradyn-scale
-        inputs.
+        One :class:`~repro.core.bulkload.BulkLoader` applies the whole
+        stream and commits it; on failure it rolls the transaction back
+        and the store is left as it was.
         """
         if not (_M.enabled or _trace.enabled):
-            return self._load_records_inner(records, bulk)
+            return BulkLoader(self).load(records)
         # Sized inputs (the common case: PTdf parsers return lists) are
         # counted with len(), so the record loop itself runs uninstrumented
         # — one add() per load, not one per record.  Only unsized streams
@@ -515,10 +373,9 @@ class PTDataStore:
         except TypeError:
             sized_n = None
         source = records if sized_n is not None else _CountingIter(records)
-        mode = "bulk" if bulk else "per-row"
         t0 = _now()
-        with _trace.span("load", cat="core", mode=mode):
-            stats = self._load_records_inner(source, bulk)
+        with _trace.span("load", cat="core"):
+            stats = BulkLoader(self).load(source)
         elapsed = _now() - t0
         n = sized_n if sized_n is not None else source.n
         _LOADS.inc()
@@ -529,77 +386,10 @@ class PTDataStore:
         for field, counter in _LOAD_TYPE_COUNTS.items():
             counter.add(getattr(stats, field))
         _log.info(
-            "loaded %d record(s) in %.3fs (%s path, %.0f records/s)",
-            n, elapsed, mode,
-            n / elapsed if elapsed > 0 else 0.0,
+            "loaded %d record(s) in %.3fs (%.0f records/s)",
+            n, elapsed, n / elapsed if elapsed > 0 else 0.0,
         )
         return stats
-
-    def _load_records_inner(
-        self, records: Iterable[Record], bulk: bool
-    ) -> LoadStats:
-        if bulk:
-            return self.load_bulk(records)
-        stats = LoadStats()
-        pre_foci = len(self._focus_ids)
-        for rec in records:
-            if isinstance(rec, ApplicationRec):
-                before = len(self._app_ids)
-                self.add_application(rec.name)
-                stats.applications += len(self._app_ids) - before
-            elif isinstance(rec, ResourceTypeRec):
-                before = len(self._type_ids)
-                self.add_resource_type(rec.name)
-                stats.resource_types += len(self._type_ids) - before
-            elif isinstance(rec, ExecutionRec):
-                before = len(self._exec_ids)
-                self.add_execution(rec.name, rec.application)
-                stats.executions += len(self._exec_ids) - before
-            elif isinstance(rec, ResourceRec):
-                before = len(self._resource_ids)
-                self.add_resource(rec.name, rec.type, rec.execution)
-                stats.resources += len(self._resource_ids) - before
-            elif isinstance(rec, ResourceAttributeRec):
-                self.add_resource_attribute(
-                    rec.resource, rec.attribute, rec.value, rec.attr_type
-                )
-                stats.attributes += 1
-            elif isinstance(rec, ResourceConstraintRec):
-                self.add_resource_constraint(rec.resource1, rec.resource2)
-                stats.constraints += 1
-            elif isinstance(rec, PerfResultRec):
-                self.add_perf_result(
-                    rec.execution,
-                    rec.resource_sets,
-                    rec.tool,
-                    rec.metric,
-                    rec.value,
-                    rec.units,
-                )
-                stats.results += 1
-            elif isinstance(rec, PerfResultSeriesRec):
-                self.add_vector_result(
-                    rec.execution,
-                    rec.resource_sets,
-                    rec.tool,
-                    rec.metric,
-                    rec.values,
-                    rec.units,
-                    rec.start_time,
-                    rec.bin_width,
-                )
-                stats.results += 1
-            else:
-                raise ProgrammingError(f"unknown PTdf record {type(rec).__name__}")
-        stats.foci = len(self._focus_ids) - pre_foci
-        self.backend.commit()
-        return stats
-
-    def load_bulk(self, records: Iterable[Record]) -> LoadStats:
-        """Batched PTdf load: buffer per table, flush via ``executemany``."""
-        from .bulkload import BulkLoader
-
-        return BulkLoader(self).load(records)
 
     # load_string and load_file reach the store only through
     # load_records and the name caches, so ShardedPTDataStore reuses them.

@@ -49,6 +49,7 @@ from ..obs.metrics import metrics as _M
 from ..obs.tracing import trace as _trace
 from ..ptdf.format import Record
 from . import schema as schema_mod
+from .bulkload import ShardedBulkLoader
 from .datastore import LoadStats, PTDataStore
 from .filters import FamilySpec, PrFilter
 
@@ -104,10 +105,12 @@ class ShardedPTDataStore:
     Construction mirrors :class:`PTDataStore`; pass ``directory`` for a
     persistent store (``catalog.db`` + ``shard-NNNN.db`` + a manifest
     recording the shard count) or leave it ``None`` for in-memory shards.
-    Loading goes through the sharded bulk loader only — the per-row
-    ``add_*`` API stays on the plain store.  Lookup and filter-resolution
-    methods not defined here delegate to the catalog store, which holds
-    every dimension row.
+    Every write goes through the sharded bulk loader:
+    :meth:`load_records`, and :meth:`add_perf_result` /
+    :meth:`add_vector_result`, which route the fact rows to their shard.
+    Lookup and filter-resolution methods not defined here, and the
+    dimension ``add_*`` writes, delegate to the catalog store, which
+    holds every dimension row.
     """
 
     def __init__(
@@ -224,13 +227,10 @@ class ShardedPTDataStore:
 
     def load_records(self, records: Iterable[Record]) -> LoadStats:
         """Bulk-load PTdf records, routing fact rows across the shards."""
-        from .bulkload import ShardedBulkLoader
-
         t0 = _now()
         with _trace.span("shard.load", cat="core", shards=self.n_shards):
-            stats = ShardedBulkLoader(self).load(records)
+            stats = self._loader().load(records)
             self.ensure_shard_indexes()
-        self._eval_indexes.clear()
         if _M.enabled:
             _SHARD_LOADS.inc()
             _SHARD_LOAD_SECONDS.observe(_now() - t0)
@@ -239,6 +239,15 @@ class ShardedPTDataStore:
     # Parse, lint-gate and apply through load_records above.
     load_string = PTDataStore.load_string
     load_file = PTDataStore.load_file
+
+    def _loader(self) -> ShardedBulkLoader:
+        return ShardedBulkLoader(self)
+
+    # Single-record fact writes: one handler of _loader() per call, the
+    # fact rows routed to their execution's shard.
+    _write = PTDataStore._write
+    add_perf_result = PTDataStore.add_perf_result
+    add_vector_result = PTDataStore.add_vector_result
 
     def ensure_shard_indexes(self) -> None:
         """Build the deferred per-shard secondary indexes where missing.

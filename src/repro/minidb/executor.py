@@ -388,28 +388,32 @@ class Executor:
 
         sources = [(params, k) for params in rows for k in range(len(stmt.rows))]
         if any(_has_subquery(e) for template in stmt.rows for e in template):
-            return self._insert_each(table, stmt.columns, sources, values_of)
+            return self._insert_each(table, stmt.columns, sources, values_of, len(stmt.rows))
         return self._insert(table, *_build_rows(meta, stmt.columns, sources, values_of),
                             len(stmt.rows))
 
-    def _insert_each(self, table, columns, sources, values_of) -> Result:
-        """``executemany`` over a template with a subquery: row by row.
+    def _insert_each(self, table, columns, sources, values_of, per: int) -> Result:
+        """``executemany`` over a template with a subquery: one statement
+        per parameter row, applied in order.
 
-        A subquery may read the target table, so each row is evaluated
-        only after the rows before it are in — one INSERT per parameter
-        row, as sqlite3 runs it.  The statement stays atomic: a failing
-        row unwinds the rows this call already inserted, and a passing
-        call still logs one ``insert_batch`` record.
+        A subquery may read the target table, so each parameter row's
+        *per* VALUES rows are built only after the parameter rows before
+        it are in, and all of them before any is inserted — as sqlite3
+        runs it: subqueries see the table as their statement found it,
+        and FOREIGN KEYs are checked at the statement's end.  The call
+        stays atomic: a failing statement unwinds the rows this call
+        already inserted, and a passing call still logs one
+        ``insert_batch`` record.
         """
         db = self.db
         txn = self.txn if self.txn is not None else db.begin()
         undo_mark, wal_mark = len(txn.undo), len(txn.wal_records)
         count, lastrowid = 0, None
         try:
-            for source in sources:
-                built, pending = _build_rows(table.meta, columns, [source], values_of)
-                _applied, lastrowid = db.insert_rows(table, built, txn=txn, pending=pending)
-                count += 1
+            for i in range(0, len(sources), per):
+                built, pending = _build_rows(table.meta, columns, sources[i:i + per], values_of)
+                applied, lastrowid = db.insert_rows(table, built, txn=txn, pending=pending)
+                count += len(applied)
         except BaseException:
             for entry in reversed(txn.undo[undo_mark:]):
                 db._apply_undo(entry)

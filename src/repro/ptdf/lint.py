@@ -39,8 +39,8 @@ PT008     warning   unit mismatch: one metric reported with two different
 PT009     error     invalid resource name (must be ``/``-rooted)
 ========  ========  =====================================================
 
-Reference checks are sequential, exactly like the loaders (per-row and
-bulk alike resolve resource/execution ids while streaming the file), so a
+Reference checks are sequential, exactly like the loader (it resolves
+resource/execution ids while streaming the file), so a
 use-before-declare that would abort a load is reported — with a pointer
 to the later declaration line.  Type and application references are
 order-free because the loader auto-creates both on first use.  A parse
@@ -237,8 +237,8 @@ class Linter:
                     all_resources.setdefault(name, lineno)
 
         # Pass 2: per-record checks, in line order.  Resource and execution
-        # references must already be declared: the loaders (per-row and
-        # bulk alike) resolve them while streaming the file.
+        # references must already be declared: the loader resolves them
+        # while streaming the file.
         self._resources = set(ctx.resources)
         self._executions = set(ctx.executions)
         self._all_resources = all_resources

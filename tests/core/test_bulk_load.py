@@ -1,14 +1,16 @@
-"""The bulk load path must be indistinguishable from the per-row path.
+"""How records reach the store must not change what it holds.
 
-Byte-identity is the contract: same rows, same rowids, same id counters,
-same LoadStats — so snapshots, WALs and every downstream query agree no
-matter which path loaded the data.  A failed bulk load must leave the
-store exactly as it was.
+Byte-identity is the contract: a stream loaded in one batch, flushed
+after every record, or written one ``add_*`` call at a time gives the
+same rows, rowids, id counters and LoadStats — so snapshots, WALs and
+every downstream query agree.  A failed load must leave the store
+exactly as it was.
 """
 
 import pytest
 
 from repro.core import PTDataStore
+from repro.core.bulkload import BulkLoader
 from repro.minidb.errors import ProgrammingError
 from repro.ptdf.format import (
     ApplicationRec,
@@ -90,18 +92,46 @@ def test_bulk_and_per_row_paths_are_byte_identical():
     bulk, per_row = PTDataStore(), PTDataStore()
     stats_b = [bulk.load_records(sample_records(f"run-{i}")) for i in range(3)]
     stats_p = [
-        per_row.load_records(sample_records(f"run-{i}"), bulk=False)
+        BulkLoader(per_row, flush_every=1).load(sample_records(f"run-{i}"))
         for i in range(3)
     ]
     assert stats_b == stats_p
     assert full_state(bulk) == full_state(per_row)
 
 
-def test_bulk_flag_per_call_overrides_store_default():
-    a, b = PTDataStore(), PTDataStore()
-    a.load_records(sample_records(), bulk=True)
-    b.load_records(sample_records(), bulk=False)
-    assert full_state(a) == full_state(b)
+def _add(store, rec):
+    """Write one PTdf record through the public add_* API."""
+    if isinstance(rec, ApplicationRec):
+        store.add_application(rec.name)
+    elif isinstance(rec, ResourceTypeRec):
+        store.add_resource_type(rec.name)
+    elif isinstance(rec, ExecutionRec):
+        store.add_execution(rec.name, rec.application)
+    elif isinstance(rec, ResourceRec):
+        store.add_resource(rec.name, rec.type, rec.execution)
+    elif isinstance(rec, ResourceAttributeRec):
+        store.add_resource_attribute(rec.resource, rec.attribute, rec.value, rec.attr_type)
+    elif isinstance(rec, ResourceConstraintRec):
+        store.add_resource_constraint(rec.resource1, rec.resource2)
+    elif isinstance(rec, PerfResultRec):
+        store.add_perf_result(
+            rec.execution, rec.resource_sets, rec.tool, rec.metric, rec.value, rec.units
+        )
+    else:
+        store.add_vector_result(
+            rec.execution, rec.resource_sets, rec.tool, rec.metric, rec.values,
+            rec.units, rec.start_time, rec.bin_width,
+        )
+
+
+def test_add_calls_write_what_a_load_writes():
+    loaded, added = PTDataStore(), PTDataStore()
+    for i in range(3):
+        loaded.load_records(sample_records(f"run-{i}"))
+        for rec in sample_records(f"run-{i}"):
+            _add(added, rec)
+    added.commit()
+    assert full_state(added) == full_state(loaded)
 
 
 def test_stats_count_every_kind():

@@ -227,6 +227,21 @@ class TestResults:
         with pytest.raises(ProgrammingError):
             ds.add_perf_result("nope", ResourceSet(("/e1",)), "t", "m", 1.0, "u")
 
+    def test_failed_add_writes_nothing(self, ds):
+        # An unknown resource in the focus is found before any row of the
+        # result, its metric or its tool is written; the caller's earlier
+        # uncommitted writes stay.
+        ds.add_resource("/e1/p1", "execution/process", "e1")
+        before = ds.db_stats()
+        with pytest.raises(ProgrammingError):
+            ds.add_perf_result("e1", ResourceSet(("/e1", "/nope")), "t", "m", 1.0)
+        ds.commit()
+        assert ds.db_stats() == before
+        assert ds.metrics() == [] and ds.tools() == []
+        assert ds.resource_by_name("/e1/p1") is not None
+        # The store keeps working: the same ids are handed out again.
+        assert ds.add_perf_result("e1", ResourceSet(("/e1",)), "t", "m", 1.0) == 1
+
     def test_metrics_and_tools_registered(self, ds):
         ds.add_perf_result("e1", ResourceSet(("/e1",)), "mpiP", "MPI time", 1.0, "s")
         assert "MPI time" in ds.metrics()

@@ -6,6 +6,8 @@ import os
 import pytest
 
 from repro.core.datastore import PTDataStore, load_files
+from repro.core.filters import ByName, Expansion, PrFilter
+from repro.core.query import QueryEngine
 from repro.core.schema import SHARD_TABLE_NAMES, TABLE_NAMES
 from repro.core.shards import ShardedPTDataStore, ShardRouter
 from repro.minidb.errors import ProgrammingError
@@ -138,6 +140,32 @@ class TestShardedDifferential:
             assert sharded.table_rows(table) == before[table], table
         # replication bookkeeping rebuilt: a clean retry still works
         sharded.load_records(parse_string(_corpus_writer(range(6, 8)).render()))
+
+    def test_add_result_lands_on_its_shard(self):
+        serial = PTDataStore(backend_kind="minidb")
+        sharded = ShardedPTDataStore(n_shards=3)
+        prf = PrFilter([ByName("/irs-7", Expansion.DESCENDANTS)])
+        for store, engine in ((serial, lambda: QueryEngine(serial)),
+                              (sharded, sharded.query_engine)):
+            store.load_records(parse_string(_corpus_writer(range(2)).render()))
+            store.add_execution("irs-7", "IRS")
+            store.add_resource("/irs-7", "execution", "irs-7")
+            store.add_resource("/irs-7/proc0", "execution/process", "irs-7")
+            # Evaluate first, so a stale per-shard evaluation index would show.
+            assert engine().evaluate(prf) == set()
+            store.add_perf_result(
+                "irs-7", ResourceSet(("/irs-7/proc0", "/IRS/src/funcA")),
+                "testtool", "CPU time", 7.5, "seconds",
+            )
+            store.add_vector_result(
+                "irs-7", ResourceSet(("/irs-7",)), "testtool", "mem",
+                [1.0, None, 2.0], "MB",
+            )
+        want = QueryEngine(serial).evaluate(prf)
+        assert len(want) == 2
+        assert sharded.query_engine().evaluate(prf) == want
+        assert_identical(serial, sharded)
+        assert _serial_rows(sharded.catalog, "performance_result") == set()
 
     def test_shard_indexes_built_after_load(self):
         sharded = ShardedPTDataStore(n_shards=2)

@@ -384,7 +384,27 @@ class TestSelfReferencingForeignKey:
             ("INSERT INTO t VALUES (?, ?), (?, ?)", [(1, 2, 2, None), (3, 4, 4, 1)], "ok"),
             ("INSERT INTO t VALUES (?, ?), (?, ?)", [(1, 3, 2, None), (3, 4, 4, 3)],
              "IntegrityError"),
+            # A template with a subquery runs one parameter row at a
+            # time, still as one statement each.
+            ("INSERT INTO t VALUES (?, ?), (?, (SELECT ?))", [(1, 2, 2, None)], "ok"),
         ],
     )
     def test_executemany_is_one_statement_per_parameter_row(self, pair, sql, params, outcome):
         assert self._agree(pair, lambda conn: conn.executemany(sql, params)) == outcome
+
+    def test_subqueries_see_the_table_before_their_statement(self, pair):
+        def call(conn):
+            conn.execute("DROP TABLE t")
+            conn.execute(
+                "CREATE TABLE t (id INTEGER PRIMARY KEY, "
+                "pid INTEGER REFERENCES t(id), n INTEGER)"
+            )
+            conn.executemany("INSERT INTO t VALUES (?, ?, 0)", [(1, None), (2, 1), (3, 1)])
+            conn.executemany(
+                "INSERT INTO t VALUES (?, ?, (SELECT COUNT(*) FROM t)), (?, NULL, 0)",
+                [(10, 11, 11), (20, 10, 21)],
+            )
+
+        assert self._agree(pair, call) == "ok"
+        rows = pair[0].execute("SELECT * FROM t WHERE id >= 10 ORDER BY id").fetchall()
+        assert rows == [(10, 11, 3), (11, None, 0), (20, 10, 5), (21, None, 0)]
