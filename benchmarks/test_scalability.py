@@ -498,160 +498,3 @@ class TestQueryScaling:
         )
         assert counts[8] > counts[1]
 
-
-def _bgl_scale() -> dict:
-    """BG/L bench scale: quick by default (CI), full via PTRACK_SHARD_SCALE.
-
-    Full scale is the paper's headline shape — a 16k-node BlueGene/L
-    machine, 16 executions of 4096 processes, 4 metrics per process —
-    which loads >1M logical rows.  Quick keeps the same shape two orders
-    of magnitude smaller so the regression guard has a comparable
-    ``sharded`` section on every CI run.
-    """
-    scale = os.environ.get("PTRACK_SHARD_SCALE", "quick").lower()
-    if scale == "full":
-        return dict(
-            name="full", executions=16, procs=4096, partitions=16,
-            nodes_per_partition=1024, metrics=4, shards=8,
-        )
-    if scale != "quick":
-        raise ValueError(f"PTRACK_SHARD_SCALE must be quick or full, got {scale!r}")
-    return dict(
-        name="quick", executions=4, procs=256, partitions=2,
-        nodes_per_partition=256, metrics=4, shards=4,
-    )
-
-
-class TestShardedBGL:
-    """Sharded store at BlueGene/L shape.
-
-    Measures (a) the bulk-load rate into one unsharded store, (b) the
-    same ``load_files`` pipeline's rate into catalog + N fact shards,
-    and (c) scatter-gather pr-filter latency on the sharded store —
-    recorded as the ``sharded`` baseline section watched by
-    tools/bench_guard.py (rows/s floor, p95 latency ceiling).
-    """
-
-    METRIC_NAMES = ("CPU time", "MPI time", "cache misses", "memory HWM")
-
-    @pytest.fixture(scope="class")
-    def bgl_files(self, tmp_path_factory):
-        from repro.ptdf.writer import PTdfWriter
-        from repro.ptdf.format import ResourceSet
-
-        cfg = _bgl_scale()
-        root = tmp_path_factory.mktemp("bgl")
-        nodes = []
-        w = PTdfWriter()
-        w.add_application("IRS")
-        w.add_resource("/LLNL", "grid")
-        w.add_resource("/LLNL/BGL", "grid/machine")
-        for part in range(cfg["partitions"]):
-            pname = f"/LLNL/BGL/R{part:02d}"
-            w.add_resource(pname, "grid/machine/partition")
-            for n in range(cfg["nodes_per_partition"]):
-                node = f"{pname}/n{n:04d}"
-                w.add_resource(node, "grid/machine/partition/node")
-                nodes.append(node)
-        machine_file = str(root / "machine.ptdf")
-        w.write(machine_file)
-        paths = [machine_file]
-        for e in range(cfg["executions"]):
-            ename = f"irs-bgl-{e:02d}"
-            w = PTdfWriter()
-            w.add_execution(ename, "IRS")
-            w.add_resource(f"/{ename}", "execution", ename)
-            for p in range(cfg["procs"]):
-                proc = f"/{ename}/p{p}"
-                w.add_resource(proc, "execution/process", ename)
-                node = nodes[(e + p) % len(nodes)]
-                focus = ResourceSet((f"/{ename}", proc, node))
-                for mi, metric in enumerate(self.METRIC_NAMES[: cfg["metrics"]]):
-                    w.add_perf_result(
-                        ename, focus, "pmapi", metric,
-                        float(e * 1000 + p + mi), "units",
-                    )
-            path = str(root / f"{ename}.ptdf")
-            w.write(path)
-            paths.append(path)
-        return cfg, paths
-
-    def test_sharded_load_and_prfilter(
-        self, benchmark, bgl_files, results_dir, write_report
-    ):
-        from repro.core import load_files
-        from repro.core.shards import ShardedPTDataStore
-        from repro.core.schema import TABLE_NAMES
-
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        cfg, paths = bgl_files
-        cpus = os.cpu_count() or 1
-
-        # (a) reference: one unsharded store, bulk loader.
-        t0 = time.perf_counter()
-        serial = PTDataStore()
-        load_files(serial, paths, lint=False)
-        serial_s = time.perf_counter() - t0
-        rows = sum(serial.count_rows(t) for t in TABLE_NAMES)
-
-        # (b) the same pipeline into catalog + N fact shards.
-        t0 = time.perf_counter()
-        sharded = ShardedPTDataStore(n_shards=cfg["shards"])
-        load_files(sharded, paths, lint=False)
-        load_s = time.perf_counter() - t0
-
-        # correctness oracle: union of shards == serial store, row for row
-        for table in ("performance_result", "focus_has_resource", "focus"):
-            assert sharded.table_rows(table) == {
-                tuple(r) for r in serial.backend.query(f"SELECT * FROM {table}")
-            }, table
-
-        # (c) scatter-gather pr-filter latency on the sharded store.
-        engine = sharded.query_engine()
-        filters = (
-            PrFilter([ByName("/LLNL/BGL/R00", Expansion.DESCENDANTS)]),
-            PrFilter([ByName("/LLNL/BGL/R00/n0003", Expansion.NONE)]),
-            PrFilter([
-                ByName("/irs-bgl-01", Expansion.DESCENDANTS),
-                ByName("/LLNL/BGL/R00", Expansion.DESCENDANTS),
-            ]),
-        )
-        specs = [sharded.resolve_prfilter_specs(prf) for prf in filters]
-        # one untimed pass builds the per-shard evaluation indexes
-        for spec in specs:
-            engine.result_ids(spec)
-        latencies = []
-        matched = 0
-        for _ in range(8):
-            for spec in specs:
-                t0 = time.perf_counter()
-                matched = max(matched, len(engine.result_ids(spec)))
-                latencies.append(time.perf_counter() - t0)
-        latencies.sort()
-        p95_s = latencies[int(len(latencies) * 0.95) - 1]
-
-        serial_rate = rows / serial_s
-        load_rate = rows / load_s
-        section = {
-            "scale": cfg["name"],
-            "cpus": cpus,
-            "shards": cfg["shards"],
-            "rows": rows,
-            "results": serial.count_rows("performance_result"),
-            "serial_load_seconds": round(serial_s, 4),
-            "serial_rows_per_s": round(serial_rate, 1),
-            "load_seconds": round(load_s, 4),
-            "load_rows_per_s": round(load_rate, 1),
-            "prfilter_evals": len(latencies),
-            "prfilter_results_max": matched,
-            "prfilter_p95_seconds": round(p95_s, 6),
-        }
-        merge_baseline(results_dir, {"sharded": section})
-        write_report("sharded_bgl", json.dumps(section, indent=2))
-
-        if cfg["name"] == "full":
-            assert rows >= 1_000_000, f"full scale loaded only {rows} rows"
-        # The floor catches the sharded load collapsing (e.g. accidental
-        # serialisation through one WAL, quadratic replication).
-        assert load_rate >= 0.15 * serial_rate
-        assert p95_s < 0.010, f"pr-filter p95 {p95_s * 1e3:.2f}ms >= 10ms"

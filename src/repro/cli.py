@@ -59,13 +59,6 @@ def _open_store(args, initialize: bool = False) -> PTDataStore:
     )
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _add_db_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--db", default=":memory:", help="database file (default in-memory)")
     p.add_argument(
@@ -85,7 +78,6 @@ def cmd_init(args) -> int:
 
 
 def cmd_load(args) -> int:
-    from .core.shards import ShardedPTDataStore
     from .ptdf.lint import PTdfLintError
 
     # Per-file progress (records/s): on by default when stderr is a
@@ -107,16 +99,7 @@ def cmd_load(args) -> int:
 
     if args.trace:
         obs.trace.enable()
-    if args.shards:
-        # --db names the sharded store's directory; in-memory shards
-        # otherwise (useful only with --trace, since they vanish on exit).
-        store = ShardedPTDataStore(
-            n_shards=args.shards,
-            backend_kind=args.backend,
-            directory=None if args.db == ":memory:" else args.db,
-        )
-    else:
-        store = _open_store(args, initialize=True)
+    store = _open_store(args, initialize=True)
     try:
         try:
             _stats, warnings = load_files(
@@ -183,6 +166,9 @@ def pt_lint_main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return cmd_lint(args)
+    except DbError as exc:
+        print(f"database error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -563,14 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="force per-file records/s progress lines (default when stderr is a TTY)",
     )
     p.add_argument("--trace", help="write a Chrome-trace JSON of the load to FILE")
-    p.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="load into a sharded store with N fact shards "
-        "(--db names its directory; default unsharded)",
-    )
     p.set_defaults(fn=cmd_load)
 
     p = sub.add_parser("lint", help="statically validate PTdf files (pt-lint)")

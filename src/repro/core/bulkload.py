@@ -38,7 +38,6 @@ from ..ptdf.format import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .datastore import LoadStats, PTDataStore
-    from .shards import ShardedPTDataStore
 
 #: Flush order = foreign-key dependency order (parents before children).
 _FLUSH_ORDER: tuple[str, ...] = (
@@ -129,22 +128,6 @@ _INSERT_SQL: dict[str, str] = {
 _BATCHES_FLUSHED = _M.counter("ptdf.load.batches_flushed")
 _ROWS_FLUSHED = _M.counter("ptdf.load.rows_flushed", unit="rows")
 
-#: Per-shard flush order (parents are in the catalog; the order here only
-#: keeps replica rows ahead of the fact rows that reference them).
-_SHARD_FLUSH_ORDER: tuple[str, ...] = (
-    "focus_has_resource",
-    "resource_has_ancestor",
-    "performance_result",
-    "performance_result_vector",
-    "performance_result_has_focus",
-)
-
-# Shard-routing metrics (see docs/observability.md).
-_SHARD_ROWS_ROUTED = _M.counter("shard.rows_routed", unit="rows")
-_SHARD_FOCUS_REPL = _M.counter("shard.focus_replications")
-_SHARD_CLOSURE_REPL = _M.counter("shard.closure_rows_replicated", unit="rows")
-
-
 class BulkLoader:
     """One write: buffer rows per table, flush via ``executemany``.
 
@@ -224,26 +207,19 @@ class BulkLoader:
                     self.flush()
             self.flush()
         except BaseException:
-            self._rollback_all()
+            # Leave the store exactly as before the load.
+            self.backend.rollback()
+            self.discard()
             raise
         stats.foci = len(store._focus_ids) - pre_foci
-        self._commit_all()
+        self.backend.commit()
         return stats
-
-    def _rollback_all(self) -> None:
-        """Leave the store exactly as before the load: roll back the
-        backend transaction and rebuild the caches from it."""
-        self.backend.rollback()
-        self.discard()
 
     def discard(self) -> None:
         """Forget what this loader cached but did not flush: rebuild the
         store's caches from the database, without rolling it back."""
         self.store._resource_obj_cache.clear()
         self.store._warm_caches()
-
-    def _commit_all(self) -> None:
-        self.backend.commit()
 
     def flush(self) -> None:
         """Apply all buffered rows in foreign-key dependency order."""
@@ -454,281 +430,3 @@ class BulkLoader:
         self._associate_foci(pr_id, resource_sets)
         return pr_id
 
-
-class ShardedBulkLoader(BulkLoader):
-    """Bulk loader for a :class:`~repro.core.shards.ShardedPTDataStore`.
-
-    Dimension rows (applications, executions, metrics, tools, resources,
-    attributes, constraints, closure tables, foci) buffer exactly as in
-    the base loader and flush into the **catalog** database.  Fact rows
-    route by execution id through the store's :class:`ShardRouter` into
-    per-shard buffers, flushed via ordered ``executemany`` per shard.
-
-    Ids are assigned from the same catalog-wide counters in the same
-    record order as the serial loader, so the union of all databases is
-    row-for-row identical to the serial store — the differential test's
-    oracle.  Two replication side-channels keep shards self-contained:
-
-    * the first time a focus lands on a shard, its ``focus_has_resource``
-      rows are copied there, and
-    * the first time a *resource* lands on a shard (through a focus), its
-      ``resource_has_ancestor`` closure rows are copied, so the shard can
-      expand descendant filters locally.
-    """
-
-    def __init__(self, sstore: "ShardedPTDataStore") -> None:
-        super().__init__(sstore.catalog)
-        self.sstore = sstore
-        self.router = sstore.router
-        self._shard_buffers: list[dict[str, list[tuple]]] = [
-            {t: [] for t in _SHARD_FLUSH_ORDER} for _ in range(sstore.n_shards)
-        ]
-        #: focus id -> member resource ids, for foci created in this load
-        self._focus_members: dict[int, tuple[int, ...]] = {}
-        #: lazily built focus id -> canonical hash, for pre-existing foci
-        self._focus_hash_by_id: Optional[dict[int, str]] = None
-        #: resource id -> ancestor ids, for resources created in this load
-        self._ancestor_map: dict[int, tuple[int, ...]] = {}
-        self._routed = 0
-        self._focus_repl = 0
-        self._closure_repl = 0
-
-    # -- id assignment ---------------------------------------------------------
-
-    def _take_id(self, table: str) -> int:
-        if table != "performance_result":
-            return super()._take_id(table)
-        nid = self._next_ids.get(table)
-        if nid is None:
-            # The catalog's performance_result stays empty; the id
-            # sequence continues from the largest id on any shard.
-            best = 0
-            for backend in self.sstore.shard_backends:
-                value = backend.max_value(table, "id")
-                best = max(best, int(value or 0))
-            nid = best + 1
-        self._next_ids[table] = nid + 1
-        return nid
-
-    # -- shard buffering -------------------------------------------------------
-
-    def _put_shard(self, shard: int, table: str, row: tuple) -> None:
-        self._shard_buffers[shard][table].append(row)
-        self._buffered += 1
-        self._routed += 1
-
-    def flush(self) -> None:
-        super().flush()
-        self.sstore._eval_indexes.clear()
-        for shard, buffers in enumerate(self._shard_buffers):
-            backend = self.sstore.shard_backends[shard]
-            for table in _SHARD_FLUSH_ORDER:
-                rows = buffers[table]
-                if rows:
-                    backend.executemany(_INSERT_SQL[table], rows)
-                    buffers[table] = []
-        if _M.enabled and (self._routed or self._focus_repl):
-            _SHARD_ROWS_ROUTED.add(self._routed)
-            _SHARD_FOCUS_REPL.add(self._focus_repl)
-            _SHARD_CLOSURE_REPL.add(self._closure_repl)
-            self._routed = self._focus_repl = self._closure_repl = 0
-
-    def _commit_all(self) -> None:
-        super()._commit_all()
-        for backend in self.sstore.shard_backends:
-            backend.commit()
-
-    def _rollback_all(self) -> None:
-        for backend in self.sstore.shard_backends:
-            backend.rollback()
-        super()._rollback_all()
-
-    def discard(self) -> None:
-        super().discard()
-        self.sstore._warm_shard_state()
-
-    # -- focus + closure replication -------------------------------------------
-
-    def _focus_for(self, resource_ids) -> int:
-        store = self.store
-        ordered = tuple(sorted(set(resource_ids)))
-        canonical = ",".join(map(str, ordered))
-        fid = store._focus_ids.get(canonical)
-        if fid is not None:
-            return fid
-        fid = self._take_id("focus")
-        self._put("focus", (fid, canonical))
-        store._focus_ids[canonical] = fid
-        self._focus_members[fid] = ordered
-        return fid
-
-    def _members_of(self, fid: int) -> tuple[int, ...]:
-        members = self._focus_members.get(fid)
-        if members is not None:
-            return members
-        if self._focus_hash_by_id is None:
-            self._focus_hash_by_id = {
-                i: h for h, i in self.store._focus_ids.items()
-            }
-        canonical = self._focus_hash_by_id.get(fid)
-        if canonical is None:  # pragma: no cover - cache invariant
-            raise ProgrammingError(f"unknown focus id {fid}")
-        members = tuple(int(p) for p in canonical.split(",") if p)
-        self._focus_members[fid] = members
-        return members
-
-    def _ancestors_of(self, rid: int) -> tuple[int, ...]:
-        ancestors = self._ancestor_map.get(rid)
-        if ancestors is None:
-            # Resource created by an earlier (flushed) load: read the
-            # catalog's closure table.
-            ancestors = tuple(
-                r[0]
-                for r in self.backend.query(
-                    "SELECT ancestor_id FROM resource_has_ancestor "
-                    "WHERE resource_id = ?",
-                    (rid,),
-                )
-            )
-            self._ancestor_map[rid] = ancestors
-        return ancestors
-
-    def _route_focus(self, shard: int, fid: int) -> None:
-        """Replicate a focus (and its members' closure rows) to a shard."""
-        seen_foci = self.sstore._shard_foci[shard]
-        if fid in seen_foci:
-            return
-        seen_foci.add(fid)
-        self._focus_repl += 1
-        buffers = self._shard_buffers[shard]
-        members = self._members_of(fid)
-        seen_resources = self.sstore._shard_resources[shard]
-        for rid in members:
-            buffers["focus_has_resource"].append((fid, rid))
-            self._buffered += 1
-            self._routed += 1
-            if rid in seen_resources:
-                continue
-            seen_resources.add(rid)
-            for ancestor in self._ancestors_of(rid):
-                buffers["resource_has_ancestor"].append((rid, ancestor))
-                self._buffered += 1
-                self._closure_repl += 1
-
-    # -- routed record handlers -------------------------------------------------
-
-    def _resource(
-        self, name: str, type_path: str, execution: Optional[str] = None
-    ) -> int:
-        # Same row production as the base loader, additionally recording
-        # each new resource's ancestor list for closure replication.
-        store = self.store
-        rid = store._resource_ids.get(name)
-        if rid is not None:
-            return rid
-        segments = split_name(name)
-        type_segments = [s for s in type_path.split("/") if s]
-        if len(segments) != len(type_segments):
-            raise ValueError(
-                f"resource {name!r} has depth {len(segments)} but type "
-                f"{type_path!r} has depth {len(type_segments)}"
-            )
-        self._resource_type(type_path)
-        exec_id = store._exec_ids.get(execution) if execution else None
-        if execution and exec_id is None:
-            raise ProgrammingError(f"unknown execution {execution!r}")
-        parent_id: Optional[int] = None
-        ancestor_ids: list[int] = []
-        for depth in range(1, len(segments) + 1):
-            partial = "/" + "/".join(segments[:depth])
-            rid = store._resource_ids.get(partial)
-            if rid is None:
-                tpath = "/".join(type_segments[:depth])
-                rid = self._take_id("resource_item")
-                self._put(
-                    "resource_item",
-                    (
-                        rid,
-                        partial,
-                        segments[depth - 1],
-                        parent_id,
-                        store._type_ids[tpath],
-                        exec_id,
-                    ),
-                )
-                store._resource_ids[partial] = rid
-                self._ancestor_map[rid] = tuple(ancestor_ids)
-                if ancestor_ids:
-                    for a in ancestor_ids:
-                        self._put("resource_has_ancestor", (rid, a))
-                    for a in ancestor_ids:
-                        self._put("resource_has_descendant", (a, rid))
-            parent_id = rid
-            ancestor_ids.append(rid)
-        return rid
-
-    def _associate_foci_on(self, shard: int, pr_id: int, resource_sets) -> None:
-        for rs in resource_sets:
-            ids = [self.store.resource_id(n) for n in rs.names]
-            fid = self._focus_for(ids)
-            self._route_focus(shard, fid)
-            self._put_shard(
-                shard, "performance_result_has_focus", (pr_id, fid, rs.set_type)
-            )
-
-    def _perf_result(self, rec: PerfResultRec) -> int:
-        resource_sets = rec.resource_sets
-        if isinstance(resource_sets, ResourceSet):
-            resource_sets = (resource_sets,)
-        eid, mid, tid = self._result_header(rec.execution, rec.tool, rec.metric)
-        shard = self.router.shard_of(eid)
-        pr_id = self._take_id("performance_result")
-        self._put_shard(
-            shard,
-            "performance_result",
-            (pr_id, eid, mid, tid, rec.value, rec.units, None, None, "scalar"),
-        )
-        self._associate_foci_on(shard, pr_id, resource_sets)
-        return pr_id
-
-    def _vector_result(self, rec: PerfResultSeriesRec) -> int:
-        resource_sets = rec.resource_sets
-        if isinstance(resource_sets, ResourceSet):
-            resource_sets = (resource_sets,)
-        eid, mid, tid = self._result_header(rec.execution, rec.tool, rec.metric)
-        shard = self.router.shard_of(eid)
-        defined = [v for v in rec.values if v is not None]
-        mean = sum(defined) / len(defined) if defined else None
-        end_time = rec.start_time + rec.bin_width * len(rec.values)
-        pr_id = self._take_id("performance_result")
-        self._put_shard(
-            shard,
-            "performance_result",
-            (
-                pr_id,
-                eid,
-                mid,
-                tid,
-                mean,
-                rec.units,
-                repr(rec.start_time),
-                repr(end_time),
-                "vector",
-            ),
-        )
-        for i, v in enumerate(rec.values):
-            if v is None:
-                continue
-            self._put_shard(
-                shard,
-                "performance_result_vector",
-                (
-                    pr_id,
-                    i,
-                    rec.start_time + i * rec.bin_width,
-                    rec.start_time + (i + 1) * rec.bin_width,
-                    v,
-                ),
-            )
-        self._associate_foci_on(shard, pr_id, resource_sets)
-        return pr_id

@@ -45,7 +45,6 @@ from .filters import (
     ByConstraint,
     ByName,
     ByType,
-    FamilySpec,
     PrFilter,
     ResourceFamily,
     ResourceFilter,
@@ -182,9 +181,6 @@ class PTDataStore:
     # ------------------------------------------------------------------ writes
     # Each add_* writes the rows and ids a load of the same record would.
 
-    def _loader(self) -> BulkLoader:
-        return BulkLoader(self)
-
     def _write(self, handler: str, *args) -> int:
         """Run one loader handler, flush its rows and return its id.
 
@@ -193,7 +189,7 @@ class PTDataStore:
         record writes nothing; the loader then drops what this call
         cached, leaving earlier uncommitted writes in place.
         """
-        loader = self._loader()
+        loader = BulkLoader(self)
         try:
             new_id = getattr(loader, handler)(*args)
             loader.flush()
@@ -390,9 +386,6 @@ class PTDataStore:
             n, elapsed, n / elapsed if elapsed > 0 else 0.0,
         )
         return stats
-
-    # load_string and load_file reach the store only through
-    # load_records and the name caches, so ShardedPTDataStore reuses them.
 
     def load_string(self, text: str, lint: bool = False) -> LoadStats:
         doc = parse_document(text.split("\n"))
@@ -632,28 +625,6 @@ class PTDataStore:
                 expanded |= self.descendants_of(rid)
         return ResourceFamily(label=f.describe(), resource_ids=frozenset(expanded))
 
-    def resolve_filter_spec(self, f: ResourceFilter) -> FamilySpec:
-        """Resolve one filter into a shard-pushable :class:`FamilySpec`.
-
-        Base ids and ancestor expansion are applied eagerly (both are
-        small and global); descendant expansion is left as a flag for the
-        scatter-gather engine to push down against each shard's closure
-        replica.  ``base ∪ extra ∪ descendants(base)`` equals the eager
-        :meth:`resolve_filter` family exactly.
-        """
-        ids = self._filter_base_ids(f)
-        extra: set[int] = set()
-        if f.expansion.include_ancestors:
-            for rid in ids:
-                extra |= self.ancestors_of(rid)
-            extra -= ids
-        return FamilySpec(
-            label=f.describe(),
-            base_ids=frozenset(ids),
-            extra_ids=frozenset(extra),
-            include_descendants=f.expansion.include_descendants,
-        )
-
     def _filter_base_ids(self, f: ResourceFilter) -> set[int]:
         """The filter's direct matches, before A/D expansion."""
         if isinstance(f, ByType):
@@ -733,12 +704,12 @@ class PTDataStore:
 
 
 def load_files(
-    store,
+    store: PTDataStore,
     paths: Sequence[str],
     lint: bool = True,
     on_file: Optional[Callable[[str, LoadStats, int, float], None]] = None,
 ) -> tuple[LoadStats, list[Diagnostic]]:
-    """Load PTdf files into *store*, a plain or a sharded store.
+    """Load PTdf files into *store*.
 
     Every file is parsed once, up front, and :func:`load_gate` checks
     those documents before anything is written: with *lint* it raises

@@ -173,30 +173,6 @@ class ResourceFamily:
         return resource_id in self.resource_ids
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A partially resolved family, shaped for per-shard pushdown.
-
-    ``base_ids`` are the filter's direct matches; ``extra_ids`` carry the
-    ancestor expansion (resolved eagerly — ancestors are few and global).
-    Descendant expansion stays a flag: the scatter-gather engine expands
-    ``base_ids`` *per shard* against the shard's ``resource_has_ancestor``
-    replica, so a 32k-descendant machine subtree never turns into 32k
-    bound parameters — each shard probes only the descendants it holds.
-    The family's full membership is
-    ``base_ids ∪ extra_ids ∪ descendants(base_ids)``, exactly matching
-    the eager :class:`ResourceFamily` the serial path produces.
-    """
-
-    label: str
-    base_ids: frozenset[int]
-    extra_ids: frozenset[int] = frozenset()
-    include_descendants: bool = False
-
-    def __len__(self) -> int:
-        return len(self.base_ids) + len(self.extra_ids)
-
-
 @dataclass
 class PrFilter:
     """An (unresolved) pr-filter: an ordered set of resource filters."""

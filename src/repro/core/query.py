@@ -19,17 +19,12 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from typing import TYPE_CHECKING
-
 from ..obs.clock import now as _now
 from ..obs.metrics import metrics as _M
 from ..obs.tracing import trace as _trace
 from .datastore import PTDataStore, _chunks
-from .filters import FamilySpec, PrFilter, ResourceFamily
+from .filters import PrFilter, ResourceFamily
 from .results import Context, PerformanceResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .shards import ShardedPTDataStore
 
 # Query-layer metrics (no-ops while the registry is disabled).
 _PRFILTER_EVALS = _M.counter("query.prfilter_evaluations")
@@ -37,13 +32,6 @@ _PRFILTER_SECONDS = _M.histogram("query.prfilter_seconds")
 _RESULTS_MATCHED = _M.counter("query.results_matched", unit="results")
 _RESULTS_FETCHED = _M.counter("query.results_fetched", unit="results")
 _FETCH_SECONDS = _M.histogram("query.fetch_seconds")
-
-# Scatter-gather metrics (see docs/observability.md).
-_SCATTER_MERGES = _M.counter("shard.scatter_gather_merges")
-_SHARD_SHORT_CIRCUITS = _M.counter("shard.short_circuits")
-_DESC_EXPANSIONS = _M.counter("shard.descendant_expansions")
-_EVAL_INDEX_BUILDS = _M.counter("shard.eval_index_builds")
-_EVAL_INDEX_BUILD_SECONDS = _M.histogram("shard.eval_index_build_seconds")
 
 
 class QueryEngine:
@@ -309,300 +297,3 @@ class QueryEngine:
             if res.type_name == type_name
         ]
 
-
-class ShardEvalIndex:
-    """In-memory inverted maps over one shard's fact replicas.
-
-    Scatter-gather evaluation is probe-heavy: every pr-filter costs three
-    indexed IN-probes per shard, and at BG/L family sizes (a partition
-    family is 1000+ resource ids) the per-key SQL overhead dominates
-    end-to-end latency.  Instead, each shard keeps these maps — built
-    once from streaming full scans of the shard's replicas, invalidated
-    by the owning :class:`~repro.core.shards.ShardedPTDataStore` whenever
-    a load or rollback changes shard contents — so filter evaluation is
-    pure set algebra over ints.
-    """
-
-    __slots__ = (
-        "descendants",
-        "foci_by_resource",
-        "results_by_focus",
-        "results_by_focus_typed",
-        "results_by_type",
-        "result_ids",
-    )
-
-    def __init__(self, backend) -> None:
-        t0 = _now()
-        descendants: dict[int, list[int]] = {}
-        for rid, anc in backend.stream(
-            "SELECT resource_id, ancestor_id FROM resource_has_ancestor"
-        ):
-            descendants.setdefault(anc, []).append(rid)
-        foci_by_resource: dict[int, list[int]] = {}
-        for fid, rid in backend.stream(
-            "SELECT focus_id, resource_id FROM focus_has_resource"
-        ):
-            foci_by_resource.setdefault(rid, []).append(fid)
-        results_by_focus: dict[int, list[int]] = {}
-        results_by_focus_typed: dict[tuple[int, str], list[int]] = {}
-        results_by_type: dict[str, set[int]] = {}
-        for pr_id, fid, ftype in backend.stream(
-            "SELECT performance_result_id, focus_id, focus_type "
-            "FROM performance_result_has_focus"
-        ):
-            results_by_focus.setdefault(fid, []).append(pr_id)
-            results_by_focus_typed.setdefault((fid, ftype), []).append(pr_id)
-            results_by_type.setdefault(ftype, set()).add(pr_id)
-        self.descendants = descendants
-        self.foci_by_resource = foci_by_resource
-        self.results_by_focus = results_by_focus
-        self.results_by_focus_typed = results_by_focus_typed
-        self.results_by_type = results_by_type
-        self.result_ids = frozenset(
-            r[0] for r in backend.stream("SELECT id FROM performance_result")
-        )
-        if _M.enabled:
-            _EVAL_INDEX_BUILDS.inc()
-            _EVAL_INDEX_BUILD_SECONDS.observe(_now() - t0)
-
-
-class ShardedQueryEngine(QueryEngine):
-    """Scatter-gather pr-filter evaluation over a sharded store.
-
-    Filters resolve once against the catalog into :class:`FamilySpec`
-    objects (base ids + eager ancestors + a descendants flag); each shard
-    then evaluates the whole filter **locally** — descendant expansion
-    reads the shard's ``resource_has_ancestor`` replica, focus matching
-    its ``focus_has_resource`` replica (both through the shard's
-    :class:`ShardEvalIndex`), smallest-family-first with the same
-    empty-meet short-circuit as the serial engine — and the matching
-    result ids are unioned across shards.  Because execution ids
-    partition the fact tables, shard result sets are disjoint and the
-    union equals the serial answer exactly.
-
-    Family ordering uses ``len(spec)`` (base + ancestors) rather than the
-    fully expanded size the serial engine sorts by; that only changes
-    probe order, never the result set.
-    """
-
-    def __init__(self, sstore: "ShardedPTDataStore") -> None:
-        super().__init__(sstore.catalog)
-        self.sstore = sstore
-
-    @staticmethod
-    def _as_spec(family) -> FamilySpec:
-        if isinstance(family, FamilySpec):
-            return family
-        return FamilySpec(label=family.label, base_ids=family.resource_ids)
-
-    def _indexes(self) -> list[ShardEvalIndex]:
-        return [
-            self.sstore.shard_eval_index(i)
-            for i in range(self.sstore.n_shards)
-        ]
-
-    # -- per-shard evaluation ----------------------------------------------------
-
-    def _family_ids_on(self, index: ShardEvalIndex, spec: FamilySpec) -> set[int]:
-        """A family's full membership as seen from one shard.
-
-        Descendants expand from ``base_ids`` only (never the ancestor
-        extras), matching the serial resolver's A/D semantics; the lookup
-        runs against the shard's closure replica, so only descendants the
-        shard actually holds come back.
-        """
-        ids = set(spec.base_ids)
-        if spec.include_descendants and ids:
-            descendants = index.descendants
-            for base in spec.base_ids:
-                hits = descendants.get(base)
-                if hits:
-                    ids.update(hits)
-            if _M.enabled:
-                _DESC_EXPANSIONS.inc()
-        ids.update(spec.extra_ids)
-        return ids
-
-    def _matching_focus_ids_on(
-        self, index: ShardEvalIndex, resource_ids
-    ) -> set[int]:
-        out: set[int] = set()
-        foci_by_resource = index.foci_by_resource
-        for rid in resource_ids:
-            hits = foci_by_resource.get(rid)
-            if hits:
-                out.update(hits)
-        return out
-
-    def _result_ids_for_focus_ids_on(
-        self,
-        index: ShardEvalIndex,
-        focus_ids: Iterable[int],
-        focus_type: Optional[str] = None,
-    ) -> set[int]:
-        out: set[int] = set()
-        if focus_type is None:
-            results_by_focus = index.results_by_focus
-            for fid in focus_ids:
-                hits = results_by_focus.get(fid)
-                if hits:
-                    out.update(hits)
-        else:
-            typed = index.results_by_focus_typed
-            for fid in focus_ids:
-                hits = typed.get((fid, focus_type))
-                if hits:
-                    out.update(hits)
-        return out
-
-    def _shard_result_ids(
-        self,
-        index: ShardEvalIndex,
-        specs: Sequence[FamilySpec],
-        focus_type: Optional[str],
-    ) -> set[int]:
-        if not specs:
-            if focus_type is None:
-                return set(index.result_ids)
-            return set(index.results_by_type.get(focus_type, ()))
-        surviving: Optional[set[int]] = None
-        for spec in sorted(specs, key=len):
-            matched = self._matching_focus_ids_on(
-                index, self._family_ids_on(index, spec)
-            )
-            surviving = matched if surviving is None else surviving & matched
-            if not surviving:
-                if _M.enabled:
-                    _SHARD_SHORT_CIRCUITS.inc()
-                return set()
-        return self._result_ids_for_focus_ids_on(index, surviving, focus_type)
-
-    # -- scatter-gather overrides -------------------------------------------------
-
-    def _result_ids_inner(
-        self,
-        families: Sequence,
-        focus_type: Optional[str] = None,
-    ) -> set[int]:
-        specs = [self._as_spec(f) for f in families]
-        out: set[int] = set()
-        for index in self._indexes():
-            out |= self._shard_result_ids(index, specs, focus_type)
-        if _M.enabled:
-            _SCATTER_MERGES.inc()
-        return out
-
-    def matching_focus_ids(self, family) -> set[int]:
-        """Focus ids intersecting *family*, unioned across shard replicas."""
-        spec = self._as_spec(family)
-        out: set[int] = set()
-        for index in self._indexes():
-            out |= self._matching_focus_ids_on(
-                index, self._family_ids_on(index, spec)
-            )
-        return out
-
-    def count_for_family(self, family) -> int:
-        spec = self._as_spec(family)
-        total = 0
-        for index in self._indexes():
-            focus_ids = self._matching_focus_ids_on(
-                index, self._family_ids_on(index, spec)
-            )
-            total += len(self._result_ids_for_focus_ids_on(index, focus_ids))
-        return total
-
-    def evaluate(self, prf: PrFilter) -> set[int]:
-        return self.result_ids(self.sstore.resolve_prfilter_specs(prf))
-
-    # -- materialisation ----------------------------------------------------------
-
-    def _fetch_results_inner(
-        self, result_ids: Iterable[int]
-    ) -> list[PerformanceResult]:
-        ids = sorted(set(result_ids))
-        if not ids:
-            return []
-        store = self.store
-        exec_names = {i: n for n, i in store._exec_ids.items()}
-        metric_names = {i: n for n, i in store._metric_ids.items()}
-        tool_names = {i: n for n, i in store._tool_ids.items()}
-        out: list[PerformanceResult] = []
-        for backend in self.sstore.shard_backends:
-            base: dict[int, tuple] = {}
-            for chunk in _chunks(ids):
-                marks = ",".join("?" * len(chunk))
-                rows = backend.stream(  # noqa: PTL001 — '?' marks only
-                    f"SELECT id, execution_id, metric_id, performance_tool_id, "
-                    f"value, units, start_time, end_time, value_type "
-                    f"FROM performance_result WHERE id IN ({marks})",
-                    chunk,
-                )
-                for r in rows:
-                    base[r[0]] = r
-            if not base:
-                continue
-            found = sorted(base)
-            assoc: dict[int, list[tuple[int, str]]] = {rid: [] for rid in found}
-            focus_ids: set[int] = set()
-            for chunk in _chunks(found):
-                marks = ",".join("?" * len(chunk))
-                rows = backend.stream(  # noqa: PTL001 — '?' marks only
-                    f"SELECT performance_result_id, focus_id, focus_type "
-                    f"FROM performance_result_has_focus "
-                    f"WHERE performance_result_id IN ({marks})",
-                    chunk,
-                )
-                for pr_id, fid, ftype in rows:
-                    assoc[pr_id].append((fid, ftype))
-                    focus_ids.add(fid)
-            vector_ids = [rid for rid in found if base[rid][8] == "vector"]
-            vectors: dict[int, list[tuple[int, float, float, float]]] = {
-                rid: [] for rid in vector_ids
-            }
-            for chunk in _chunks(sorted(vector_ids)):
-                marks = ",".join("?" * len(chunk))
-                rows = backend.stream(  # noqa: PTL001 — '?' marks only
-                    f"SELECT performance_result_id, bin_index, bin_start, "
-                    f"bin_end, value FROM performance_result_vector "
-                    f"WHERE performance_result_id IN ({marks})",
-                    chunk,
-                )
-                for pr_id, bi, bs, be, v in rows:
-                    vectors[pr_id].append((bi, bs, be, v))
-            for rows_ in vectors.values():
-                rows_.sort()
-            focus_resources: dict[int, set[int]] = {fid: set() for fid in focus_ids}
-            for chunk in _chunks(sorted(focus_ids)):
-                marks = ",".join("?" * len(chunk))
-                rows = backend.stream(  # noqa: PTL001 — '?' marks only
-                    f"SELECT focus_id, resource_id FROM focus_has_resource "
-                    f"WHERE focus_id IN ({marks})",
-                    chunk,
-                )
-                for fid, rid in rows:
-                    focus_resources[fid].add(rid)
-            for rid in found:
-                row = base[rid]
-                contexts = tuple(
-                    Context(fid, frozenset(focus_resources.get(fid, ())), ftype)
-                    for fid, ftype in assoc.get(rid, ())
-                )
-                out.append(
-                    PerformanceResult(
-                        id=row[0],
-                        execution=exec_names[row[1]],
-                        metric=metric_names[row[2]],
-                        tool=tool_names[row[3]],
-                        value=row[4],
-                        units=row[5] or "",
-                        contexts=contexts,
-                        start_time=row[6],
-                        end_time=row[7],
-                        value_type=row[8],
-                        series=tuple(vectors.get(rid, ())),
-                    )
-                )
-        out.sort(key=lambda pr: pr.id)
-        return out

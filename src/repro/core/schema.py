@@ -174,112 +174,6 @@ SCHEMA_INDEXES: tuple[str, ...] = (
     "CREATE INDEX idx_prf_focus ON performance_result_has_focus (focus_id)",
 )
 
-#: Tables hash-partitioned by execution id across fact shards (see
-#: :mod:`repro.core.shards`).  ``focus_has_resource`` rows replicate to
-#: every shard whose results reference the focus, so each shard can
-#: evaluate a whole pr-filter locally; the union of the shard copies (as
-#: a set) still equals the serial store's table.
-SHARDED_TABLES: tuple[str, ...] = (
-    "focus_has_resource",
-    "performance_result",
-    "performance_result_vector",
-    "performance_result_has_focus",
-)
-
-#: Per-shard DDL: the four sharded fact tables plus a shard-local replica
-#: of ``resource_has_ancestor`` (the closure rows of every resource that
-#: appears in the shard's foci, maintained incrementally by the sharded
-#: loader).  Deliberately **without** REFERENCES clauses — the parent
-#: rows (execution, metric, focus, resource_item, ...) live in the
-#: catalog database, so cross-database foreign keys are impossible; the
-#: catalog's tables keep enforcing them on the dimension side.  Skipping
-#: per-row FK probes is also a measurable share of the sharded loader's
-#: speed-up.
-SHARD_DDL: tuple[str, ...] = (
-    """
-    CREATE TABLE focus_has_resource (
-        focus_id INTEGER NOT NULL,
-        resource_id INTEGER NOT NULL
-    )
-    """,
-    """
-    CREATE TABLE resource_has_ancestor (
-        resource_id INTEGER NOT NULL,
-        ancestor_id INTEGER NOT NULL
-    )
-    """,
-    """
-    CREATE TABLE performance_result (
-        id INTEGER PRIMARY KEY,
-        execution_id INTEGER NOT NULL,
-        metric_id INTEGER NOT NULL,
-        performance_tool_id INTEGER NOT NULL,
-        value REAL,
-        units TEXT,
-        start_time TEXT,
-        end_time TEXT,
-        value_type TEXT NOT NULL DEFAULT 'scalar'
-    )
-    """,
-    """
-    CREATE TABLE performance_result_vector (
-        performance_result_id INTEGER NOT NULL,
-        bin_index INTEGER NOT NULL,
-        bin_start REAL,
-        bin_end REAL,
-        value REAL
-    )
-    """,
-    """
-    CREATE TABLE performance_result_has_focus (
-        performance_result_id INTEGER NOT NULL,
-        focus_id INTEGER NOT NULL,
-        focus_type TEXT NOT NULL DEFAULT 'primary'
-    )
-    """,
-)
-
-#: Shard table names in creation order.
-SHARD_TABLE_NAMES: tuple[str, ...] = (
-    "focus_has_resource",
-    "resource_has_ancestor",
-    "performance_result",
-    "performance_result_vector",
-    "performance_result_has_focus",
-)
-
-#: Secondary indexes for the per-shard query paths: family probes on
-#: ``focus_has_resource``, focus→result mapping, context fetch, vector
-#: payloads, and the shard-local descendant pushdown on the closure
-#: replica.  Built *after* a bulk load (``ensure_shard_indexes``) — a
-#: post-hoc build is several times cheaper than incremental maintenance
-#: during the load, which is a large part of the sharded speed-up.
-SHARD_INDEXES: tuple[str, ...] = (
-    "CREATE INDEX idx_shard_fhr_resource ON focus_has_resource (resource_id)",
-    "CREATE INDEX idx_shard_fhr_focus ON focus_has_resource (focus_id)",
-    "CREATE INDEX idx_shard_rha_ancestor ON resource_has_ancestor (ancestor_id)",
-    "CREATE INDEX idx_shard_pr_exec ON performance_result (execution_id)",
-    "CREATE INDEX idx_shard_prv_result ON performance_result_vector (performance_result_id)",
-    "CREATE INDEX idx_shard_prf_result ON performance_result_has_focus (performance_result_id)",
-    "CREATE INDEX idx_shard_prf_focus ON performance_result_has_focus (focus_id)",
-)
-
-
-def create_shard_schema(backend: Backend, with_indexes: bool = False) -> None:
-    """Create the fact-shard tables (indexes deferred by default)."""
-    for ddl in SHARD_DDL:
-        backend.execute(ddl)
-    if with_indexes:
-        for ddl in SHARD_INDEXES:
-            backend.execute(ddl)
-    backend.commit()
-
-
-def shard_schema_is_present(backend: Backend) -> bool:
-    """True when the fact-shard tables exist in the connected database."""
-    return all(backend.has_table(t) for t in SHARD_TABLE_NAMES)
-
-
 #: Table names in creation order (used by reports and tests).
 TABLE_NAMES: tuple[str, ...] = (
     "focus_framework",

@@ -13,6 +13,7 @@ PerfTrack's script interface did exactly this for cx_Oracle vs pyGreSQL.
 
 from __future__ import annotations
 
+import os
 import sqlite3
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
@@ -110,10 +111,6 @@ class Backend:
     def has_table(self, name: str) -> bool:
         raise NotImplementedError
 
-    def has_index(self, name: str) -> bool:
-        """True when a named secondary index exists (deferred shard builds)."""
-        raise NotImplementedError
-
     def max_value(self, table: str, column: str) -> Any:
         """Largest non-NULL value of one column (bulk-load id seeding)."""
         return self.scalar(  # noqa: PTL001 — internal schema identifiers
@@ -132,9 +129,6 @@ class MinidbBackend(Backend):
 
     def has_table(self, name: str) -> bool:
         return self.connection.db.catalog.has_table(name)
-
-    def has_index(self, name: str) -> bool:
-        return name.lower() in self.connection.db.indexes
 
     def max_value(self, table: str, column: str) -> Any:
         # O(1) off a single-column index covering the column (the id
@@ -158,40 +152,17 @@ class MinidbBackend(Backend):
         return total
 
 
-class EngineBackend(MinidbBackend):
-    """Backend over one session of a shared :class:`repro.minidb.Engine`.
-
-    The sharded data store opens one engine per fact shard, so every
-    shard owns its database, its group-commit journal (WAL) and its
-    statement cache independently — shard commits never serialise on a
-    sibling's log.  Closing the backend closes the session *and* the
-    engine (checkpointing the journal).
-    """
-
-    name = "minidb-engine"
-
-    def __init__(self, database: str = ":memory:") -> None:
-        from ..minidb.connection import Engine
-
-        self.engine = Engine(database)
-        # Deliberately skip MinidbBackend.__init__: the connection comes
-        # from the engine, not the embedded single-session connect().
-        Backend.__init__(self, self.engine.connect())
-        self.database = database
-
-    def close(self) -> None:
-        self.connection.close()
-        self.engine.close()
-
-
 class SqliteBackend(Backend):
     """Backend over the standard library's sqlite3."""
 
     name = "sqlite"
 
     def __init__(self, database: str = ":memory:") -> None:
-        conn = sqlite3.connect(database)
-        conn.execute("PRAGMA foreign_keys = ON")
+        try:
+            conn = sqlite3.connect(database)
+            conn.execute("PRAGMA foreign_keys = ON")
+        except sqlite3.Error as exc:
+            raise self.translate_error(exc) from exc
         super().__init__(conn)
         self.database = database
 
@@ -212,13 +183,6 @@ class SqliteBackend(Backend):
     def has_table(self, name: str) -> bool:
         row = self.query_one(
             "SELECT name FROM sqlite_master WHERE type = 'table' AND lower(name) = ?",
-            (name.lower(),),
-        )
-        return row is not None
-
-    def has_index(self, name: str) -> bool:
-        row = self.query_one(
-            "SELECT name FROM sqlite_master WHERE type = 'index' AND lower(name) = ?",
             (name.lower(),),
         )
         return row is not None
@@ -244,4 +208,12 @@ def open_backend(kind: str = "minidb", database: str = ":memory:") -> Backend:
         raise ProgrammingError(
             f"unknown backend {kind!r}; expected one of {sorted(set(_BACKENDS))}"
         ) from None
+    if os.path.isfile(os.path.join(database, "shards.json")):
+        # The partitioned layout older releases wrote: a directory of one
+        # catalog database plus N fact databases, described by shards.json.
+        raise DatabaseError(
+            f"{database}: sharded store directory written by "
+            "`ptrack load --shards`, no longer supported; reload its PTdf "
+            "files into one store"
+        )
     return cls(database)

@@ -128,19 +128,14 @@ class TestFreeResourcesBatchedLookup:
     @staticmethod
     def _stores():
         from repro.core import PTDataStore
-        from repro.core.shards import ShardedPTDataStore
-        from repro.ptdf import parse_string
-        from tests.core.test_sharded_load import _corpus_writer
+        from tests.core.corpus import corpus_writer
 
-        text = _corpus_writer(execs=range(110), procs=4).render()
+        text = corpus_writer(execs=range(110), procs=4).render()
         stores = {}
         for kind in ("minidb", "sqlite"):
             store = PTDataStore(backend_kind=kind)
             store.load_string(text)
             stores[kind] = (store, QueryEngine(store))
-        sharded = ShardedPTDataStore(n_shards=2)
-        sharded.load_records(parse_string(text))
-        stores["sharded"] = (sharded, sharded.query_engine())
         return stores
 
     @staticmethod
@@ -171,7 +166,7 @@ class TestFreeResourcesBatchedLookup:
             outputs[kind] = qe.free_resources(results)
             store._resource_obj_cache.clear()
             assert outputs[kind] == self._per_id_reference(store, results), kind
-        assert outputs["minidb"] == outputs["sqlite"] == outputs["sharded"]
+        assert outputs["minidb"] == outputs["sqlite"]
         assert "execution/process" in outputs["minidb"]
 
     def test_statements_per_call_bounded_by_chunks(self):

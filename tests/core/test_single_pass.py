@@ -9,7 +9,8 @@ import repro.ptdf.parser as parser_mod
 from repro.cli import main
 from repro.core.datastore import PTDataStore, load_files
 from repro.core.schema import TABLE_NAMES
-from tests.core.test_sharded_load import _corpus_writer
+from repro.ptdf.lint import PTdfLintError
+from tests.core.corpus import corpus_writer
 
 
 @pytest.fixture()
@@ -18,7 +19,7 @@ def files(tmp_path):
     paths = []
     for i, execs in enumerate((range(0, 2), range(2, 3))):
         path = str(tmp_path / f"part{i}.ptdf")
-        _corpus_writer(execs).write(path)
+        corpus_writer(execs).write(path)
         paths.append(path)
     return paths
 
@@ -91,7 +92,42 @@ def test_refused_multi_file_load_writes_nothing(files, tmp_path, capsys):
     bad = tmp_path / "bad.ptdf"
     bad.write_text("PerfResult irs-9 /irs-9(primary) t m 1 s\n")
     extra = str(tmp_path / "extra.ptdf")
-    _corpus_writer(range(5, 6)).write(extra)
+    corpus_writer(range(5, 6)).write(extra)
     assert main(["load", "--quiet", "--db", db, extra, str(bad)]) == 1
     assert "load refused" in capsys.readouterr().err
     assert row_counts(db) == before
+
+
+def table_rows(store):
+    return {
+        table: set(store.backend.query(f"SELECT * FROM {table}"))
+        for table in TABLE_NAMES
+    }
+
+
+def test_load_files_equals_one_load_per_file(files):
+    one_by_one = PTDataStore()
+    for path in files:
+        one_by_one.load_file(path)
+    together = PTDataStore()
+    load_files(together, files, lint=True)
+    assert table_rows(together) == table_rows(one_by_one)
+
+
+def test_lint_gate_blocks_before_any_write(files, tmp_path):
+    bad = tmp_path / "bad.ptdf"
+    bad.write_text('Resource "/r1" "execution" "irs-none"\n')
+    store = PTDataStore()
+    before = table_rows(store)
+    with pytest.raises(PTdfLintError) as excinfo:
+        load_files(store, [files[0], str(bad)], lint=True)
+    assert any(d.code == "PT006" for d in excinfo.value.diagnostics)
+    assert table_rows(store) == before
+
+
+def test_parse_error_becomes_pt000_diagnostic(tmp_path):
+    bad = tmp_path / "bad.ptdf"
+    bad.write_text('PerfResult "e" too many fields here oops "x" 1 2 3\n')
+    with pytest.raises(PTdfLintError) as excinfo:
+        load_files(PTDataStore(), [str(bad)], lint=True)
+    assert any(d.code == "PT000" for d in excinfo.value.diagnostics)

@@ -71,40 +71,6 @@ def test_latency_key_missing_candidate_fails():
     assert compare(LATENCY_BASE, {"vectorized": {}}, keys=keys) != []
 
 
-def test_sharded_keys_guarded_by_default():
-    from tools.bench_guard import DEFAULT_KEYS
-
-    assert "sharded.load_rows_per_s" in DEFAULT_KEYS
-    assert "sharded.prfilter_p95_seconds" in DEFAULT_KEYS
-
-
-def test_sharded_rate_floor_and_latency_ceiling():
-    base = {
-        "sharded": {
-            "load_rows_per_s": 40000.0,
-            "prfilter_p95_seconds": 0.0005,
-        }
-    }
-    keys = ("sharded.load_rows_per_s", "sharded.prfilter_p95_seconds")
-    ok = {
-        "sharded": {
-            "load_rows_per_s": 39000.0,
-            "prfilter_p95_seconds": 0.00052,
-        }
-    }
-    assert compare(base, ok, keys=keys) == []
-    slow = {
-        "sharded": {
-            "load_rows_per_s": 20000.0,  # collapsed load pipeline
-            "prfilter_p95_seconds": 0.002,  # scatter-gather regression
-        }
-    }
-    problems = compare(base, slow, keys=keys)
-    assert len(problems) == 2
-    assert any("load_rows_per_s" in p and "below" in p for p in problems)
-    assert any("prfilter_p95_seconds" in p and "above" in p for p in problems)
-
-
 def test_custom_keys_and_threshold():
     cand = {"load": {"bulk_rows_per_s": 1000.0}, "query_path": {"topn_speedup": 1.5}}
     problems = compare(

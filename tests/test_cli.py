@@ -45,57 +45,71 @@ class TestGenLoad:
                      "--out", str(tmp_path / "o")]) == 1
 
 
-class TestParallelShardedLoad:
+class TestMultiFileLoad:
     @pytest.fixture()
     def ptdfs(self, tmp_path):
-        from tests.core.test_sharded_load import _corpus_writer
+        from tests.core.corpus import corpus_writer
 
         paths = []
         for i, execs in enumerate((range(0, 2), range(2, 4))):
-            w = _corpus_writer(execs) if i == 0 else _corpus_writer(execs)
             path = str(tmp_path / f"part{i}.ptdf")
-            w.write(path)
+            corpus_writer(execs).write(path)
             paths.append(path)
         return paths
 
-    def test_load_into_sharded_directory(self, ptdfs, tmp_path, capsys):
-        directory = str(tmp_path / "sharded")
-        assert main(["load", "--db", directory, "--shards", "2", *ptdfs]) == 0
-        assert os.path.exists(os.path.join(directory, "shards.json"))
-        assert os.path.exists(os.path.join(directory, "shard-0001.db"))
-        out = capsys.readouterr().out
-        assert "results" in out
-
-    def test_sharded_load_reports_warnings_and_progress(
-        self, ptdfs, tmp_path, capsys
-    ):
+    def test_load_reports_warnings_and_progress(self, ptdfs, tmp_path, capsys):
         warn = tmp_path / "warn.ptdf"
         warn.write_text(
             'ResourceAttribute /LLNL/BGL/batch/n0 "memory MB" 1 string\n'
         )
-        directory = str(tmp_path / "sharded")
-        assert main(["load", "--db", directory, "--shards", "2", "--progress",
-                     ptdfs[0], str(warn)]) == 0
+        db = str(tmp_path / "store.json")
+        assert main(["load", "--db", db, "--progress", ptdfs[0], str(warn)]) == 0
         err = capsys.readouterr().err
         assert "PT005" in err
         assert f"{warn}: 1 records in" in err and "records/s" in err
 
-    @pytest.mark.parametrize("shards", ["0", "-1"])
-    def test_shards_below_one_is_a_usage_error(
-        self, ptdfs, tmp_path, capsys, shards
-    ):
-        db = str(tmp_path / "store")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["load", "--db", db, "--shards", shards, *ptdfs])
-        assert excinfo.value.code == 2
-        assert "--shards" in capsys.readouterr().err
-        assert not os.path.exists(db)
 
-    def test_parallel_lint_gate(self, tmp_path, capsys):
-        bad = tmp_path / "bad.ptdf"
-        bad.write_text('Resource "/x" "nope"\n')
-        assert main(["load", "--shards", "2", "--quiet", str(bad)]) == 1
-        assert "lint errors" in capsys.readouterr().err
+class TestOldShardedLayoutRefused:
+    """A directory the removed ``ptrack load --shards`` wrote is refused
+    with one structured error, on both backends and by every command
+    that opens ``--db``."""
+
+    @pytest.fixture(params=["minidb", "sqlite"])
+    def layout(self, request, tmp_path):
+        import json
+
+        directory = tmp_path / "store"
+        directory.mkdir()
+        (directory / "shards.json").write_text(
+            json.dumps({"version": 1, "n_shards": 2, "backend": request.param})
+        )
+        for name in ("catalog.db", "shard-0000.db", "shard-0001.db"):
+            (directory / name).write_text("")
+        ptdf = tmp_path / "one.ptdf"
+        ptdf.write_text("Application IRS\n")
+        return request.param, str(directory), str(ptdf)
+
+    @pytest.mark.parametrize("command", ["query", "load", "lint", "pt-lint"])
+    def test_refused_with_layout_message(self, layout, command, capsys):
+        from repro.cli import pt_lint_main
+
+        backend, directory, ptdf = layout
+        entry, argv = {
+            "query": (main, ["query", "--db", directory, "--name", "/IRS"]),
+            "load": (main, ["load", "--db", directory, ptdf]),
+            "lint": (main, ["lint", "--db", directory, ptdf]),
+            "pt-lint": (pt_lint_main, ["--db", directory, ptdf]),
+        }[command]
+        assert entry([*argv, "--backend", backend]) == 1
+        err = capsys.readouterr().err
+        assert "sharded store directory written by `ptrack load --shards`" in err
+        assert "reload its PTdf files into one store" in err
+
+
+def test_unopenable_sqlite_db_is_a_database_error(tmp_path, capsys):
+    missing = str(tmp_path / "no" / "such" / "dir" / "store.sqlite")
+    assert main(["query", "--db", missing, "--backend", "sqlite"]) == 1
+    assert "database error: unable to open database file" in capsys.readouterr().err
 
 
 class TestLoadParsesEverythingFirst:

@@ -744,84 +744,3 @@ def test_ptl008_noqa_suppresses(tmp_path):
         """,
     )
     assert violations == []
-
-
-# ------------------------------------------------------------------- PTL009
-
-
-def test_sharded_table_sql_flagged(tmp_path):
-    violations = lint_source(
-        tmp_path,
-        """\
-        def peek(backend):
-            return backend.query("SELECT id FROM performance_result")
-        """,
-    )
-    assert [v.code for v in violations] == ["PTL009"]
-    assert "performance_result" in violations[0].message
-
-
-def test_sharded_table_in_variable_flagged_at_sink(tmp_path):
-    violations = lint_source(
-        tmp_path,
-        """\
-        def peek(backend):
-            sql = "SELECT focus_id FROM focus_has_resource WHERE resource_id = ?"
-            return backend.query(sql, (1,))
-        """,
-    )
-    assert [v.code for v in violations] == ["PTL009"]
-
-
-def test_sharded_table_in_fstring_flagged(tmp_path):
-    # literal table name inside an f-string still surfaces (the marks
-    # placeholder is an UPPERCASE constant, so PTL001 stays quiet)
-    violations = lint_source(
-        tmp_path,
-        """\
-        MARKS = "?, ?"
-
-        def probe(backend):
-            return backend.query(
-                f"SELECT 1 FROM resource_has_ancestor WHERE id IN ({MARKS})"
-            )
-        """,
-    )
-    assert [v.code for v in violations] == ["PTL009"]
-
-
-def test_dimension_table_sql_clean(tmp_path):
-    violations = lint_source(
-        tmp_path,
-        """\
-        def names(backend):
-            return backend.query("SELECT name FROM resource")
-        """,
-    )
-    assert violations == []
-
-
-def test_ptl009_owning_modules_and_tests_exempt(tmp_path):
-    source = (
-        "def union(backend):\n"
-        "    return backend.query(\"SELECT * FROM performance_result\")\n"
-    )
-    for allowed in ("shards.py", "bulkload.py", "query.py", "test_peek.py"):
-        path = tmp_path / allowed
-        path.write_text(source)
-        assert check_file(str(path)) == [], allowed
-    flagged = tmp_path / "elsewhere.py"
-    flagged.write_text(source)
-    assert [v.code for v in check_file(str(flagged))] == ["PTL009"]
-
-
-def test_ptl009_noqa_suppresses(tmp_path):
-    violations = lint_source(
-        tmp_path,
-        """\
-        def audited(backend):
-            sql = "SELECT COUNT(*) FROM performance_result"
-            return backend.query(sql)  # noqa: PTL009
-        """,
-    )
-    assert violations == []

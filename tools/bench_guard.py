@@ -7,8 +7,8 @@ scalability benchmark on the base commit (a worktree of the pull
 request's base, or of the commit before a push) for the baseline, then
 on the commit itself, on the same runner, then runs this guard so a PR
 cannot silently regress the bulk-load or query-execution paths.  (The
-``sharded-bench`` and ``load-generator-smoke`` jobs still compare
-against the committed ``BENCH_scalability.json``.)
+``load-generator-smoke`` job still compares against the committed
+``BENCH_scalability.json``.)
 
 Guarded keys are dotted paths into the report.  Direction is inferred
 from the key name: keys ending in ``_seconds`` are latencies (lower is
@@ -42,8 +42,6 @@ DEFAULT_KEYS = (
     "observability.profiler_enabled_drain_seconds",
     "concurrency.throughput_ops_per_s",
     "concurrency.p95_seconds",
-    "sharded.load_rows_per_s",
-    "sharded.prfilter_p95_seconds",
 )
 
 DEFAULT_THRESHOLD = 0.10

@@ -1,6 +1,6 @@
 """Repo lint harness: AST + dataflow checks plus external tools.
 
-``python -m tools.lint`` runs seven custom checkers over the source
+``python -m tools.lint`` runs eight custom checkers over the source
 tree (stdlib ``ast`` only, so it works in a bare checkout).  PTL001,
 PTL002 and PTL007 are flow-aware: they resolve names through the
 reaching-definitions engine in :mod:`tools.lint.dataflow`.
@@ -24,6 +24,8 @@ PTL006    per-row loop nested in a batch-protocol method
 PTL007    shared mutable engine state (Table/Catalog/ColumnStore
           fields) written outside the owning modules
           (``storage.py``/``wal.py``; tests exempt)
+PTL008    a ``Database`` mutator called without ``txn=`` outside
+          ``storage.py``/``wal.py`` (tests exempt)
 ========  ==========================================================
 
 It then runs ``ruff`` and ``mypy`` when they are importable; pass

@@ -95,43 +95,6 @@ PTL008_MUTATORS = frozenset(
 #: transaction.  Additions must be justified in docs/static_analysis.md.
 PTL008_ALLOWED_MODULES = frozenset({"storage.py", "wal.py"})
 
-#: PTL009 — fact tables hash-partitioned across shard databases (plus
-#: the closure/focus replicas each shard keeps).  SQL naming one of
-#: these against a single backend silently sees one shard's fraction of
-#: the rows on a sharded deployment.
-PTL009_SHARDED_TABLES = frozenset(
-    {
-        "performance_result",
-        "performance_result_vector",
-        "performance_result_has_focus",
-        "focus_has_resource",
-        "resource_has_ancestor",
-    }
-)
-
-#: modules that own shard routing or the single-store fallback and may
-#: address fact tables directly: schema.py defines the DDL, shards.py
-#: and bulkload.py route and replicate rows, datastore.py is the serial
-#: store the catalog reuses, query.py builds the per-shard evaluation
-#: indexes and the serial probes, comparison.py joins fact rows inside
-#: one serial store.  Additions must be justified in
-#: docs/static_analysis.md.
-PTL009_ALLOWED_MODULES = frozenset(
-    {
-        "schema.py",
-        "shards.py",
-        "bulkload.py",
-        "datastore.py",
-        "query.py",
-        "comparison.py",
-    }
-)
-
-_PTL009_RE = re.compile(
-    r"\b(" + "|".join(sorted(PTL009_SHARDED_TABLES)) + r")\b"
-)
-
-
 @dataclass(frozen=True)
 class Violation:
     path: str
@@ -191,26 +154,6 @@ def _interpolated_sql(node: ast.expr) -> Optional[str]:
         if node.func.attr == "format":
             return "SQL built with str.format()"
     return None
-
-
-def _literal_sql_text(node: ast.expr) -> str:
-    """Best-effort constant rendering of a SQL expression.
-
-    Interpolated pieces (f-string placeholders, non-literal concatenation
-    operands) drop out — table names written literally anywhere in the
-    statement still surface for PTL009.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.JoinedStr):
-        return "".join(
-            part.value
-            for part in node.values
-            if isinstance(part, ast.Constant) and isinstance(part.value, str)
-        )
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mod)):
-        return _literal_sql_text(node.left) + " " + _literal_sql_text(node.right)
-    return ""
 
 
 def _walk_no_nested(func: ast.AST) -> Iterator[ast.AST]:
@@ -289,7 +232,6 @@ class _Checker(ast.NodeVisitor):
                     f"{reason}; use ? placeholders (or interpolate only "
                     f"UPPERCASE constants)",
                 )
-            self._check_sharded_table(node)
         if (
             isinstance(node.func, ast.Attribute)
             and node.func.attr == "time"
@@ -326,35 +268,6 @@ class _Checker(ast.NodeVisitor):
                 f"justification in docs/static_analysis.md)",
             )
         self.generic_visit(node)
-
-    def _check_sharded_table(self, node: ast.Call) -> None:
-        """PTL009: SQL addressing a hash-partitioned fact table.
-
-        The statement text is recovered literally (following a bare name
-        one hop through its reaching definitions); any sharded table
-        named in it is flagged — on a sharded store a single backend
-        holds one partition, so the query silently misses rows.
-        """
-        arg = node.args[0]
-        text = _literal_sql_text(arg)
-        if not text and isinstance(arg, ast.Name) and self._facts is not None:
-            for origin in self._facts.origins(arg):
-                text = _literal_sql_text(origin)
-                if text:
-                    break
-        match = _PTL009_RE.search(text)
-        if match is not None:
-            self._add(
-                node,
-                "PTL009",
-                f"SQL addresses sharded table {match.group(1)!r} directly: "
-                f"each shard backend holds one hash partition of it, so "
-                f"this statement silently misses rows on a sharded store; "
-                f"go through ShardedPTDataStore (table_rows/count_rows) or "
-                f"the scatter-gather query engine (or add the module to "
-                f"the PTL009 allowlist with a justification in "
-                f"docs/static_analysis.md)",
-            )
 
     def _is_database(self, expr: ast.expr, depth: int = 4) -> bool:
         """Heuristic: does *expr* evaluate to the engine ``Database``?
@@ -656,7 +569,6 @@ def check_file(path: str) -> list[Violation]:
     is_test = _is_test_path(path)
     owns_engine_state = os.path.basename(path) in PTL007_ALLOWED_MODULES
     owns_txn_plumbing = os.path.basename(path) in PTL008_ALLOWED_MODULES
-    owns_shard_routing = os.path.basename(path) in PTL009_ALLOWED_MODULES
     out = []
     for v in checker.violations:
         if v.code == "PTL005" and is_test:
@@ -664,8 +576,6 @@ def check_file(path: str) -> list[Violation]:
         if v.code == "PTL007" and (is_test or owns_engine_state):
             continue
         if v.code == "PTL008" and (is_test or owns_txn_plumbing):
-            continue
-        if v.code == "PTL009" and (is_test or owns_shard_routing):
             continue
         codes = noqa.get(v.line, False)
         if codes is False:
