@@ -146,6 +146,16 @@ class BulkLoader:
         # Lazy per-table id counters: probed on first use so untouched
         # tables never pay the MAX() lookup.
         self._next_ids: dict[str, int] = {}
+        #: the first resource id this loader assigns (ids below it were stored before)
+        self._first_resource_id: Optional[int] = None
+        #: the store's focus cache, fetched by the first _focus_for
+        self._foci: Optional[dict[str, int]] = None
+        self._new_foci = 0
+        #: (resource_id, name, value, attr_type) -> id of every attribute row
+        #: buffered here or stored for a resource read in _stored_attributes
+        self._attr_ids: dict[tuple, int] = {}
+        self._attrs_read: set[int] = set()
+        self._new_attrs = 0
 
     def _take_id(self, table: str) -> int:
         nid = self._next_ids.get(table)
@@ -166,7 +176,6 @@ class BulkLoader:
 
         store = self.store
         stats = LoadStats()
-        pre_foci = len(store._focus_ids)
         try:
             for rec in records:
                 if isinstance(rec, ApplicationRec):
@@ -189,7 +198,6 @@ class BulkLoader:
                     self._resource_attribute(
                         rec.resource, rec.attribute, rec.value, rec.attr_type
                     )
-                    stats.attributes += 1
                 elif isinstance(rec, ResourceConstraintRec):
                     self._resource_constraint(rec.resource1, rec.resource2)
                     stats.constraints += 1
@@ -211,14 +219,17 @@ class BulkLoader:
             self.backend.rollback()
             self.discard()
             raise
-        stats.foci = len(store._focus_ids) - pre_foci
+        stats.foci = self._new_foci
+        stats.attributes = self._new_attrs
         self.backend.commit()
         return stats
 
     def discard(self) -> None:
         """Forget what this loader cached but did not flush: rebuild the
-        store's caches from the database, without rolling it back."""
+        store's caches from the database, without rolling it back (the
+        focus cache is read again on the next loader's first use)."""
         self.store._resource_obj_cache.clear()
+        self.store._focus_ids = None
         self.store._warm_caches()
 
     def flush(self) -> None:
@@ -312,6 +323,8 @@ class BulkLoader:
             if rid is None:
                 tpath = "/".join(type_segments[:depth])
                 rid = self._take_id("resource_item")
+                if self._first_resource_id is None:
+                    self._first_resource_id = rid
                 self._put(
                     "resource_item",
                     (
@@ -336,14 +349,40 @@ class BulkLoader:
     def _resource_attribute(
         self, resource: str, attribute: str, value: str, attr_type: str
     ) -> int:
+        """Write one attribute row, unless the resource already has it
+        (stored or buffered): a restated attribute writes nothing and
+        returns the existing row's id."""
         rid = self.store.resource_id(resource)
+        key = (rid, attribute, str(value), attr_type)
+        if rid not in self._attrs_read and self._stored_before(rid):
+            self._stored_attributes(rid)
+        aid = self._attr_ids.get(key)
+        if aid is not None:
+            return aid
         if attr_type == "resource":
             self._resource_constraint(resource, value)
         aid = self._take_id("resource_attribute")
-        self._put(
-            "resource_attribute", (aid, rid, attribute, str(value), attr_type)
-        )
+        self._put("resource_attribute", (aid, *key))
+        self._attr_ids[key] = aid
+        self._new_attrs += 1
         return aid
+
+    def _stored_before(self, rid: int) -> bool:
+        """Whether resource *rid* was stored before this loader ran."""
+        first = self._first_resource_id
+        return first is None or rid < first
+
+    def _stored_attributes(self, rid: int) -> None:
+        """Read the stored attribute rows of resource *rid* into the
+        loader's attribute map (once per resource)."""
+        self._attrs_read.add(rid)
+        rows = self.backend.query(
+            "SELECT id, name, value, attr_type FROM resource_attribute "
+            "WHERE resource_id = ?",
+            (rid,),
+        )
+        for aid, name, value, attr_type in rows:
+            self._attr_ids.setdefault((rid, name, value, attr_type), aid)
 
     def _resource_constraint(self, resource1: str, resource2: str) -> int:
         r1 = self.store.resource_id(resource1)
@@ -353,17 +392,20 @@ class BulkLoader:
         return cid
 
     def _focus_for(self, resource_ids) -> int:
-        store = self.store
+        foci = self._foci
+        if foci is None:
+            foci = self._foci = self.store.focus_ids()
         ordered = sorted(set(resource_ids))
         canonical = ",".join(map(str, ordered))
-        fid = store._focus_ids.get(canonical)
+        fid = foci.get(canonical)
         if fid is not None:
             return fid
         fid = self._take_id("focus")
         self._put("focus", (fid, canonical))
         for rid in ordered:
             self._put("focus_has_resource", (fid, rid))
-        store._focus_ids[canonical] = fid
+        foci[canonical] = fid
+        self._new_foci += 1
         return fid
 
     def _associate_foci(self, pr_id: int, resource_sets) -> None:

@@ -136,7 +136,9 @@ class PTDataStore:
         self._exec_ids: dict[str, int] = {}
         self._metric_ids: dict[str, int] = {}
         self._tool_ids: dict[str, int] = {}
-        self._focus_ids: dict[str, int] = {}
+        # resource_hash -> focus id: only the loader reads it, so it is
+        # read on the loader's first use (see focus_ids), not at open.
+        self._focus_ids: Optional[dict[str, int]] = None
         # Materialised Resource objects are immutable once created, so the
         # id -> Resource cache never needs invalidation.
         self._resource_obj_cache: dict[int, Resource] = {}
@@ -156,7 +158,14 @@ class PTDataStore:
         self._metric_ids = {n: i for i, n in b.query("SELECT id, name FROM metric")}
         self._tool_ids = {n: i for i, n in b.query("SELECT id, name FROM performance_tool")}
         self._resource_ids = {n: i for i, n in b.query("SELECT id, name FROM resource_item")}
-        self._focus_ids = {h: i for i, h in b.query("SELECT id, resource_hash FROM focus")}
+
+    def focus_ids(self) -> dict[str, int]:
+        """The resource_hash -> focus id cache, read from the store on
+        first use and kept up to date by the loader."""
+        if self._focus_ids is None:
+            rows = self.backend.query("SELECT id, resource_hash FROM focus")
+            self._focus_ids = {h: i for i, h in rows}
+        return self._focus_ids
 
     def initialize_base_types(self) -> None:
         """Load the Figure-2 base types through the type-extension interface."""

@@ -193,15 +193,6 @@ def probe_exprs(path) -> list:
     return []
 
 
-def index_lookup(ctx: ExecContext, path):
-    """The exact-key probe of *path*'s index: ``lookup(key) -> row ids``.
-
-    Plans cache live Index objects; snapshot reads resolve them to the
-    pinned version's frozen copy (identity on a live database).
-    """
-    return ctx.db.index_state(path.index).lookup
-
-
 def path_rowids(ctx: ExecContext, path, table, values):
     """Row ids one probe of *path* visits, given the values of its
     :func:`probe_exprs`.  Ids may name rows deleted since the probe
@@ -215,11 +206,13 @@ def path_rowids(ctx: ExecContext, path, table, values):
         return _hash_probe(ctx, path, table, values)
     if _M.enabled:
         _INDEX_LOOKUPS.inc()
-    if isinstance(path, IndexEquality):
-        return index_lookup(ctx, path)(tuple(values))
+    # Plans cache live Index objects; snapshot reads resolve them to the
+    # pinned version's frozen copy (identity on a live database).
     index = ctx.db.index_state(path.index)
-    if isinstance(path, InProbePath):
-        return _in_probe(index, values)
+    if isinstance(path, IndexEquality):
+        return index.rowids(values)
+    if isinstance(path, InProbePath):  # always a one-column index
+        return index.rowids_in(values)
     nprefix = len(path.prefix_exprs)
     if nprefix:
         prefix = tuple(values[:nprefix])
@@ -234,16 +227,6 @@ def path_rowids(ctx: ExecContext, path, table, values):
         high = (next(bounds),)
         high_inc = path.high[0] == "<="
     return index.range_scan(low, high, low_inc, high_inc)
-
-
-def _in_probe(index, values) -> Iterator[int]:
-    """``column IN (values...)``: each key probed once, ids deduplicated."""
-    seen: set[int] = set()
-    for value in values:
-        for rowid in index.lookup((value,)):
-            if rowid not in seen:
-                seen.add(rowid)
-                yield rowid
 
 
 def _hash_probe(ctx: ExecContext, path, table, values):
@@ -316,12 +299,12 @@ class VecScan(Operator):
         table = ctx.db.table(path.table)
         get = table.rows.get
         if isinstance(path, IndexEquality):
-            lookup = index_lookup(ctx, path)
+            rowids = ctx.db.index_state(path.index).rowids
 
             def probe(values: tuple) -> tuple[int, list]:
                 if _M.enabled:
                     _INDEX_LOOKUPS.inc()
-                ids = lookup(values)
+                ids = rowids(values)
                 return len(ids), [r for r in map(get, ids) if r is not None]
 
             return probe

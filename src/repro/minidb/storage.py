@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from ..obs.metrics import metrics as _M
 from .catalog import Catalog, IndexMeta, TableMeta
 from .errors import IntegrityError, InternalError
-from .index import Index
+from .index import Index, batch_keys, has_null, row_keys
 from .locks import SCHEMA_LOCK, LockManager
 from .sqltypes import coerce
 
@@ -293,11 +293,6 @@ class TableVersion:
                 if store is None:
                     store = self._column_store = ColumnStore(self)
         return store
-
-
-def _keys(columns: Sequence[Sequence], positions: tuple[int, ...]) -> list[tuple]:
-    """Index keys of a batch given column-wise (one tuple per row)."""
-    return list(zip(*map(columns.__getitem__, positions)))
 
 
 class TablePlan:
@@ -585,7 +580,7 @@ class Database:
         positions = [table.meta.column_index(c) for c in imeta.columns]
         rows = table.rows
         try:
-            idx.rebuild([tuple(row[p] for p in positions) for row in rows.values()], list(rows))
+            idx.rebuild(row_keys(rows.values(), positions), list(rows))
         except IntegrityError:
             # Existing data violates the new UNIQUE index: undo registration.
             self.catalog.drop_index(imeta.name)
@@ -771,11 +766,12 @@ class Database:
 
     def fill(self, table: Table, rowids: list[int], columns: Sequence[Sequence]) -> None:
         """Set the rows of a table read from a snapshot, given column-wise,
-        and rebuild every index on it from the columns."""
+        and rebuild every index on it from the columns (a one-column
+        index straight from its decoded column)."""
         meta = table.meta
         for idx in self._indexes_of(meta.name):
             positions = tuple(map(meta.column_index, idx.columns))
-            idx.rebuild(_keys(columns, positions), rowids)
+            idx.rebuild(batch_keys(columns, positions), rowids)
         table.rows = dict(zip(rowids, zip(*columns)))
         table.encoded = table._load = None
         table.bump_version()
@@ -784,7 +780,7 @@ class Database:
         """Add a batch of rows, given column-wise, to every index of *table*
         (no uniqueness check: inserts check first, WAL replay has none)."""
         for idx, positions in self._plan(table.meta).indexes:
-            idx.insert_many(_keys(columns, positions), rowids)
+            idx.insert_many(batch_keys(columns, positions), rowids)
 
     def insert_rows(
         self,
@@ -828,10 +824,10 @@ class Database:
                     col[r] = v = next_auto
                 if isinstance(v, int) and v >= next_auto:
                     next_auto = v + 1
-        # Index keys, one tuple per row, by key positions.
+        # Native index keys, by key positions.
         keys = {}
         for _idx, positions in plan.indexes:
-            keys[positions] = _keys(columns, positions)
+            keys[positions] = batch_keys(columns, positions)
 
         # Errors rank by when sqlite3 would raise them: 2*r for a row
         # error at row r (*pending* is one at row n), 2*end - 1 for a
@@ -850,7 +846,7 @@ class Database:
         for fk, positions, ref_meta, ref_index, ref_positions in plan.fks:
             fk_keys = keys.get(positions)
             if fk_keys is None:
-                fk_keys = keys[positions] = _keys(columns, positions)
+                fk_keys = keys[positions] = batch_keys(columns, positions)
             limit = (rank + 1) // 2
             if limit < n:
                 fk_keys = fk_keys[:limit]
@@ -870,10 +866,10 @@ class Database:
         for idx, positions in plan.indexes:
             if idx.unique:
                 limit = (rank + 1) // 2
-                batch_keys = keys[positions] if limit >= n else keys[positions][:limit]
-                r = idx.first_conflict(batch_keys)
+                checked = keys[positions] if limit >= n else keys[positions][:limit]
+                r = idx.first_conflict(checked)
                 if r is not None:
-                    rank, error = 2 * r, idx.unique_error(batch_keys[r])
+                    rank, error = 2 * r, idx.unique_error(checked[r])
         if error is not None:
             raise error
         if not n:
@@ -961,38 +957,37 @@ class Database:
     # -- referential integrity ---------------------------------------------------------
 
     def _unreferenced(
-        self, keys: list[tuple], ref_meta: TableMeta, ref_positions: tuple[int, ...],
-    ) -> set[tuple]:
-        """The distinct non-NULL keys of *keys* no row of the (unindexed)
-        parent has."""
-        ref_rows = self.table(ref_meta.name).rows.values()
-        return {
-            key for key in set(keys)
-            if None not in key
-            and not any(all(r[p] == v for p, v in zip(ref_positions, key)) for r in ref_rows)
-        }
+        self, keys: Sequence, ref_meta: TableMeta, ref_positions: tuple[int, ...],
+    ) -> set:
+        """The distinct non-NULL native keys of *keys* no row of the
+        (unindexed) parent has."""
+        ref_keys = row_keys(self.table(ref_meta.name).rows.values(), ref_positions)
+        width = len(ref_positions)
+        return {key for key in set(keys).difference(ref_keys) if not has_null(key, width)}
 
     def _first_dangling(
-        self, meta: TableMeta, keys: list[tuple], missing: set[tuple],
+        self, meta: TableMeta, keys: Sequence, missing: set,
         columns: Sequence[Sequence], ref_meta: TableMeta, ref_positions: tuple[int, ...],
         statement_rows: Optional[int],
     ) -> Optional[int]:
         """End (exclusive row position) of the first statement of a batch
         that leaves an FK key with no parent row.
 
-        *missing* holds the batch's keys its parent table lacks.  NULL
+        *keys* and *missing* are native index keys; *missing* holds the
+        batch's keys its parent table lacks.  NULL
         keys pass (SQL MATCH SIMPLE).  A self-referencing key may also
         point at a row of the same batch (given column-wise) that its own
         statement or an earlier one inserts: the key is checked when its
         statement ends.  ``None`` *statement_rows* makes the batch (and
         any rows past it) one statement, ending after the last row.
         """
-        missing = {key for key in missing if None not in key}
+        width = len(ref_positions)
+        missing = {key for key in missing if not has_null(key, width)}
         if not missing:
             return None
-        first: dict[tuple, int] = {}
+        first: dict = {}
         if ref_meta is meta:
-            for j, key in enumerate(_keys(columns, ref_positions)):
+            for j, key in enumerate(batch_keys(columns, ref_positions)):
                 first.setdefault(key, j)
         k = statement_rows
         for i, key in enumerate(keys):

@@ -188,3 +188,77 @@ def test_failed_bulk_load_rewinds_caches():
     with pytest.raises(ProgrammingError):
         store.load_records(bad)
     assert store._exec_ids == exec_ids  # "ghost" did not survive the failure
+
+
+def _attribute_rows(store):
+    return sorted(store.backend.query(
+        "SELECT id, resource_id, name, value, attr_type FROM resource_attribute"
+    ))
+
+
+def _restated(run: str = "run-1"):
+    """The attribute statements of sample_records(run), once more."""
+    return [r for r in sample_records(run) if isinstance(r, ResourceAttributeRec)]
+
+
+@pytest.mark.parametrize("backend_kind", ["minidb", "sqlite"])
+def test_restated_attributes_write_nothing(backend_kind):
+    store = PTDataStore(backend_kind=backend_kind)
+    store.load_records(sample_records())
+    rows = _attribute_rows(store)
+    constraints = store.backend.scalar("SELECT COUNT(*) FROM resource_constraint")
+    # stored: a second load restating them, and add_* calls
+    assert store.load_records(_restated()).attributes == 0
+    for rec in _restated():
+        aid = store.add_resource_attribute(rec.resource, rec.attribute, rec.value, rec.attr_type)
+        assert aid in {r[0] for r in rows}
+    # buffered: the same statement twice in one load
+    recs = sample_records("run-2")
+    stats = store.load_records(recs + _restated("run-2"))
+    assert stats.attributes == 2
+    assert len(_attribute_rows(store)) == len(rows) + 2
+    assert store.backend.scalar("SELECT COUNT(*) FROM resource_constraint") == constraints * 2
+    # a new value is a new row
+    assert store.load_records(
+        [ResourceAttributeRec("/run-1", "trial", "4", "string")]
+    ).attributes == 1
+    store.close()
+
+
+def test_load_into_fresh_store_reads_no_attributes():
+    store = PTDataStore()
+    statements = []
+    execute = store.backend.execute
+
+    def spy(sql, params=()):
+        statements.append(sql)
+        return execute(sql, params)
+
+    store.backend.execute = spy
+    store.load_records(sample_records() + _restated())
+    assert not [s for s in statements if s.lstrip().upper().startswith("SELECT")
+                and "resource_attribute" in s]
+    assert len(_attribute_rows(store)) == 2
+
+
+def test_focus_cache_is_read_on_the_loaders_first_use(tmp_path):
+    path = str(tmp_path / "store.db")
+    store = PTDataStore(database=path)
+    store.load_records(sample_records("run-0"))
+    store.close()
+    store = PTDataStore(database=path, initialize=False)
+    db = store.backend.connection.db
+    assert store._focus_ids is None and db.tables["focus"].encoded is not None
+    # A failed load drops the cache; the next load reads it again and
+    # reuses the stored foci.
+    foci = store.backend.scalar("SELECT COUNT(*) FROM focus")
+    with pytest.raises(ProgrammingError):
+        store.load_records(sample_records("run-0") + [
+            PerfResultRec("missing", (ResourceSet(("/all",)),), "t", "m", 1.0, "u")
+        ])
+    assert store._focus_ids is None
+    stats = store.load_records(sample_records("run-0")[5:])
+    assert stats.foci == 0 and stats.results == 3
+    assert store.backend.scalar("SELECT COUNT(*) FROM focus") == foci
+    assert len(store._focus_ids) == foci
+    store.close()

@@ -1,5 +1,8 @@
 """Index data-structure unit tests (hash + ordered access paths)."""
 
+import gc
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,6 +142,10 @@ class TestPropertyBased:
                     ref.pop(key, None)
         for key in range(10):
             assert sorted(idx.lookup((key,))) == sorted(ref.get(key, []))
+            assert sorted(idx.rowids((key,))) == sorted(ref.get(key, []))
+        # an IN-probe: each distinct key once, key by key
+        probe = [3, 1, 3, 11, 1.0, 0]
+        assert idx.rowids_in(probe) == [r for k in (3, 1, 11, 0) for r in idx.lookup((k,))]
         # ordered iteration covers exactly the reference contents
         all_ref = sorted(r for bucket in ref.values() for r in bucket)
         assert sorted(idx.iter_ordered()) == all_ref
@@ -153,8 +160,8 @@ _values = st.one_of(
 
 
 @st.composite
-def _index_cases(draw):
-    width = draw(st.integers(1, 3))
+def _index_cases(draw, min_width=1, max_width=3):
+    width = draw(st.integers(min_width, max_width))
     key = st.tuples(*[_values] * width)
     keys = draw(st.lists(key, max_size=40))
     unique = draw(st.booleans())
@@ -189,6 +196,11 @@ def _observe(idx: Index, width: int, probes: list) -> list:
     return out
 
 
+def _native(width: int, keys: list) -> list:
+    """*keys* (tuples) as the batch API takes them: bare values at width 1."""
+    return [k[0] for k in keys] if width == 1 else keys
+
+
 class TestRebuildEquivalence:
     """``rebuild`` (one pass, lazy sort) answers exactly like ``insert``."""
 
@@ -196,32 +208,59 @@ class TestRebuildEquivalence:
     def _pair(width, unique, keys):
         cols = [f"c{i}" for i in range(width)]
         built = Index("i", "t", cols, unique=unique)
-        built.rebuild(keys, range(len(keys)))
+        built.rebuild(_native(width, keys), range(len(keys)))
         inserted = Index("i", "t", cols, unique=unique)
         for rid, k in enumerate(keys):
             inserted.insert(k, rid)
         return built, inserted
 
+    @pytest.mark.parametrize("widths", [(1, 1), (2, 3)], ids=["width1", "composite"])
     @settings(max_examples=150, deadline=None)
-    @given(case=_index_cases())
-    def test_rebuild_matches_inserts(self, case):
-        width, unique, keys, probes = case
+    @given(data=st.data())
+    def test_rebuild_matches_inserts(self, widths, data):
+        width, unique, keys, probes = data.draw(_index_cases(*widths))
         built, inserted = self._pair(width, unique, keys)
+        assert built._map == inserted._map
         assert _observe(built, width, probes) == _observe(inserted, width, probes)
 
+    @pytest.mark.parametrize("widths", [(1, 1), (2, 3)], ids=["width1", "composite"])
     @settings(max_examples=75, deadline=None)
-    @given(case=_index_cases())
-    def test_rebuild_matches_inserts_after_freeze_detach(self, case):
-        width, unique, keys, probes = case
+    @given(data=st.data())
+    def test_rebuild_matches_inserts_after_freeze_detach(self, widths, data):
+        width, unique, keys, probes = data.draw(_index_cases(*widths))
         built, inserted = self._pair(width, unique, keys)
         expected = _observe(inserted, width, probes)
         snap = built.freeze()
         built.detach()
         assert _observe(snap, width, probes) == expected
         assert _observe(built, width, probes) == expected
-        # Writes to the detached index leave the frozen snapshot alone.
+        # Writes to the detached index leave the frozen snapshot alone,
+        # array buckets included.
         built.insert(tuple([None] * width), len(keys))
+        for rid, k in enumerate(keys):
+            if not unique:
+                built.insert(k, len(keys) + 1 + rid)
+            built.delete(k, rid)
         assert _observe(snap, width, probes) == expected
+
+    @pytest.mark.parametrize("keys, unique", [
+        ([i // 4 for i in range(300)], False),             # runs of equal keys
+        ([i % 7 for i in range(300)], False),              # scattered repeats
+        (list(range(200)) + [5, 77, 5], False),            # repeats late
+        (list(range(200)), True),                          # UNIQUE: one dict build
+        ([None] * 3 + list(range(100)) + [None], True),    # UNIQUE with NULL repeats
+    ], ids=["runs", "scattered", "late-repeats", "unique", "unique-nulls"])
+    def test_rebuild_paths_give_the_insert_layout(self, keys, unique):
+        built = Index("i", "t", ["a"], unique=unique)
+        built.rebuild(keys, range(len(keys)))
+        inserted = Index("i", "t", ["a"], unique=unique)
+        for rid, k in enumerate(keys):
+            inserted.insert((k,), rid)
+        assert list(built._map.items()) == list(inserted._map.items())
+        batched = Index("i", "t", ["a"], unique=unique)
+        for a in range(0, len(keys), 64):
+            batched.insert_many(keys[a:a + 64], range(a, min(a + 64, len(keys))))
+        assert list(batched._map.items()) == list(inserted._map.items())
 
     def test_rebuild_unique_violation_names_index(self):
         keys = [("a", 1), (None, 1), (None, 1), ("a", 1)]
@@ -234,49 +273,75 @@ class TestRebuildEquivalence:
             ref.insert(("a", 1), 4)
         assert str(exc.value) == str(ref_exc.value)
 
+    def test_width1_unique_violation_names_the_tuple_key(self):
+        idx = Index("uq_a", "t", ["a"], unique=True)
+        idx.rebuild([7], [1])
+        with pytest.raises(IntegrityError, match=r"key \(5,\)$"):
+            idx.rebuild([5, None, None, 5], [1, 2, 3, 4])
+        assert idx.lookup((7,)) == [1]  # a failed rebuild keeps the index
+        assert str(idx.unique_error(5)).endswith("index uq_a (a) key (5,)")
+
     def test_rebuild_sorts_lazily(self):
         idx = Index("i", "t", ["a"])
-        idx.rebuild([(3,), (1,), (2,)], [1, 2, 3])
+        idx.rebuild([3, 1, 2], [1, 2, 3])
         assert idx._sorted == [] and not idx._sorted_valid
         assert list(idx.iter_ordered()) == [2, 3, 1]
-        assert idx._sorted_valid
+        assert idx._sorted_valid and idx._sorted == [1, 2, 3]
+
+    def test_max_key_keeps_the_sorted_list(self):
+        # The loader probes max_key once per table and write; after the
+        # first call, later writes keep the sorted list, so it is not rebuilt.
+        idx = Index("i", "t", ["a"])
+        idx.rebuild([3, None, 1, 2], [1, 2, 3, 4])
+        assert idx.max_key() == (3,) and idx._sorted_valid
+        idx.insert_many([9, 5], [5, 6])
+        idx.insert((7,), 7)
+        assert idx._sorted_valid and idx._sorted == [None, 1, 2, 3, 5, 7, 9]
+        assert idx.max_key() == (9,)
 
 
 class TestInsertManyEquivalence:
     """``insert_many`` over batches answers exactly like one ``insert`` per key."""
 
+    @pytest.mark.parametrize("widths", [(1, 1), (2, 3)], ids=["width1", "composite"])
     @settings(max_examples=150, deadline=None)
     @given(
-        case=_index_cases(),
+        data=st.data(),
         cuts=st.lists(st.integers(0, 40), max_size=4),
         sorted_valid=st.booleans(),
     )
-    def test_insert_many_matches_inserts(self, case, cuts, sorted_valid):
-        width, unique, keys, probes = case
+    def test_insert_many_matches_inserts(self, widths, data, cuts, sorted_valid):
+        width, unique, keys, probes = data.draw(_index_cases(*widths))
         cols = [f"c{i}" for i in range(width)]
         batched = Index("i", "t", cols, unique=unique)
-        if not sorted_valid:
-            batched.rebuild([], [])  # sorted list built lazily
+        inserted = Index("i", "t", cols, unique=unique)
+        if sorted_valid:  # an ordered read builds the sorted list early
+            list(batched.distinct_keys())
+            list(inserted.distinct_keys())
+        native = _native(width, keys)
         bounds = sorted({0, len(keys), *(c for c in cuts if c <= len(keys))})
         for a, b in zip(bounds, bounds[1:]):
-            batched.insert_many(keys[a:b], list(range(a, b)))
-        inserted = Index("i", "t", cols, unique=unique)
+            batched.insert_many(native[a:b], list(range(a, b)))
         for rid, k in enumerate(keys):
             inserted.insert(k, rid)
         assert batched._map == inserted._map
-        assert batched._sorted_valid == sorted_valid
+        assert batched._sorted_valid == inserted._sorted_valid == sorted_valid
         if sorted_valid:  # the merged list is the one insort maintained
             assert batched._sorted == inserted._sorted
         assert _observe(batched, width, probes) == _observe(inserted, width, probes)
 
+    @pytest.mark.parametrize("width", [1, 2])
     @settings(max_examples=150, deadline=None)
     @given(
-        existing=st.lists(st.tuples(_values), max_size=10),
-        keys=st.lists(st.tuples(_values), max_size=20),
+        existing=st.lists(st.tuples(_values, _values), max_size=10),
+        keys=st.lists(st.tuples(_values, _values), max_size=20),
     )
-    def test_first_conflict_is_where_inserts_fail(self, existing, keys):
-        idx = Index("u", "t", ["a"], unique=True)
-        ref = Index("u", "t", ["a"], unique=True)
+    def test_first_conflict_is_where_inserts_fail(self, width, existing, keys):
+        existing = [k[:width] for k in existing]
+        keys = [k[:width] for k in keys]
+        cols = ["a", "b"][:width]
+        idx = Index("u", "t", cols, unique=True)
+        ref = Index("u", "t", cols, unique=True)
         for rid, k in enumerate(existing):
             if None in k or not idx.lookup(k):
                 idx.insert(k, rid)
@@ -287,6 +352,102 @@ class TestInsertManyEquivalence:
                 ref.insert(k, 100 + i)
             except IntegrityError as exc:
                 expected = i
-                assert str(exc) == str(idx.unique_error(k))
+                assert str(exc) == str(idx.unique_error(_native(width, [k])[0]))
                 break
-        assert idx.first_conflict(keys) == expected
+        assert idx.first_conflict(_native(width, keys)) == expected
+
+
+def _layout_faults(db) -> list:
+    """Where the built indexes of *db* break the bucket layout.
+
+    Every bucket is an ``int`` or an ``array('q')`` of two or more rowids.
+    A one-column index holds no object the cyclic collector tracks but
+    its multi-row arrays (``array`` is a GC type in CPython), and a map
+    whose buckets are all ints is not tracked at all.
+    """
+    faults = []
+    for idx in db.indexes.values():
+        if not hasattr(idx, "_map"):  # table still encoded
+            continue
+        for key, bucket in idx._map.items():
+            if type(bucket) is int:
+                continue
+            if type(bucket) is not array or bucket.typecode != "q" or len(bucket) < 2:
+                faults.append((idx.name, key, bucket))
+        if len(idx.columns) == 1:
+            held = [o for o in gc.get_referents(idx._map) if gc.is_tracked(o)]
+            if any(type(o) is not array for o in held):
+                faults.append((idx.name, "tracked key or bucket"))
+            if not held and gc.is_tracked(idx._map):
+                faults.append((idx.name, "map tracked"))
+    return faults
+
+
+class TestBucketLayout:
+    """A PerfTrack store keeps the off-heap bucket layout through its life."""
+
+    @pytest.mark.parametrize("opening", ["lazy", "eager"])
+    def test_layout_holds_through_a_store_life(self, opening, tmp_path):
+        from repro.core import ByName, Expansion, PrFilter, PTDataStore
+        from repro.core.query import QueryEngine
+        from tests.core.corpus import corpus_writer
+        from tests.minidb.test_wal import _reference_snapshot
+
+        path = str(tmp_path / "store.db")
+        store = PTDataStore(database=path)
+        store.load_string(corpus_writer(range(3)).render())  # load + commit
+        assert _layout_faults(store.backend.connection.db) == []
+        store.close()
+        if opening == "eager":  # the same store as a v1 file opens whole
+            reader = PTDataStore(database=path, initialize=False)
+            db = reader.backend.connection.db
+            for name in db.tables:
+                db.table(name)
+            text = _reference_snapshot(db)
+            reader.close()
+            path = str(tmp_path / "eager.db")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        store = PTDataStore(database=path, initialize=False)
+        db = store.backend.connection.db
+        encoded = [t for t in db.tables.values() if t.encoded is not None]
+        assert bool(encoded) == (opening == "lazy")
+        assert _layout_faults(db) == []
+
+        prf = PrFilter()
+        prf.add(ByName("/irs-1", Expansion("D")))
+        assert len(QueryEngine(store).result_ids(store.resolve_prfilter(prf))) == 9
+        assert _layout_faults(db) == []
+
+        # Four nodes carry 'memory MB': deleting three leaves a one-row key.
+        (by_name,) = [i for i in db.indexes_on("resource_attribute") if i.name == "idx_ra_name"]
+        before = by_name._map["memory MB"]
+        assert type(before) is array and len(before) == 4
+        before = before.tolist()
+        rows = db.table("resource_attribute").rows
+        backend = store.backend
+        backend.execute("DELETE FROM resource_attribute WHERE id IN (?, ?, ?)",
+                        tuple(rows[rid][0] for rid in before[:3]))
+        assert by_name._map["memory MB"] == before[3]
+        gc.collect()  # a dict that held an array stays tracked until then
+        assert not gc.is_tracked(by_name._map)
+        assert _layout_faults(db) == []
+        backend.rollback()
+        assert sorted(by_name._map["memory MB"]) == before  # undo re-adds in reverse
+        assert _layout_faults(db) == []
+        for name in db.tables:  # every index built, none broken
+            db.indexes_on(name)
+        assert all(hasattr(i, "_map") for i in db.indexes.values())
+        assert _layout_faults(db) == []
+
+        # A write after detach() leaves a frozen snapshot's arrays alone.
+        for idx in db.indexes.values():
+            multi = {k: b.tolist() for k, b in idx._map.items() if type(b) is array}
+            snap = idx.freeze()
+            idx.detach()
+            for key, rowids in multi.items():
+                tkey = (key,) if len(idx.columns) == 1 else key
+                idx.delete(tkey, rowids[0])
+                idx.insert(tkey, 10**9)
+            assert {k: snap._map[k].tolist() for k in multi} == multi
+        store.close()
