@@ -30,6 +30,7 @@ from .executor import Executor, Result
 from .locks import SCHEMA_LOCK
 from .operators import plan_snapshot
 from .parser import fingerprint as _fingerprint, parse
+from .sqltypes import bind_params
 from .storage import Database, Transaction
 from .wal import Journal, load_snapshot
 
@@ -594,7 +595,7 @@ class Cursor:
         if isinstance(params, dict):
             raise InterfaceError("minidb supports positional parameters only")
         self._close_stream()
-        result = self.connection._execute(sql, tuple(params))
+        result = self.connection._execute(sql, bind_params(params))
         self.description = result.description
         self.rowcount = result.rowcount
         self.lastrowid = result.lastrowid
@@ -668,7 +669,7 @@ class Cursor:
         total = 0
         last = None
         for params in seq_of_params:
-            result = conn._execute(sql, tuple(params))
+            result = conn._execute(sql, bind_params(params))
             if result.rowcount > 0:
                 total += result.rowcount
             last = result

@@ -10,9 +10,11 @@ The map keeps the cyclic garbage collector's work small:
 - A one-column index (every PerfTrack index) keys its map by the bare
   column value, a composite index by the tuple of values.
 - A key carried by one row maps to that bare rowid ``int``, a key
-  carried by several to an ``array('q')`` of their rowids in insertion
-  order.  The layout is canonical: a DELETE that leaves one row turns
-  the array back into an ``int``.
+  carried by several to an ``array('q')`` of their rowids in ascending
+  order, as a (key, rowid) B-tree keeps them: a probe answers in the
+  same order however the rows got there (a ROLLBACK re-adds deleted
+  rows in reverse).  The layout is canonical: a DELETE that leaves one
+  row turns the array back into an ``int``.
 
 So a one-column index holds one GC-tracked object per multi-row key
 (``array`` is a GC type, with nothing to traverse) and none per other
@@ -82,7 +84,8 @@ def _buckets(keys: Sequence, rowids: Sequence[int], unique: bool) -> dict:
     A UNIQUE index's keys are usually distinct: one C-level ``dict``
     build.  Otherwise one pass grows a ``list`` per repeated key
     (``list.append`` is cheaper than ``array.append``) and turns it into
-    an array at the end.
+    a sorted array at the end (rows a ROLLBACK re-added reach a snapshot
+    out of rowid order).
     """
     if unique:
         distinct = dict(zip(keys, rowids))
@@ -101,6 +104,7 @@ def _buckets(keys: Sequence, rowids: Sequence[int], unique: bool) -> dict:
             if seen != rowid:  # rowids are distinct: the key was seen
                 groups[key] = [seen, rowid]
     for key, rows in groups.items():
+        rows.sort()
         m[key] = array("q", rows)
     return m
 
@@ -146,9 +150,11 @@ class Index:
         if self.unique and None not in key:
             raise self.unique_error(k)
         if type(bucket) is int:
-            m[k] = array("q", (bucket, rowid))
-        else:
+            m[k] = array("q", (bucket, rowid) if bucket < rowid else (rowid, bucket))
+        elif rowid > bucket[-1]:
             bucket.append(rowid)
+        else:  # an UPDATE or a ROLLBACK re-adds an older row
+            insort(bucket, rowid)
 
     def insert_many(self, keys: Sequence, rowids: Sequence[int]) -> None:
         """Add each rowid under its native key, in order; the caller has
@@ -174,9 +180,14 @@ class Index:
                 if type(bucket) is int:
                     m[key] = bucket = array("q", (bucket,))
                 if type(add) is int:
-                    bucket.append(add)
-                else:
+                    if add > bucket[-1]:
+                        bucket.append(add)
+                    else:
+                        insort(bucket, add)
+                elif add[0] > bucket[-1]:
                     bucket += add
+                else:
+                    m[key] = array("q", sorted(bucket + add))
         if new:
             self._merge_sorted(new)
 

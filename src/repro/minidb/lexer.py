@@ -96,6 +96,10 @@ def tokenize(sql: str) -> list[Token]:
             tokens.append(Token(PARAM, "?", i))
             i += 1
             continue
+        if ch in ",()":  # no longer operator starts with these
+            tokens.append(Token(OP, ch, i))
+            i += 1
+            continue
         if ch == "%" and sql.startswith("%s", i):
             tokens.append(Token(PARAM, "?", i))
             i += 2

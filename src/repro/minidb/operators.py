@@ -196,7 +196,12 @@ def probe_exprs(path) -> list:
 def path_rowids(ctx: ExecContext, path, table, values):
     """Row ids one probe of *path* visits, given the values of its
     :func:`probe_exprs`.  Ids may name rows deleted since the probe
-    started; callers skip those.  Bumps the access-path counters."""
+    started; callers skip those.  Bumps the access-path counters.
+
+    An equality or IN probe never matches a NULL probe value, as SQL
+    ``=`` and ``IN`` require: these paths enforce the conjuncts they
+    consume (:func:`~repro.minidb.planner.enforced_conjuncts`), so no
+    filter above them re-checks the rows."""
     if isinstance(path, FullScan):
         if _M.enabled:
             _FULL_SCANS.inc()
@@ -210,9 +215,11 @@ def path_rowids(ctx: ExecContext, path, table, values):
     # pinned version's frozen copy (identity on a live database).
     index = ctx.db.index_state(path.index)
     if isinstance(path, IndexEquality):
-        return index.rowids(values)
+        return () if None in values else index.rowids(values)
     if isinstance(path, InProbePath):  # always a one-column index
-        return index.rowids_in(values)
+        keys = dict.fromkeys(values)
+        keys.pop(None, None)
+        return index.rowids_in(keys)
     nprefix = len(path.prefix_exprs)
     if nprefix:
         prefix = tuple(values[:nprefix])
@@ -252,6 +259,22 @@ def _hash_probe(ctx: ExecContext, path, table, values):
     return build.get(tuple(sort_key(v) for v in values), ())
 
 
+def _key_check(path, table, values):
+    """``holds(row)``: whether *row* still carries a key that an exact
+    *path* probed with *values* (always true for a path whose conjuncts
+    a filter above re-checks anyway)."""
+    if not isinstance(path, (IndexEquality, InProbePath)):
+        return lambda row: True
+    positions = [table.meta.column_index(c) for c in path.index.columns]
+    if isinstance(path, InProbePath):
+        keys = set(values)
+        keys.discard(None)
+        pos = positions[0]
+        return lambda row: row[pos] in keys
+    key = list(values)
+    return lambda row: [row[p] for p in positions] == key
+
+
 def _gathered_batch(picked: list, ids: Optional[list], getters: list) -> ColumnBatch:
     """Column vectors for gathered rows (kind ``'o'``: no type guarantee)."""
     cols = [list(map(g, picked)) for g in getters]
@@ -273,7 +296,11 @@ class VecScan(Operator):
     Any other path (IndexEquality, IndexRange, InProbe, HashJoin) is a
     *gather*: its probe values are evaluated against the outer scope,
     :func:`path_rowids` yields the ids, each live row is read once from
-    ``table.rows`` and ids whose row is gone are skipped.
+    ``table.rows`` and ids whose row is gone are skipped.  A gather reads
+    its rows across ``yield``s, so a write on the same connection can
+    change a probed row's key before it is read; once ``data_version``
+    has moved, an exact path keeps only rows whose index columns still
+    hold a probed key (see :func:`_key_check`).
 
     As the inner side of a :class:`VecIndexJoin` it is probed through
     :meth:`prober` once per distinct key instead.
@@ -304,6 +331,8 @@ class VecScan(Operator):
             def probe(values: tuple) -> tuple[int, list]:
                 if _M.enabled:
                     _INDEX_LOOKUPS.inc()
+                if None in values:
+                    return 0, []  # NULL never equals a key
                 ids = rowids(values)
                 return len(ids), [r for r in map(get, ids) if r is not None]
 
@@ -333,11 +362,13 @@ class VecScan(Operator):
         nbatches = 0
         picked: list = []
         ids: list = []
+        version = table.data_version
+        holds = None  # set once the table has changed since the probe
         try:
             for rowid in path_rowids(ctx, path, table, values):
                 scanned += 1
                 row = get(rowid)
-                if row is None:
+                if row is None or (holds is not None and not holds(row)):
                     continue
                 picked.append(row)
                 ids.append(rowid)
@@ -347,6 +378,8 @@ class VecScan(Operator):
                     yield _gathered_batch(picked, ids, getters)
                     picked = []
                     ids = []
+                    if holds is None and table.data_version != version:
+                        holds = _key_check(path, table, values)
             if picked:
                 gathered += len(picked)
                 nbatches += 1
@@ -487,10 +520,14 @@ class VecIndexJoin(Operator):
     :func:`probe_exprs` entry of the inner path, compiled over the outer
     columns) are evaluated once, the inner side is probed once per
     distinct key, and every (outer row, inner row) pair is checked
-    against the ON condition's kernel over the merged batch.  Output is
-    in outer order, then inner order — the order a nested loop emits.  A
-    LEFT join null-extends each outer row none of whose pairs passed ON.
-    ``slots`` (the inner leaf's) are appended after the outer slots.
+    against ``on_kernel`` over the merged batch.  ``condition`` is the
+    part of ON that the inner path does not enforce (an equality or IN
+    probe answers its consumed conjuncts, NULL keys included; see
+    :func:`~repro.minidb.planner.enforced_conjuncts`), and both are None
+    when nothing is left to check.  Output is in outer order, then inner
+    order — the order a nested loop emits.  A LEFT join null-extends each
+    outer row none of whose pairs passed ON.  ``slots`` (the inner
+    leaf's) are appended after the outer slots.
 
     ``minidb.rows.scanned`` counts every (outer row, probed id) pair, and
     EXPLAIN ANALYZE one inner loop per outer row, as a per-outer-row
@@ -829,21 +866,35 @@ class VecAggregate(Operator):
 
 
 def _first_seen(batch: list, seen: set, width: Optional[int]) -> list:
-    """Rows of *batch* whose key (the first *width* values, all when None)
-    is not in *seen*, recording each new key."""
+    """Rows of *batch* whose key is not in *seen*, recording each new key.
+
+    The key is the row's first *width* values (all when None) as raw
+    values: the bare value for one column, the tuple otherwise.  On
+    minidb's value domain (None, bool, int, float, str, bytes) ``==``
+    and hashing agree with ``sort_key`` equality (``1 == 1.0 == True``,
+    ``'1' != 1``, ``b'1' != '1'``), so no key is built per row."""
+    if not batch:
+        return []
+    n = len(batch[0]) if width is None else width
+    if n == 1:
+        keys = [row[0] for row in batch]
+    elif n == len(batch[0]):
+        keys = batch
+    else:
+        keys = [row[:n] for row in batch]
     out = []
-    for row in batch:
-        key = tuple([sort_key(v) for v in (row if width is None else row[:width])])
+    add = seen.add
+    for key, row in zip(keys, batch):
         if key not in seen:
-            seen.add(key)
+            add(key)
             out.append(row)
     return out
 
 
 class VecDistinct(Operator):
-    """SELECT DISTINCT over row batches: first-seen wins, keyed through
-    ``sort_key`` on the visible ``width`` columns (hidden ORDER BY columns
-    ride along with the first-seen row)."""
+    """SELECT DISTINCT over row batches: first-seen wins, keyed by the raw
+    values of the visible ``width`` columns (hidden ORDER BY columns ride
+    along with the first-seen row)."""
 
     BATCHED = True
 

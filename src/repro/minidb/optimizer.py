@@ -9,9 +9,13 @@ physical operators (:mod:`repro.minidb.operators`):
    Only new nodes are built; the analyzed AST is never mutated.
 2. **Predicate pushdown** — AND-ed conjuncts are threaded down the join
    tree to each scan so :func:`~repro.minidb.planner.choose_access_path`
-   can turn them into index probes or hash-join keys.  Pushdown is
-   *access-only*: the full WHERE / join condition is still re-evaluated by
-   the filter and the join above, so paths may safely return supersets.
+   can turn them into index probes or hash-join keys.  An equality or IN
+   probe enforces the conjuncts it consumes
+   (:func:`~repro.minidb.planner.enforced_conjuncts`), so only the rest of
+   the WHERE and ON conditions compiles into the filter and the join
+   above it — none at all when nothing is left.  Range, hash-join and
+   full-scan paths may return supersets: their conjuncts stay in the
+   filter.
 3. **Join-input reordering** — an INNER join of two base tables swaps its
    inputs when both orientations admit a hash join and the swap makes the
    *smaller* table the build side (bounding hash-map memory).
@@ -29,6 +33,7 @@ shape runs on the batch pipeline, with each expression compiled to a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from . import ast_nodes as ast
@@ -61,6 +66,7 @@ from .planner import (
     binding_columns,
     build_logical_plan,
     choose_access_path,
+    enforced_conjuncts,
     split_conjuncts,
     star_names,
 )
@@ -270,15 +276,18 @@ def _is_const_true(expr: Optional[ast.Expr]) -> bool:
 # Rule: join-input reordering (build the smaller side of a hash join).
 
 
-def _known_binding_fn(bound: set, meta, binding: str):
+def _known_binding_fn(bound: set, meta, binding: str, later: frozenset = frozenset()):
+    """Whether a column reference is known before *binding*'s table is
+    probed: a qualified one names a table bound to its left; an
+    unqualified one names no column of the probed table or of the tables
+    joined after it (*later*, lowered names), which the analyzer would
+    bind it to first."""
     bound_lower = {b.lower() for b in bound}
 
     def known(table: Optional[str], column: str) -> bool:
         if table is not None:
             return table.lower() != binding.lower() and table.lower() in bound_lower
-        # Unqualified: only known when it is NOT a column of the probed
-        # table (otherwise it refers to the row being scanned).
-        return not meta.has_column(column)
+        return not meta.has_column(column) and column.lower() not in later
 
     return known
 
@@ -351,9 +360,10 @@ def _maybe_swap_inputs(db, node: JoinNode, conjuncts: list) -> None:
 # Lowering: logical nodes -> batch operators.
 
 
-def _scan_path(db, node: ScanNode, push: list, bound: list[str]):
+def _scan_path(db, node: ScanNode, push: list, bound: list[str], later: frozenset):
     """The access path of one base-table scan, given the conjuncts pushed
-    to it and the bindings already bound to its left."""
+    to it, the bindings already bound to its left and the column names
+    of the tables joined after it."""
     ref = node.ref
     table = db.table(ref.name)
     meta = table.meta
@@ -362,9 +372,26 @@ def _scan_path(db, node: ScanNode, push: list, bound: list[str]):
         meta,
         ref.binding,
         push if ENABLE_PUSHDOWN else [],
-        known_binding=_known_binding_fn(set(bound), meta, ref.binding),
+        known_binding=_known_binding_fn(set(bound), meta, ref.binding, later),
         table_size=len(table.rows),
     )
+
+
+def _residual(expr: Optional[ast.Expr], enforced: list) -> Optional[ast.Expr]:
+    """The part of a WHERE or ON condition that no access path enforces:
+    its conjuncts minus *enforced* (matched by identity) and constant-TRUE
+    ones, re-joined with AND.  *expr* itself when nothing drops out, None
+    when nothing is left to check."""
+    if expr is None or _is_const_true(expr):
+        return None
+    conjuncts = split_conjuncts(expr)
+    done = {id(c) for c in enforced}
+    rest = [c for c in conjuncts if id(c) not in done and not _is_const_true(c)]
+    if len(rest) == len(conjuncts):
+        return expr
+    if not rest:
+        return None
+    return reduce(lambda a, b: ast.Binary("AND", a, b), rest)
 
 
 def _projection_cols(catalog, stmt: ast.Select) -> list[tuple]:
@@ -488,29 +515,33 @@ def _branch_tree(
     push = split_conjuncts(branch.where)
     # Access paths, chosen left to right: a join's inner side sees its ON
     # conjuncts (plus the WHERE's on an INNER join) and the bindings to
-    # its left; every path only pre-filters, ON and WHERE re-check it.
+    # its left.  An equality or IN probe enforces what it consumes; the
+    # ON and WHERE kernels check only the remainder.
+    later = _later_columns(db, chain)
     paths: list = []
     bound: list[str] = []
-    for node, join in chain:
+    for i, (node, join) in enumerate(chain):
         node_push = push
         if join is not None:
             node_push = split_conjuncts(join.condition)
             if join.kind == "INNER":
                 node_push = node_push + push
-        paths.append(_scan_path(db, node, node_push, bound) if isinstance(node, ScanNode) else None)
+        paths.append(
+            _scan_path(db, node, node_push, bound, later[i])
+            if isinstance(node, ScanNode)
+            else None
+        )
         bound.append(node.ref.binding if isinstance(node, ScanNode) else node.ref.alias)
+    enforced = [enforced_conjuncts(p) for p in paths]
     # Join i's key kernels see its outer side (tables < i); its ON
     # condition also sees the inner table.
     joins = []
     for i, (_node, join) in enumerate(chain[1:], start=1):
         keys = [comp.scoped(i).compile(e) for e in probe_exprs(paths[i])]
-        on = None
-        if join.condition is not None and not _is_const_true(join.condition):
-            on = comp.scoped(i + 1).compile(join.condition)
-        joins.append((keys, on))
-    where = None
-    if branch.where is not None and not _is_const_true(branch.where):
-        where = comp.compile(branch.where)
+        on = _residual(join.condition, enforced[i])
+        joins.append((keys, on, comp.scoped(i + 1).compile(on) if on is not None else None))
+    where = _residual(branch.where, [c for e in enforced for c in e])
+    filt = (where, comp.compile(where)) if where is not None else None
     cols = _projection_cols(db.catalog, stmt)
 
     if branch.aggregate:
@@ -525,7 +556,7 @@ def _branch_tree(
         blocks = comp.row_blocks()
         op: Operator = VecAggregate(
             stmt, branch.group_by, calls, cols, hidden,
-            _source_tree(db, branch, chain, paths, joins, where, comp),
+            _source_tree(db, branch, chain, paths, joins, filt, comp),
             key_kernels, arg_kernels, blocks,
         )
     else:
@@ -536,7 +567,7 @@ def _branch_tree(
             else:
                 kernels.append(comp.compile(entry[1]))
         kernels.extend(comp.compile(e) for e in hidden)
-        op = VecProject(kernels, _source_tree(db, branch, chain, paths, joins, where, comp))
+        op = VecProject(kernels, _source_tree(db, branch, chain, paths, joins, filt, comp))
     op.est_rows = branch.est_rows
     if branch.distinct:
         # Deduplicate on the visible columns: hidden ORDER BY values ride
@@ -546,17 +577,36 @@ def _branch_tree(
     return op
 
 
-def _source_tree(db, branch, chain, paths, joins, where, comp) -> Operator:
-    """Leaf, joins and WHERE filter.  Built after every kernel compiled,
-    so the slot blocks handed to the leaves are final."""
+def _later_columns(db, chain: list) -> list[frozenset]:
+    """For each leaf of *chain*, the lowered column names of the leaves
+    joined after it."""
+    out: list[frozenset] = []
+    names: frozenset = frozenset()
+    for node, _join in reversed(chain):
+        out.append(names)
+        columns = (
+            db.table(node.ref.name).meta.column_names
+            if isinstance(node, ScanNode)
+            else node.plan.names
+        )
+        names = names | {c.lower() for c in columns}
+    out.reverse()
+    return out
+
+
+def _source_tree(db, branch, chain, paths, joins, filt, comp) -> Operator:
+    """Leaf, joins and WHERE filter (*filt*: the part of the WHERE no
+    access path enforces and its kernel, None when nothing is left).
+    Built after every kernel compiled, so the slot blocks handed to the
+    leaves are final."""
     leaves = [_leaf(db, node, paths[i], comp.block(i)) for i, (node, _j) in enumerate(chain)]
     child = leaves[0] if leaves else ConstantRow()
-    for i, (keys, on) in enumerate(joins, start=1):
+    for i, (keys, on, on_kernel) in enumerate(joins, start=1):
         join = chain[i][1]
-        child = VecIndexJoin(leaves[i], keys, join.kind, join.condition, on, child)
+        child = VecIndexJoin(leaves[i], keys, join.kind, on, on_kernel, child)
         child.est_rows = join.est_rows
-    if where is not None:
-        child = VecFilter(branch.where, where, child)
+    if filt is not None:
+        child = VecFilter(*filt, child)
         child.est_rows = branch.est_rows if not branch.aggregate else None
     return child
 

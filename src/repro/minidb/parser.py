@@ -531,9 +531,20 @@ class Parser:
                 else:
                     items: list[ast.Expr] = []
                     if not self.at(OP, ")"):
-                        items.append(self._expr())
-                        while self.accept(OP, ","):
-                            items.append(self._expr())
+                        tokens = self.tokens
+                        while True:
+                            # A bare placeholder (the chunked IN (?, …)
+                            # probes) skips the descent through the
+                            # precedence levels.
+                            nxt = tokens[self.i + 1] if tokens[self.i].kind == PARAM else None
+                            if nxt is not None and nxt.kind == OP and nxt.value in (",", ")"):
+                                self.i += 1
+                                items.append(ast.Parameter(self.param_count))
+                                self.param_count += 1
+                            else:
+                                items.append(self._expr())
+                            if not self.accept(OP, ","):
+                                break
                     self.expect(OP, ")")
                     left = ast.InList(left, items, negated)
                 continue

@@ -196,6 +196,21 @@ class IndexRange:
 AccessPath = FullScan | IndexEquality | IndexRange | InProbe | HashJoin
 
 
+def enforced_conjuncts(path) -> list[ast.Expr]:
+    """The conjuncts *path* answers exactly, so no filter re-checks them.
+
+    An equality or IN probe visits exactly the rows whose key equals a
+    non-NULL probe value: on minidb's value domain (None, bool, int,
+    float, str, bytes) the index map's ``==`` and hashing agree with
+    ``sort_key`` equality, and the operators drop NULL probe values.  A
+    range path, a hash join and a full scan only pre-filter: the WHERE
+    and ON conditions above them keep every conjunct.
+    """
+    if isinstance(path, (IndexEquality, InProbe)):
+        return path.consumed
+    return []
+
+
 def _contains_column_ref(expr: ast.Expr) -> bool:
     """True when *expr* references any column (i.e. varies per outer row)."""
     if isinstance(expr, ast.ColumnRef):

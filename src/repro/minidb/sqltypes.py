@@ -9,9 +9,9 @@ Python ``None`` throughout.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
-from .errors import DataError
+from .errors import DataError, ProgrammingError
 
 # Canonical affinity names.
 INTEGER = "INTEGER"
@@ -140,7 +140,35 @@ def coerce(value: Any, affinity: str) -> Any:
                 return float(value)
             except ValueError:
                 return value
-    return value
+    if isinstance(value, (bytearray, memoryview)):
+        return bytes(value)
+    raise DataError(f"cannot store {type(value).__name__} in NUMERIC column")
+
+
+#: The Python types of minidb values: NULL, numbers, text and blobs.  On
+#: these ``==`` and hashing agree with :func:`sort_key` equality, so
+#: exact index probes and DISTINCT compare raw values.
+VALUE_TYPES = frozenset({type(None), bool, int, float, str, bytes})
+
+
+def bind_params(params: Sequence[Any]) -> tuple:
+    """*params* as minidb values, bound the way sqlite3 binds them: a
+    subclass of int, float, str or bytes as it is, a bytearray or
+    memoryview as bytes; any other type raises ``ProgrammingError``."""
+    params = tuple(params)
+    if VALUE_TYPES.issuperset(map(type, params)):
+        return params
+    return tuple(_bind(i, v) for i, v in enumerate(params, start=1))
+
+
+def _bind(position: int, value: Any) -> Any:
+    if value is None or isinstance(value, (int, float, str, bytes)):
+        return value
+    if isinstance(value, (bytearray, memoryview)):
+        return bytes(value)
+    raise ProgrammingError(
+        f"Error binding parameter {position}: type {type(value).__name__!r} is not supported"
+    )
 
 
 #: Sort-ordering rank per cross-type class.  Mirrors SQLite's ordering:

@@ -54,6 +54,7 @@ from .planner import (
     ScanNode,
     SubqueryNode,
     aggregate_calls,
+    enforced_conjuncts,
     render_expr,
     split_conjuncts,
 )
@@ -566,6 +567,10 @@ class _TreeVerifier:
         cols = self._table_columns(path.table, op)
         self._check_path(op, path, cols, env)
         self._check_slots(op, op.slots, len(cols))
+        # An equality or IN probe enforces the conjuncts it consumes: no
+        # filter above re-checks them, and they still count as kept.
+        for conjunct in enforced_conjuncts(path):
+            self.predicates |= _norm_conjuncts(conjunct)
         return Contract(
             protocol=COLUMN_BATCH,
             bindings={path.binding.lower(): cols},

@@ -49,6 +49,21 @@ class TestBasicOperations:
         idx.insert((None,), 1)
         idx.insert((None,), 2)
 
+    def test_buckets_hold_rowids_in_ascending_order(self):
+        """A bucket answers in rowid order however its rows arrived: an
+        UPDATE or a ROLLBACK re-adds an older row, and a snapshot taken
+        after a ROLLBACK lists rows out of rowid order."""
+        idx = Index("i", "t", ["a"])
+        for rowid in (5, 3, 9, 1):
+            idx.insert((1,), rowid)
+        assert idx.lookup((1,)) == [1, 3, 5, 9]
+        idx.insert_many([1, 1, 2], [4, 12, 7])
+        idx.insert_many([2], [6])
+        assert idx.lookup((1,)) == [1, 3, 4, 5, 9, 12]
+        assert idx.lookup((2,)) == [6, 7]
+        idx.rebuild([1, 2, 1, 1], [8, 2, 3, 1])
+        assert idx.lookup((1,)) == [1, 3, 8]
+
     def test_check_insert_does_not_mutate(self):
         idx = Index("i", "t", ["a"], unique=True)
         idx.insert((1,), 100)
@@ -360,7 +375,8 @@ class TestInsertManyEquivalence:
 def _layout_faults(db) -> list:
     """Where the built indexes of *db* break the bucket layout.
 
-    Every bucket is an ``int`` or an ``array('q')`` of two or more rowids.
+    Every bucket is an ``int`` or an ``array('q')`` of two or more rowids
+    in ascending order.
     A one-column index holds no object the cyclic collector tracks but
     its multi-row arrays (``array`` is a GC type in CPython), and a map
     whose buckets are all ints is not tracked at all.
@@ -374,6 +390,8 @@ def _layout_faults(db) -> list:
                 continue
             if type(bucket) is not array or bucket.typecode != "q" or len(bucket) < 2:
                 faults.append((idx.name, key, bucket))
+            elif bucket.tolist() != sorted(bucket):
+                faults.append((idx.name, key, "out of rowid order"))
         if len(idx.columns) == 1:
             held = [o for o in gc.get_referents(idx._map) if gc.is_tracked(o)]
             if any(type(o) is not array for o in held):
@@ -433,7 +451,9 @@ class TestBucketLayout:
         assert not gc.is_tracked(by_name._map)
         assert _layout_faults(db) == []
         backend.rollback()
-        assert sorted(by_name._map["memory MB"]) == before  # undo re-adds in reverse
+        # The undo log re-adds the rows in reverse; the bucket stays in
+        # ascending rowid order, as before the transaction.
+        assert by_name._map["memory MB"].tolist() == before
         assert _layout_faults(db) == []
         for name in db.tables:  # every index built, none broken
             db.indexes_on(name)

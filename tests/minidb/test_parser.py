@@ -116,6 +116,17 @@ class TestExpressionParsing:
         assert isinstance(e, ast.InList)
         assert len(e.items) == 3
 
+    @pytest.mark.parametrize(
+        "items",
+        ["?, 1, ?+1, ?", "?", "?, ?, ?", "1, ?", "? * 2, ?", "?, -?, ? || 'x'", "?, ? IS NULL, ?"],
+    )
+    def test_placeholder_items_parse_like_the_general_path(self, items):
+        # A bare `?` item skips the descent through the precedence levels;
+        # `(?)` parses through all of them.  The trees, parameter indices
+        # included, must be equal.
+        sql = f"SELECT * FROM t WHERE a IN ({items}) AND b = ? OR c NOT IN (?)"
+        assert parse(sql) == parse(sql.replace("?", "(?)"))
+
     def test_not_in_subquery(self):
         e = self._expr("a NOT IN (SELECT b FROM t)")
         assert isinstance(e, ast.InSelect)

@@ -4,7 +4,8 @@ Every join runs on the batch pipeline: the leading leaf gathers column
 batches, each :class:`~repro.minidb.operators.VecIndexJoin` probes its
 inner side once per distinct key, checks the ON condition over the
 merged batch and appends the inner table's columns (null-extended for an
-unmatched LEFT-join row), and a VecFilter re-checks the WHERE.  Every
+unmatched LEFT-join row), and a VecFilter checks what the access paths
+leave of the WHERE.  Every
 shape here runs at batch sizes 1 (degenerate: one row per batch, the
 row-at-a-time case), 7 and 4096, and on sqlite3.  The join emits rows in
 nested-loop order (outer order, then inner order) at every batch size,
@@ -420,9 +421,10 @@ def test_explain_analyze_counts_joined_rows(monkeypatch):
     inner = next(line for line in lines if "SEARCH note AS n" in line)
     assert f"actual rows={len(outer)} batches={-(-len(outer) // 7)} loops=1" in leaf, lines
     # The inner side probes once per outer row and returns every live
-    # match, NULL keys included; the ON check inside the join drops the
-    # NULL-key pairs.
-    assert f"actual rows={pairs} loops={len(outer)} " in inner, lines
+    # match; a NULL outer key matches nothing, as SQL `=` requires, so
+    # the equality probe that consumed the ON conjunct already drops the
+    # NULL-key pairs and the join keeps every row it is handed.
+    assert f"actual rows={matched} loops={len(outer)} " in inner, lines
     assert f"actual rows={matched} " in join and "loops=1" in join, lines
     assert pairs > matched
     assert lines[-1].startswith(f"ACTUAL: {matched} row(s) returned"), lines
