@@ -265,9 +265,9 @@ def _cmd_query_inner(args) -> int:
         clause = _parse_attr_clause(clause_text)
         prf.add(ByAttributes((clause,), expansion=Expansion.NONE))
     families = store.resolve_prfilter(prf)
-    for f, fam in zip(prf.filters, families):
-        print(f"# family {f.describe()}: {engine.count_for_family(fam)} match alone")
-    ids = engine.result_ids(families)
+    counts, ids = engine.live_counts(families)
+    for f, count in zip(prf.filters, counts):
+        print(f"# family {f.describe()}: {count} match alone")
     print(f"# whole filter: {len(ids)} results")
     if args.count_only:
         store.close()

@@ -17,7 +17,7 @@ and whole-filter count as the query is built).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..obs.clock import now as _now
 from ..obs.metrics import metrics as _M
@@ -90,9 +90,17 @@ class QueryEngine:
         """
         if not (_M.enabled or _trace.enabled):
             return self._result_ids_inner(families, focus_type)
+        return self._observed(
+            len(families), lambda: self._result_ids_inner(families, focus_type))
+
+    def _observed(self, n_families: int, evaluate: Callable[[], set[int]]) -> set[int]:
+        """The result ids *evaluate* returns, timed as one
+        ``query.evaluate`` span with the pr-filter metrics."""
+        if not (_M.enabled or _trace.enabled):
+            return evaluate()
         t0 = _now()
-        with _trace.span("query.evaluate", cat="query", families=len(families)):
-            out = self._result_ids_inner(families, focus_type)
+        with _trace.span("query.evaluate", cat="query", families=n_families):
+            out = evaluate()
         _PRFILTER_SECONDS.observe(_now() - t0)
         _PRFILTER_EVALS.inc()
         _RESULTS_MATCHED.add(len(out))
@@ -129,6 +137,30 @@ class QueryEngine:
     def count_for_family(self, family: ResourceFamily) -> int:
         """How many results match this family alone (Figure 3's per-row count)."""
         return len(self._result_ids_for_focus_ids(self.matching_focus_ids(family)))
+
+    def live_counts(
+        self, families: Sequence[ResourceFamily]
+    ) -> tuple[list[int], set[int]]:
+        """Figure 3's counts in one pass: how many results each family
+        matches alone, and the result ids of the whole filter.
+
+        Each family's focus set is probed once; the whole filter is the
+        intersection of those sets (with one family, its own results).
+        """
+        if not families:
+            return [], self.result_ids(families)
+        counts: list[int] = []
+
+        def evaluate() -> set[int]:
+            focus_sets = [self.matching_focus_ids(fam) for fam in families]
+            alone = [self._result_ids_for_focus_ids(ids) for ids in focus_sets]
+            counts.extend(map(len, alone))
+            if len(families) == 1:
+                return alone[0]
+            surviving = set.intersection(*focus_sets)
+            return self._result_ids_for_focus_ids(surviving) if surviving else set()
+
+        return counts, self._observed(len(families), evaluate)
 
     def count_for_filter(self, families: Sequence[ResourceFamily]) -> int:
         """How many results match the whole filter (Figure 3's total count)."""

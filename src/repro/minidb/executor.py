@@ -415,9 +415,7 @@ class Executor:
                 applied, lastrowid = db.insert_rows(table, built, txn=txn, pending=pending)
                 count += len(applied)
         except BaseException:
-            for entry in reversed(txn.undo[undo_mark:]):
-                db._apply_undo(entry)
-            del txn.undo[undo_mark:]
+            db.undo(txn, undo_mark)
             del txn.wal_records[wal_mark:]
             raise
         logged = txn.wal_records[wal_mark:]

@@ -51,16 +51,60 @@ _TXN_DETACHES = _M.counter("minidb.txn.cow_detaches")
 #: Rows per column segment.  Power of two so batch slicing stays aligned.
 SEGMENT_ROWS = 4096
 
+#: Signed array typecodes from narrowest to widest, with their ranges.
+_INT_CODES = tuple(
+    (tc, -(1 << (8 * size - 1)), (1 << (8 * size - 1)) - 1)
+    for tc, size in (("b", 1), ("h", 2), ("i", 4), ("q", 8))
+)
+
+
+def _int_array(vals: Sequence[int]) -> Optional[_array.array]:
+    """*vals* in the narrowest of ``b/h/i/q`` that holds them all, or
+    ``None`` past int64.  Empty *vals* give an empty ``'b'`` array."""
+    lo, hi = (min(vals), max(vals)) if vals else (0, 0)
+    for tc, least, most in _INT_CODES:
+        if least <= lo and hi <= most:
+            return _array.array(tc, vals)
+    return None
+
+
+def encode_column(vals: Sequence) -> tuple[str, Any]:
+    """The tightest typed form of one column's values, as ``(kind, payload)``.
+
+    Kinds: ``'i'`` all-int (:func:`_int_array`), ``'f'`` all-float
+    (``array('d')``), ``'sd'`` repeated strings as ``(codes, values)``
+    with ``codes`` an :func:`_int_array` into the distinct ``values``,
+    ``'s'`` strings with too many distinct values to pay (more than
+    ``max(16, n // 4)``), and ``'o'`` anything else as the plain list:
+    mixed types, NULLs, bools, bytes, ints past int64, no values.  The
+    column-store segments and the snapshot file both encode through it.
+    """
+    if not vals or type(vals[0]) not in (int, float, str):
+        return ("o", vals)  # decided without a pass over the values
+    types = set(map(type, vals))
+    if len(types) != 1:
+        return ("o", vals)
+    (t,) = types
+    if t is int:
+        ints = _int_array(vals)
+        return ("o", vals) if ints is None else ("i", ints)
+    if t is float:
+        return ("f", _array.array("d", vals))
+    values = list(dict.fromkeys(vals))
+    if len(values) > max(16, len(vals) // 4):
+        return ("s", vals)
+    codes = dict(zip(values, range(len(values))))
+    return ("sd", (_int_array(list(map(codes.__getitem__, vals))), values))
+
 
 class ColumnSegment:
     """One horizontal slice of a table, encoded column-at-a-time on demand.
 
-    Columns encode lazily (first touch) into the tightest representation
-    the values allow: ``array('q')`` for all-int, ``array('d')`` for
-    all-float, dictionary codes for low-cardinality strings, plain lists
-    otherwise.  ``slice`` decodes back to Python lists batch-at-a-time —
-    the typed arrays exist to keep the *segment* compact and the decode
-    loop free of per-value type dispatch.
+    Columns encode lazily (first touch) through :func:`encode_column`
+    into the tightest representation the values allow.  ``slice``
+    decodes back to Python lists batch-at-a-time — the typed arrays
+    exist to keep the *segment* compact and the decode loop free of
+    per-value type dispatch.
     """
 
     __slots__ = ("rowids", "rows", "n", "_encoded")
@@ -75,48 +119,9 @@ class ColumnSegment:
         """``(kind, payload)`` for column *pos*; kinds: i/f/s/sd/o."""
         enc = self._encoded.get(pos)
         if enc is None:
-            enc = self._encode(pos)
+            enc = encode_column([row[pos] for row in self.rows])
             self._encoded[pos] = enc
         return enc
-
-    def _encode(self, pos: int) -> tuple[str, Any]:
-        vals = [row[pos] for row in self.rows]
-        if not vals:
-            return ("o", vals)
-        all_int = all_float = all_str = True
-        for v in vals:
-            t = type(v)
-            if t is not int:
-                all_int = False
-            if t is not float:
-                all_float = False
-            if t is not str:
-                all_str = False
-            if not (all_int or all_float or all_str):
-                return ("o", vals)
-        if all_int:
-            try:
-                return ("i", _array.array("q", vals))
-            except OverflowError:
-                return ("o", vals)  # beyond int64: keep Python objects
-        if all_float:
-            return ("f", _array.array("d", vals))
-        # Dictionary-encode repeated strings (resource names, hostnames);
-        # fall back to a plain list once cardinality gets too high to pay.
-        limit = max(16, self.n // 4)
-        codes = _array.array("i")
-        values: list[str] = []
-        index: dict[str, int] = {}
-        for v in vals:
-            c = index.get(v)
-            if c is None:
-                if len(values) >= limit:
-                    return ("s", vals)
-                c = len(values)
-                index[v] = c
-                values.append(v)
-            codes.append(c)
-        return ("sd", (codes, values))
 
     def slice(self, pos: int, a: int, b: int) -> tuple[list, str]:
         """Decoded values ``[a:b)`` of column *pos* plus their batch kind."""
@@ -193,19 +198,20 @@ class Table:
         self._column_store: Optional[ColumnStore] = None
         #: Last committed copy-on-write version (shared mode only).
         self.published: Optional[TableVersion] = None
-        #: the snapshot body the rows are still encoded in (see defer),
-        #: ``None`` once they are decoded
-        self.encoded: Optional[bytes] = None
+        #: the snapshot body the rows are still encoded in, as the
+        #: snapshot reader keeps it (see defer); ``None`` once decoded
+        self.encoded: Any = None
         self._load: Optional[Callable[[], None]] = None
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def defer(self, body: bytes, load: Callable[[], None]) -> None:
+    def defer(self, body: Any, load: Callable[[], None]) -> None:
         """Leave the rows encoded as *body*, ``rows`` unset, until the
         first touch through ``Database.table()`` or ``indexes_on()``
         calls :meth:`materialise`.  *load* decodes them and builds the
-        table's indexes; until then a checkpoint copies *body* as it is.
+        table's indexes; until then a checkpoint writes *body* back
+        (``wal.write_snapshot``).
         """
         del self.rows
         self.encoded = body
@@ -254,6 +260,17 @@ class Table:
 
     def scan(self) -> Iterator[tuple[int, tuple]]:
         return iter(self.rows.items())
+
+
+def _rowid_order(table: Table) -> None:
+    """Re-sort *table*'s rows into rowid order, in place (a row put back
+    after a delete lands at the end of the dict)."""
+    table.begin_mutation()
+    rows = table.rows
+    ordered = sorted(rows.items())
+    rows.clear()
+    rows.update(ordered)
+    table.bump_version()
 
 
 class TableVersion:
@@ -707,11 +724,24 @@ class Database:
         txn = txn if txn is not None else self._txn
         if txn is None or not txn.active:
             return
-        for entry in reversed(txn.undo):
-            self._apply_undo(entry)
+        self.undo(txn)
         self._finish(txn)
         if _M.enabled:
             _TXN_ROLLED_BACK.inc()
+
+    def undo(self, txn: Transaction, mark: int = 0) -> None:
+        """Reverse the mutations *txn* logged past undo position *mark*,
+        newest first, and drop them from its log.  A table that gets
+        deleted rows back is put in rowid order once at the end, not per
+        row: a scan returns rows in rowid order, as sqlite3 does."""
+        restored = set()
+        for entry in reversed(txn.undo[mark:]):
+            self._apply_undo(entry)
+            if entry.kind == "delete":
+                restored.add(entry.table.lower())
+        del txn.undo[mark:]
+        for key in restored:
+            _rowid_order(self.tables[key])
 
     def _finish(self, txn: Transaction) -> None:
         txn.undo.clear()
@@ -946,6 +976,7 @@ class Database:
                 self._check_foreign_keys_delete(meta, old_row)
             except IntegrityError:
                 table.rows[rowid] = old_row
+                _rowid_order(table)
                 self._index_row(table, rowid, old_row, check=False)
                 raise
         finally:

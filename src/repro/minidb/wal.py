@@ -10,16 +10,22 @@ A file-backed database ``<path>`` consists of:
   the WAL back to its last commit marker, so an uncommitted or torn tail
   never ends up in front of a later commit.
 
-The snapshot (format version 2) is one JSON header line — catalog, index
-definitions, and per table its counters and the byte length of its body
-— then one body line per table holding its rows column-wise:
-``[[rowid…], [col0…], [col1…], …]``.  Open reads the header and leaves
-each table encoded; its first touch (``Database.table()`` or
-``indexes_on()``) decodes the body and builds all of its indexes
-(:func:`_defer`).  A
-checkpoint copies the body of a table still encoded byte for byte.
-Format 1 (one JSON document) still opens, eagerly, and the next
-checkpoint that writes rewrites it as format 2.
+The snapshot (format version 3) is one JSON header line — catalog, index
+definitions, and per table its counters, the byte length of its body
+and the body's CRC-32 — then one binary body per table, each followed
+by a newline.  A body holds the table column-wise, rowids first, one
+block per column: a kind byte, the payload length (``<Q``), then the
+payload, typed as :func:`~repro.minidb.storage.encode_column` (the
+column store's encoder) finds it: a little-endian ``b/h/i/q`` or ``d``
+array, dictionary codes plus a JSON list of the distinct strings, or
+compact JSON for anything else (:func:`_encode_body`).  Open reads the
+header and leaves each table encoded; its first touch
+(``Database.table()`` or ``indexes_on()``) checks the CRC, decodes the
+body and builds all of its indexes (:func:`_defer`).  A checkpoint
+copies the body of a table still encoded byte for byte.  Formats 1 (one
+JSON document, opened eagerly) and 2 (JSON body lines, opened lazily)
+still open; the next checkpoint that writes rewrites them as format 3,
+transcoding a format-2 body still encoded without building its indexes.
 
 A checkpoint with nothing to fold (no commit since the last one, no WAL
 on disk, a snapshot already written) writes nothing, so a read-only
@@ -36,11 +42,15 @@ neighbour's fsync skips its own (``minidb.wal.piggybacked_fsyncs``).
 
 from __future__ import annotations
 
+import array
 import base64
 import json
 import os
+import struct
+import sys
 import threading
-from typing import Any
+import zlib
+from typing import Any, NamedTuple, Optional, Sequence
 
 from ..obs.logsetup import get_logger
 from ..obs.metrics import metrics as _M
@@ -48,9 +58,9 @@ from ..obs.tracing import trace as _trace
 from .catalog import ColumnMeta, ForeignKeyMeta, IndexMeta, TableMeta
 from .errors import OperationalError
 from .index import Index
-from .storage import Database, Table
+from .storage import Database, Table, encode_column
 
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 _log = get_logger("minidb.wal")
 
@@ -139,31 +149,149 @@ def _table_meta_from_dict(d: dict) -> TableMeta:
     return meta
 
 
-def _encode_body(table: Table) -> bytes:
-    """One table's rows as its snapshot line: ``[[rowid…], [col0…], …]``."""
-    rows = table.rows
-    columns = list(zip(*rows.values())) if rows else [()] * len(table.meta.columns)
-    return _encode_compact([list(rows), *columns]).encode("ascii")
+#: A format-3 column block's head: kind byte, payload length.
+_BLOCK = struct.Struct("<cQ")
+#: The typed-array kinds and their item widths in the file; the int
+#: kinds also code a dictionary block.
+_CODE_WIDTHS = {b"b": 1, b"h": 2, b"i": 4, b"q": 8}
+_WIDTHS = {**_CODE_WIDTHS, b"d": 8}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _little_endian(arr: array.array) -> bytes:
+    if _BIG_ENDIAN:
+        arr = array.array(arr.typecode, arr)
+        arr.byteswap()
+    return arr.tobytes()
+
+
+def _encode_body(rowids: Sequence[int], columns: Sequence[Sequence]) -> bytes:
+    """One table's rows as a format-3 body: a block per column, rowids
+    first, each typed as :func:`encode_column` finds it."""
+    out = []
+    for vals in (rowids, *columns):
+        kind, payload = encode_column(vals)
+        if kind == "i" or kind == "f":
+            tag, data = payload.typecode.encode("ascii"), _little_endian(payload)
+        elif kind == "sd":
+            codes, values = payload
+            tag = b"s"
+            data = b"".join((codes.typecode.encode("ascii"), _little_endian(codes),
+                             _encode_compact(values).encode("ascii")))
+        else:  # 's' and 'o': compact JSON
+            tag, data = b"j", _encode_compact(payload).encode("ascii")
+        out.append(_BLOCK.pack(tag, len(data)))
+        out.append(data)
+    return b"".join(out)
+
+
+def _typed(tag: bytes, data: memoryview) -> array.array:
+    arr = array.array(tag.decode("ascii"))
+    arr.frombytes(data)
+    if _BIG_ENDIAN:
+        arr.byteswap()
+    return arr
+
+
+def _decode_body(body: bytes, width: int) -> list[list]:
+    """The *width* arrays (rowids, then each column) of a format-3 body."""
+    view = memoryview(body)
+    arrays: list[list] = []
+    offset = 0
+    for _ in range(width):
+        if offset + _BLOCK.size > len(body):
+            raise ValueError(f"body ends inside column {len(arrays)}")
+        tag, size = _BLOCK.unpack_from(body, offset)
+        offset += _BLOCK.size
+        data = view[offset:offset + size]
+        offset += size
+        if len(data) != size:
+            raise ValueError(f"body ends inside column {len(arrays)}")
+        if tag in _WIDTHS:
+            vals = _typed(tag, data).tolist()
+        elif tag == b"s" and arrays and bytes(data[:1]) in _CODE_WIDTHS:
+            code = bytes(data[:1])
+            end = 1 + len(arrays[0]) * _CODE_WIDTHS[code]
+            values = _decode(str(data[end:], "ascii"))
+            if not isinstance(values, list):
+                raise ValueError(f"no list of strings in column {len(arrays)}")
+            vals = list(map(values.__getitem__, _typed(code, data[1:end])))
+        elif tag == b"j":
+            vals = _decode(str(data, "ascii"))
+        else:
+            raise ValueError(f"unknown kind {tag!r} of column {len(arrays)}")
+        if not isinstance(vals, list) or (arrays and len(vals) != len(arrays[0])):
+            raise ValueError(f"expected {width} arrays of equal length")
+        arrays.append(vals)
+    if offset != len(body):
+        raise ValueError(f"{len(body) - offset} bytes past the last column")
+    return arrays
+
+
+def _decode_v2(body: bytes, width: int) -> list[list]:
+    """The *width* arrays of a format-2 body line: ``[[rowid…], [col0…], …]``."""
+    arrays = _decode(body.decode("ascii"))
+    if not (isinstance(arrays, list) and len(arrays) == width and all(
+            isinstance(a, list) and len(a) == len(arrays[0]) for a in arrays)):
+        raise ValueError(f"expected {width} arrays of equal length")
+    return arrays
+
+
+class _Encoded(NamedTuple):
+    """A table body as the file holds it, kept until the table's first
+    touch: a checkpoint copies a format-3 body and transcodes a format-2 one."""
+
+    body: bytes
+    version: int
+    crc: Optional[int]
+
+    def arrays(self, table: Table, path: str) -> list[list]:
+        """Rowids and columns; ``OperationalError`` if the body is corrupt."""
+        width = len(table.meta.columns) + 1
+        try:
+            if self.version == 2:
+                return _decode_v2(self.body, width)
+            crc = zlib.crc32(self.body)
+            if crc != self.crc:
+                raise ValueError(f"CRC-32 {crc} of the body, the header lists {self.crc}")
+            return _decode_body(self.body, width)
+        except (ValueError, IndexError) as exc:
+            raise OperationalError(
+                f"cannot read table {table.meta.name} of database file {path}: {exc}"
+            ) from exc
 
 
 def write_snapshot(db: Database, path: str) -> None:
     """Write the full database state atomically (tmp file + rename).
 
-    A table still encoded since a lazy open is written as the body line
-    it was read from, byte for byte.
+    A table still encoded since a lazy open is written as the body it
+    was read from, byte for byte, unless that body is format 2: it is
+    transcoded, and its indexes stay unbuilt.  Rows are written in
+    rowid order.
     """
     tables = []
     bodies = []
     for table in db.tables.values():
-        body = table.encoded
-        if body is None:
-            body = _encode_body(table)
+        enc = table.encoded
+        if enc is not None and enc.version == _FORMAT_VERSION:
+            body, crc = enc.body, enc.crc
+        else:
+            if enc is not None:
+                rowids, *columns = enc.arrays(table, path)
+            else:
+                rows = table.rows
+                rowids = sorted(rows)
+                columns = list(zip(*map(rows.__getitem__, rowids)))
+                columns = columns or [()] * len(table.meta.columns)
+            body = _encode_body(rowids, columns)
+            crc = zlib.crc32(body)
         bodies.append(body)
         tables.append({
             "meta": _table_meta_to_dict(table.meta),
             "next_rowid": table.next_rowid,
             "next_auto": table.next_auto,
             "bytes": len(body),
+            "crc32": crc,
         })
     indexes = [
         {"name": im.name, "table": im.table, "columns": im.columns, "unique": im.unique}
@@ -201,8 +329,8 @@ def _register(db: Database, tdoc: dict) -> Table:
 def load_snapshot(db: Database, path: str) -> None:
     """Populate an empty Database from a snapshot file.
 
-    A v2 file is read up to its header: each table stays encoded until
-    it is first touched (see :func:`_defer`).
+    A v2 or v3 file is read up to its header: each table stays encoded
+    until it is first touched (see :func:`_defer`).
     A v1 file is decoded whole, with every index, as it always was.
     """
     try:
@@ -215,7 +343,7 @@ def load_snapshot(db: Database, path: str) -> None:
         version = doc.get("version")
     except (OSError, ValueError, AttributeError) as exc:
         raise OperationalError(f"cannot read database file {path}: {exc}") from exc
-    if version not in (1, _FORMAT_VERSION):
+    if version not in (1, 2, _FORMAT_VERSION):
         raise OperationalError(f"unsupported database format version {version!r}")
     tables = [_register(db, tdoc) for tdoc in doc["tables"]]
     for idoc in doc["indexes"]:
@@ -238,40 +366,29 @@ def load_snapshot(db: Database, path: str) -> None:
             f"data, the header lists {sum(sizes) + len(sizes)}"
         )
     lock = threading.Lock()
-    for table, size in zip(tables, sizes):
-        _defer(db, path, table, data[offset:offset + size], lock)
+    for table, tdoc, size in zip(tables, doc["tables"], sizes):
+        enc = _Encoded(data[offset:offset + size], version, tdoc.get("crc32"))
+        _defer(db, path, table, enc, lock)
         offset += size + 1
 
 
-def _defer(db: Database, path: str, table: Table, body: bytes, lock: threading.Lock) -> None:
-    """Leave *table* encoded as *body*; its first touch through
+def _defer(db: Database, path: str, table: Table, enc: _Encoded, lock: threading.Lock) -> None:
+    """Leave *table* encoded as *enc*; its first touch through
     ``Database.table()`` or ``indexes_on()`` decodes it and builds all of
     its indexes at once."""
-    name = table.meta.name
-    width = len(table.meta.columns) + 1
 
     def load() -> None:
         with lock:
-            if table.encoded is None:  # another thread decoded it first
+            enc = table.encoded
+            if enc is None:  # another thread decoded it first
                 return
-            with _trace.span("wal.materialise", cat="minidb", table=name):
-                try:
-                    arrays = _decode(table.encoded.decode("ascii"))
-                except ValueError as exc:
-                    raise OperationalError(
-                        f"cannot read table {name} of database file {path}: {exc}"
-                    ) from exc
-                if not (isinstance(arrays, list) and len(arrays) == width and all(
-                        isinstance(a, list) and len(a) == len(arrays[0]) for a in arrays)):
-                    raise OperationalError(
-                        f"cannot read table {name} of database file {path}: "
-                        f"expected {width} arrays of equal length"
-                    )
-                db.fill(table, arrays[0], arrays[1:])
+            with _trace.span("wal.materialise", cat="minidb", table=table.meta.name):
+                rowids, *columns = enc.arrays(table, path)
+                db.fill(table, rowids, columns)
             _TABLES_MATERIALISED.inc()
 
-    table.defer(body, load)
-    for idx in db._indexes_of(name):
+    table.defer(enc, load)
+    for idx in db._indexes_of(table.meta.name):
         idx.defer()
 
 

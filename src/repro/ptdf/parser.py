@@ -76,11 +76,55 @@ def split_fields(line: str) -> list[str]:
     """Tokenise one PTdf line honouring quotes, escapes and # comments.
 
     A line with no quote and no ``#`` splits exactly as ``str.split()``
-    would (both break on ``str.isspace`` characters), so only quoted or
-    commented lines walk the characters.
+    would (both break on ``str.isspace`` characters).  A line with no
+    backslash whose quotes all close splits at its quotes
+    (:func:`_split_quoted`); only lines with escapes or an unterminated
+    quote walk the characters.
     """
     if '"' not in line and "#" not in line:
         return line.split()
+    if "\\" not in line:
+        parts = line.split('"')
+        if len(parts) % 2:
+            return _split_quoted(parts)
+    return _split_chars(line)
+
+
+def _split_quoted(parts: list[str]) -> list[str]:
+    """The fields of a line given split at its (even number of) quotes.
+
+    Even parts lie outside quotes: ``str.split()`` up to a ``#``.  Odd
+    parts are quoted text, taken literally.  Pieces with no whitespace
+    between them glue into one field, and a quoted part always makes
+    one, empty or not.
+    """
+    fields: list[str] = []
+    open_field: Optional[str] = None  # the field still being glued
+    for i, part in enumerate(parts):
+        if i % 2:
+            open_field = part if open_field is None else open_field + part
+            continue
+        comment = part.find("#")
+        if comment >= 0:
+            part = part[:comment]
+        if part[:1].isspace() and open_field is not None:
+            fields.append(open_field)
+            open_field = None
+        words = part.split()
+        if words:
+            if open_field is not None:
+                words[0] = open_field + words[0]
+            open_field = None if part[-1].isspace() else words.pop()
+            fields.extend(words)
+        if comment >= 0:
+            break
+    if open_field is not None:
+        fields.append(open_field)
+    return fields
+
+
+def _split_chars(line: str) -> list[str]:
+    """:func:`split_fields` character by character: escapes and errors."""
     fields: list[str] = []
     buf: list[str] = []
     in_quotes = False

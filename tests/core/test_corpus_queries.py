@@ -188,6 +188,17 @@ class TestEvaluate:
         assert engine.count_for_family(family) == want
         assert engine.count_for_filter([family]) == want
 
+    @pytest.mark.parametrize("label", sorted(PRFILTERS))
+    def test_live_counts_match_the_separate_evaluations(self, corpus, label):
+        store, engine = corpus
+        prf = PRFILTERS[label]
+        families = store.resolve_prfilter(prf)
+        counts, ids = engine.live_counts(families)
+        assert counts == [len(_expected(PrFilter([f]))) for f in prf.filters]
+        assert counts == [engine.count_for_family(fam) for fam in families]
+        assert ids == engine.result_ids(families)
+        assert _keys(store, engine, ids) == _expected(prf)
+
 
 class TestFetch:
     def test_every_result_once_with_its_value(self, corpus):

@@ -54,6 +54,38 @@ class TestRollback:
         conn.rollback()
         assert conn.execute("SELECT v FROM t ORDER BY v").fetchall() == [(1,)]
 
+    @pytest.mark.parametrize("statements", [
+        ["DELETE FROM t WHERE id IN (1, 2, 3)"],
+        ["DELETE FROM t WHERE id = 4", "DELETE FROM t WHERE id IN (2, 5)",
+         "UPDATE t SET v = -v WHERE id = 1", "INSERT INTO t (v) VALUES (60)"],
+    ])
+    def test_rollback_of_deletes_scans_in_rowid_order_as_sqlite3_does(self, conn, statements):
+        import sqlite3
+
+        oracle = sqlite3.connect(":memory:")
+        oracle.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        answers = []
+        for db in (conn, oracle):
+            db.executemany("INSERT INTO t (v) VALUES (?)", [(v,) for v in (10, 20, 30, 40, 50)])
+            db.commit()
+            for sql in statements:
+                db.execute(sql)
+            db.rollback()
+            answers.append(db.execute("SELECT id, v FROM t").fetchall())
+        oracle.close()
+        assert answers[0] == answers[1] == [(1, 10), (2, 20), (3, 30), (4, 40), (5, 50)]
+
+    def test_failed_delete_keeps_rowid_order(self):
+        c = minidb.connect()
+        c.execute("CREATE TABLE p (id INTEGER PRIMARY KEY)")
+        c.execute("CREATE TABLE ch (pid INTEGER REFERENCES p(id))")
+        c.execute("INSERT INTO p VALUES (1), (2), (3)")
+        c.execute("INSERT INTO ch VALUES (2)")
+        with pytest.raises(minidb.IntegrityError):
+            c.execute("DELETE FROM p WHERE id = 2")
+        assert c.execute("SELECT id FROM p").fetchall() == [(1,), (2,), (3,)]
+        c.close()
+
     def test_commit_makes_changes_durable_against_rollback(self, conn):
         conn.execute("INSERT INTO t (v) VALUES (1)")
         conn.commit()

@@ -36,12 +36,20 @@ def _plan(conn, sql, params=()):
 
 
 class TestColumnSegment:
-    def test_int_column_uses_typed_array(self):
-        seg = ColumnSegment([1, 2, 3], [(10,), (20,), (30,)])
+    @pytest.mark.parametrize("values, typecode", [
+        ((10, 20, 30), "b"),
+        ((-128, 127, 0), "b"),
+        ((128, 20, 30), "h"),
+        ((-32769, 20, 30), "i"),
+        ((2**31, 20, 30), "q"),
+        ((-(2**63), 2**63 - 1, 0), "q"),
+    ])
+    def test_int_column_uses_the_narrowest_typed_array(self, values, typecode):
+        seg = ColumnSegment([1, 2, 3], [(v,) for v in values])
         kind, payload = seg.column(0)
         assert kind == "i"
-        assert payload.typecode == "q"
-        assert seg.slice(0, 1, 3) == ([20, 30], "i")
+        assert payload.typecode == typecode
+        assert seg.slice(0, 1, 3) == (list(values[1:]), "i")
 
     def test_float_column_uses_typed_array(self):
         seg = ColumnSegment([1, 2], [(1.5,), (2.5,)])

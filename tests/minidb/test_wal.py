@@ -3,9 +3,14 @@
 import base64
 import io
 import json
+import math
 import os
+import shutil
+import struct
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.minidb as minidb
 
@@ -124,10 +129,10 @@ class TestCheckpoint:
         assert c2.execute("SELECT COUNT(*) FROM t").fetchall() == [(3,)]
         c2.close()
 
-    def test_snapshot_is_valid_json(self, db_path):
+    def test_snapshot_layout(self, db_path):
         make_db(db_path).close()
-        header, bodies = _read_v2(db_path)
-        assert header["version"] == 2
+        header, bodies = _read_v3(db_path)
+        assert header["version"] == 3
         assert [t["meta"]["name"] for t in header["tables"]] == ["t"]
         assert bodies["t"] == [[1, 2], [1, 2], ["one", "two"]]
 
@@ -138,17 +143,117 @@ class TestCheckpoint:
             minidb.connect(db_path)
 
 
-def _read_v2(path):
-    """A format-2 snapshot as ``(header, {table name: body arrays})``."""
+#: A format-3 column block's head: kind byte, little-endian u64 length.
+_BLOCK = struct.Struct("<cQ")
+_ITEM_SIZES = {b"b": 1, b"h": 2, b"i": 4, b"q": 8, b"d": 8}
+
+
+def _blob_hook(obj):
+    return base64.b64decode(obj["__blob__"]) if "__blob__" in obj else obj
+
+
+def _blocks(body):
+    """``[(kind, values)]`` of one format-3 body, rowids first, read with
+    ``struct`` from the documented layout."""
+    blocks, pos = [], 0
+    while pos < len(body):
+        kind, size = _BLOCK.unpack_from(body, pos)
+        payload = body[pos + _BLOCK.size:pos + _BLOCK.size + size]
+        assert len(payload) == size
+        pos += _BLOCK.size + size
+        if kind in _ITEM_SIZES:
+            count = size // _ITEM_SIZES[kind]
+            values = list(struct.unpack(f"<{count}{kind.decode()}", payload))
+        elif kind == b"s":
+            n, code = len(blocks[0][1]), payload[:1]
+            end = 1 + n * _ITEM_SIZES[code]
+            names = json.loads(payload[end:])
+            values = [names[c] for c in struct.unpack(f"<{n}{code.decode()}", payload[1:end])]
+        else:
+            assert kind == b"j"
+            values = json.loads(payload, object_hook=_blob_hook)
+        blocks.append((kind.decode(), values))
+    return blocks
+
+
+def _split(path):
+    """A v2/v3 snapshot file as ``(header, [body bytes per table])``."""
     with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")
-    header = json.loads(lines[0])
-    assert lines[-1] == b""  # every line ends in a newline
-    body_lines = lines[1:-1]
-    assert [len(b) for b in body_lines] == [t["bytes"] for t in header["tables"]]
-    return header, {
-        t["meta"]["name"]: json.loads(b) for t, b in zip(header["tables"], body_lines)
-    }
+        data = fh.read()
+    end = data.index(b"\n")
+    header = json.loads(data[:end])
+    offset, bodies = end + 1, []
+    for t in header["tables"]:
+        bodies.append(data[offset:offset + t["bytes"]])
+        assert data[offset + t["bytes"]:offset + t["bytes"] + 1] == b"\n"
+        offset += t["bytes"] + 1
+    assert offset == len(data)
+    return header, bodies
+
+
+def _read_v3(path, kinds=False):
+    """A format-3 snapshot as ``(header, {table name: body arrays})``, or
+    ``{table name: column kinds}`` in place of the arrays with *kinds*."""
+    header, bodies = _split(path)
+    out = {}
+    for t, body in zip(header["tables"], bodies):
+        assert zlib.crc32(body) == t["crc32"]
+        out[t["meta"]["name"]] = [b[0] if kinds else b[1] for b in _blocks(body)]
+    return header, out
+
+
+def _v2_snapshot(db) -> bytes:
+    """*db* as a format-2 file: a JSON header line, then one JSON body
+    line per table, ``[[rowid…], [col0…], …]``."""
+    from repro.minidb.wal import _table_meta_to_dict
+
+    def enc(v):
+        if isinstance(v, bytes):
+            return {"__blob__": base64.b64encode(v).decode("ascii")}
+        raise TypeError(v)
+
+    tables, bodies = [], []
+    for table in db.tables.values():
+        rows = db.table(table.meta.name).rows
+        columns = list(zip(*rows.values())) or [()] * len(table.meta.columns)
+        body = json.dumps([list(rows), *map(list, columns)], default=enc,
+                          separators=(",", ":")).encode("ascii")
+        bodies.append(body)
+        tables.append({"meta": _table_meta_to_dict(table.meta), "next_rowid": table.next_rowid,
+                       "next_auto": table.next_auto, "bytes": len(body)})
+    indexes = [
+        {"name": im.name, "table": im.table, "columns": im.columns, "unique": im.unique}
+        for im in db.catalog.indexes.values()
+        if not im.name.startswith("__")
+    ]
+    header = json.dumps({"version": 2, "indexes": indexes, "tables": tables}).encode("ascii")
+    return b"\n".join([header, *bodies, b""])
+
+
+def _json_blocks(arrays) -> bytes:
+    """A valid format-3 body holding every array as a JSON block."""
+    out = b""
+    for values in arrays:
+        payload = json.dumps(values).encode("ascii")
+        out += _BLOCK.pack(b"j", len(payload)) + payload
+    return out
+
+
+def _body(path, name) -> bytes:
+    """Table *name*'s body in the snapshot at *path*, as stored."""
+    header, bodies = _split(path)
+    return dict(zip((t["meta"]["name"] for t in header["tables"]), bodies))[name]
+
+
+def _replace_body(path, name, body) -> None:
+    """Swap table *name*'s body for *body*, with its length and CRC."""
+    header, bodies = _split(path)
+    for i, t in enumerate(header["tables"]):
+        if t["meta"]["name"] == name:
+            bodies[i] = body
+            t["bytes"], t["crc32"] = len(body), zlib.crc32(body)
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join([json.dumps(header).encode("ascii"), *bodies, b""]))
 
 
 def _append_wal(path, text):
@@ -298,15 +403,15 @@ class TestReadOnlyClose:
         c2 = minidb.connect(db_path)
         c2.close()
         assert not os.path.exists(db_path + ".wal")
-        _header, bodies = _read_v2(db_path)
+        _header, bodies = _read_v3(db_path)
         assert sorted(bodies["t"][2]) == ["one", "three", "two"]
         c.close()
 
     def test_new_path_writes_snapshot(self, db_path):
         assert not os.path.exists(db_path)
         minidb.connect(db_path).close()
-        header, bodies = _read_v2(db_path)
-        assert header["version"] == 2 and header["tables"] == [] and bodies == {}
+        header, bodies = _read_v3(db_path)
+        assert header["version"] == 3 and header["tables"] == [] and bodies == {}
 
 
 def _reference_snapshot(db) -> str:
@@ -362,7 +467,7 @@ class TestSnapshotCodec:
         c.commit()
         return c
 
-    def test_v2_round_trip_keeps_every_value(self, db_path):
+    def test_round_trip_keeps_every_value(self, db_path):
         c = minidb.connect(db_path)
         c.execute("CREATE TABLE k (id INTEGER PRIMARY KEY, b BLOB, i INTEGER, "
                   "f REAL, s TEXT, v NUMERIC)")
@@ -377,8 +482,8 @@ class TestSnapshotCodec:
         c.commit()
         before = _table_state(c.db)
         c.close()
-        header, bodies = _read_v2(db_path)
-        assert header["version"] == 2
+        header, bodies = _read_v3(db_path)
+        assert header["version"] == 3
         assert bodies["k"][0] == [1, 2, 3, 4]  # rowids, then one array per column
         c = minidb.connect(db_path)
         assert _table_state(c.db) == before
@@ -595,31 +700,24 @@ class TestLazyOpen:
         assert c2.execute("SELECT COUNT(*) FROM t").fetchall() == [(30,)]
         c2.close()
         c.close()
-        header, bodies = _read_v2(db_path)
+        header, bodies = _read_v3(db_path)
         assert bodies["u"][2] == ["a", "b", "c"] and len(bodies["t"][0]) == 30
 
     def test_untouched_tables_are_copied_verbatim_at_checkpoint(self, db_path):
         self._store(db_path)
-        header, bodies = _read_v2(db_path)
-        # Re-spell table t's body with spaces: valid, but not what the
-        # writer produces, so only a verbatim copy keeps it.
-        spaced = json.dumps(bodies["t"]).encode()
-        header["tables"][1]["bytes"] = len(spaced)
-        with open(db_path, "rb") as fh:
-            lines = fh.read().split(b"\n")
-        lines[0], lines[2] = json.dumps(header).encode(), spaced
-        with open(db_path, "wb") as fh:
-            fh.write(b"\n".join(lines))
+        header, bodies = _read_v3(db_path)
+        # Re-spell table t's body as JSON blocks only: valid, but not what
+        # the writer produces, so only a verbatim copy keeps it.
+        respelled = _json_blocks(bodies["t"])
+        _replace_body(db_path, "t", respelled)
         c = minidb.connect(db_path)
         c.execute("UPDATE u SET v = 'z' WHERE id = 1")
         c.commit()
         assert _encoded(c.db) == ["p", "t"]
         c.close()
-        header, after = _read_v2(db_path)
-        with open(db_path, "rb") as fh:
-            new_lines = fh.read().split(b"\n")
+        header, after = _read_v3(db_path)
         assert [t["meta"]["name"] for t in header["tables"]] == ["p", "t", "u"]
-        assert new_lines[1:3] == lines[1:3]  # p and t: byte for byte
+        assert _body(db_path, "t") == respelled  # byte for byte
         assert after["u"][2] == ["z", "b"] and after["t"] == bodies["t"]
 
     def test_engine_connect_after_lazy_open(self, db_path):
@@ -646,32 +744,41 @@ class TestLazyOpen:
 
     def test_corrupt_body_raises_on_first_touch(self, db_path):
         self._store(db_path)
+        body = _body(db_path, "t")
+        flipped = bytearray(body)
+        flipped[len(body) // 2] ^= 0x01  # one bit, same length
         with open(db_path, "rb") as fh:
-            lines = fh.read().split(b"\n")
-        lines[2] = b"[" + b"x" * (len(lines[2]) - 1)  # table t, same length
+            data = fh.read()
         with open(db_path, "wb") as fh:
-            fh.write(b"\n".join(lines))
+            fh.write(data.replace(body, bytes(flipped)))
         c = minidb.connect(db_path)
         assert c.execute("SELECT COUNT(*) FROM u").fetchall() == [(2,)]
         for _ in range(2):  # still encoded after a failed decode
             with pytest.raises(minidb.OperationalError) as exc:
                 c.execute("SELECT COUNT(*) FROM t")
             assert "table t" in str(exc.value) and db_path in str(exc.value)
-            assert isinstance(exc.value.__cause__, json.JSONDecodeError)
+            assert "CRC-32" in str(exc.value)
         assert _encoded(c.db) == ["p", "t"]
         c.close()
 
-    @pytest.mark.parametrize("body", [b"12345", b"[[1],[1],[1],[1],[1]]", b"[[1,2]]"])
+    @pytest.mark.parametrize("body", [
+        b"12345",                                            # shorter than a block head
+        _BLOCK.pack(b"b", 2) + b"\x01\x02",                  # one array of two
+        _BLOCK.pack(b"b", 2) + b"\x01\x02" + _BLOCK.pack(b"b", 1) + b"\x01",
+        _BLOCK.pack(b"b", 1) + b"\x01" + _BLOCK.pack(b"z", 1) + b"\x01",
+        _BLOCK.pack(b"b", 1) + b"\x01" + _BLOCK.pack(b"j", 9) + b"[1]",
+        (_BLOCK.pack(b"b", 1) + b"\x01") * 2 + _BLOCK.pack(b"j", 5) + b'["a"]' + b"xx",
+        _BLOCK.pack(b"b", 1) + b"\x01" + _BLOCK.pack(b"s", 4) + b"b\x05[]",
+        _BLOCK.pack(b"b", 1) + b"\x01" + _BLOCK.pack(b"s", 4) + b"b\x00{}",
+        _BLOCK.pack(b"b", 1) + b"\x01" + _BLOCK.pack(b"s", 13) + b"d" + bytes(8) + b"[\"\"]",
+        _BLOCK.pack(b"h", 3) + b"\x01\x00\x02" + _BLOCK.pack(b"j", 3) + b"[1]",
+    ])
     def test_body_of_the_wrong_shape_raises_on_first_touch(self, db_path, body):
         c = minidb.connect(db_path)
         c.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, v TEXT)")
         c.commit()
         c.close()
-        with open(db_path, "rb") as fh:
-            header = json.loads(fh.readline())
-        header["tables"][0]["bytes"] = len(body)
-        with open(db_path, "wb") as fh:
-            fh.write(json.dumps(header).encode() + b"\n" + body + b"\n")
+        _replace_body(db_path, "u", body)  # with a matching CRC
         c = minidb.connect(db_path)
         with pytest.raises(minidb.OperationalError, match="table u of database file"):
             c.execute("SELECT * FROM u")
@@ -701,7 +808,7 @@ class TestLazyOpen:
 
 
 class TestFormat1Upgrade:
-    def test_v1_file_opens_read_only_then_is_rewritten_as_v2(self, db_path):
+    def test_v1_file_opens_read_only_then_is_rewritten_as_v3(self, db_path):
         TestLazyOpen()._store(db_path)
         c = minidb.connect(db_path)
         state = _table_state(c.db)
@@ -719,10 +826,151 @@ class TestFormat1Upgrade:
         c.execute("DELETE FROM u WHERE v = 'c'")
         c.commit()
         c.close()
-        header, _bodies = _read_v2(db_path)
-        assert header["version"] == 2
+        header, _bodies = _read_v3(db_path)
+        assert header["version"] == 3
         c = minidb.connect(db_path)
         assert _encoded(c.db) == ["p", "t", "u"]
         after = _table_state(c.db)
         c.close()
         assert {k: v[2] for k, v in after.items()} == {k: v[2] for k, v in state.items()}
+
+
+# Ints drawn inside one typecode's range, so a column's narrowest code
+# varies from column to column; the last range is past int64.
+_INT_RANGES = [(-(2 ** 7), 2 ** 7 - 1), (-(2 ** 15), 2 ** 15 - 1),
+               (-(2 ** 31), 2 ** 31 - 1), (-(2 ** 63), 2 ** 63 - 1), (-(2 ** 64), 2 ** 64)]
+_INTS = st.sampled_from(_INT_RANGES).flatmap(
+    lambda r: st.integers(*r) | st.sampled_from([r[0], r[1], r[0] + 1, r[1] - 1]))
+_FLOATS = st.floats() | st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 1e-300])
+_TEXTS = st.text(max_size=6) | st.sampled_from(["\n", "\0", "café", "a\nb\0c", "\U0001f600"])
+_FEW_TEXTS = st.sampled_from(["x", "\0y", "z\n", "☃", ""])
+_BYTES = st.binary(max_size=6)
+_ANY = st.none() | st.booleans() | _INTS | _FLOATS | _TEXTS | _BYTES
+
+#: One strategy of values per column of ``CREATE TABLE k (...)`` below.
+_COLUMNS = {
+    "i INTEGER": _INTS,
+    "f REAL": _FLOATS,
+    "s TEXT": _TEXTS | _FEW_TEXTS | _BYTES,  # bytes in TEXT decode to str
+    "n NUMERIC": _ANY,
+    "b BLOB": _BYTES,
+    "t BOOLEAN": st.booleans(),
+}
+
+
+def _column_values(base):
+    """A column's value strategy: plain, with NULLs, or all NULL."""
+    return st.sampled_from([base, base | st.none(), st.none()])
+
+
+def _index_entries(db):
+    """Every index's (key, rowids) entries, in no particular key order."""
+    return {name: sorted(map(repr, db.index_state(idx)._map.items()))
+            for name, idx in db.indexes.items()}
+
+
+class TestFormat3:
+    def test_column_kinds(self, db_path):
+        c = minidb.connect(db_path)
+        c.execute("CREATE TABLE k (a, b, c, d, e, f, g, h, i, j, m)")
+        rows = [
+            (127, 128, 2 ** 31, 2 ** 63, 1.5, f"s{i % 3}", f"u{i}", None if i else 1,
+             i == 1, b"\x00", -(2 ** 7) if i else -(2 ** 15))
+            for i in range(40)
+        ]
+        c.executemany("INSERT INTO k VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", rows)
+        c.execute("CREATE TABLE empty (x INTEGER, y TEXT)")
+        c.commit()
+        c.close()
+        _header, kinds = _read_v3(db_path, kinds=True)
+        assert kinds["k"] == ["b", "b", "h", "q", "j", "d", "s", "j", "j", "j", "j", "h"]
+        assert kinds["empty"] == ["j", "j", "j"]
+        c = minidb.connect(db_path)
+        assert c.execute("SELECT * FROM k").fetchall() == rows
+        assert c.execute("SELECT COUNT(*) FROM empty").fetchall() == [(0,)]
+        c.close()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_over_the_value_domain(self, tmp_path_factory, data):
+        path = str(tmp_path_factory.mktemp("v3") / "k.db")
+        strategies = [data.draw(_column_values(base)) for base in _COLUMNS.values()]
+        rows = data.draw(st.lists(st.tuples(*strategies), max_size=40))
+        c = minidb.connect(path)
+        c.execute(f"CREATE TABLE k (id INTEGER PRIMARY KEY, {', '.join(_COLUMNS)})")
+        c.execute("CREATE INDEX k_s ON k (s)")
+        c.execute("CREATE TABLE empty (x INTEGER)")
+        c.executemany(f"INSERT INTO k ({', '.join(col.split()[0] for col in _COLUMNS)}) "
+                      f"VALUES ({', '.join('?' * len(_COLUMNS))})", rows)
+        c.execute("DELETE FROM k WHERE id % 3 = 0")
+        c.commit()
+        # repr() keeps 1, 1.0 and True apart, and -0.0 and NaN comparable.
+        before = repr(_table_state(c.db))
+        indexes = _index_entries(c.db)
+        c.close()
+        reopened = minidb.connect(path)
+        assert repr(_table_state(reopened.db)) == before
+        assert _index_entries(reopened.db) == indexes
+        reopened.close()
+
+    def test_rows_are_written_in_rowid_order(self, db_path):
+        c = make_db(db_path)
+        c.execute("INSERT INTO t (v) VALUES ('three')")
+        c.commit()
+        table = c.db.table("t")
+        table.rows = dict(sorted(table.rows.items(), reverse=True))
+        c.checkpoint()
+        c.close()
+        _header, bodies = _read_v3(db_path)
+        assert bodies["t"] == [[1, 2, 3], [1, 2, 3], ["one", "two", "three"]]
+
+    def test_format2_file_opens_read_only_then_is_transcoded(self, db_path):
+        TestLazyOpen()._store(db_path)
+        c = minidb.connect(db_path)
+        state = _table_state(c.db)
+        old = _v2_snapshot(c.db)
+        c.close()
+        with open(db_path, "wb") as fh:
+            fh.write(old)
+        before = _file_state(db_path)
+        c = minidb.connect(db_path)
+        assert _encoded(c.db) == ["p", "t", "u"]
+        assert c.execute("SELECT COUNT(*) FROM t WHERE g = 1").fetchall() == [(8,)]
+        c.close()
+        assert _file_state(db_path) == before  # a read-only session writes nothing
+        c = minidb.connect(db_path)
+        c.execute("INSERT INTO u (v) VALUES ('c')")
+        c.commit()
+        c.checkpoint()
+        # p and t were transcoded without being decoded: no index built.
+        assert _encoded(c.db) == ["p", "t"]
+        assert not any(hasattr(i, "_map") for i in c.db._indexes_of("t"))
+        c.close()
+        header, bodies = _read_v3(db_path)
+        assert header["version"] == 3
+        assert bodies["t"][0] == list(state["t"][2])
+        c = minidb.connect(db_path)
+        after = _table_state(c.db)
+        c.close()
+        state["u"][2][3] = (3, "c")
+        assert {k: v[2] for k, v in after.items()} == {k: v[2] for k, v in state.items()}
+        assert after["u"][:2] == (4, 4) and after["t"] == state["t"]
+
+    def test_committed_format2_store_upgrades_on_the_first_load(self, tmp_path):
+        from repro.cli import main
+
+        fixture = os.path.join(os.path.dirname(__file__), "data", "quickstart_format2.db")
+        path = str(tmp_path / "q.db")
+        shutil.copyfile(fixture, path)
+        with open(path, "rb") as fh:
+            assert json.loads(fh.readline())["version"] == 2
+        before = _file_state(path)
+        query = ["query", "--db", path, "--count-only", "--name", "/lin-2p", "--relatives", "D"]
+        assert main(query) == 0 and main(query) == 0
+        assert _file_state(path) == before
+        data = os.path.join(os.path.dirname(__file__), "..", "..", "examples",
+                            "data", "quickstart.ptdf")
+        assert main(["load", "--db", path, "--quiet", data]) == 0
+        header, bodies = _read_v3(path)
+        assert header["version"] == 3
+        assert len(bodies["performance_result"][0]) == 10

@@ -1,9 +1,10 @@
 """The PTdf tokenizer against a reference character loop, and record round trips.
 
-``split_fields`` answers unquoted, comment-free lines with ``str.split``
-and walks the characters otherwise.  ``reference_split`` below is the
-plain character loop every line used to take; both must agree on every
-line, errors included.
+``split_fields`` answers unquoted, comment-free lines with ``str.split``,
+splits a line with no backslash and closed quotes at its quotes, and
+walks the characters otherwise.  ``reference_split`` below is the plain
+character loop every line used to take; all must agree on every line,
+errors included.
 """
 
 from typing import Optional
@@ -87,6 +88,18 @@ AWKWARD = ' \t\u00a0\u2003\u3000\u0085\u2028\x1f\x0b"\\#'
 LINE_ALPHABET = st.sampled_from(list(AWKWARD + "ab/,:()é1."))
 
 
+# Line pieces for the quote-split path: bare words, Unicode whitespace,
+# '#', and quoted text (empty, or holding whitespace and '#').  A stray
+# piece, a backslash or a lone quote, sends a line to the loop instead.
+QUOTED_TEXT = st.text(alphabet=st.sampled_from(list(" \t\u00a0\u3000#aé")), max_size=5)
+PIECE = st.one_of(
+    st.text(alphabet=st.sampled_from(list("ab/é1")), min_size=1, max_size=4),
+    st.sampled_from([" ", "\t", "\u00a0", "\u2003", "\u2028", "\x1f", "#", "# c"]),
+    QUOTED_TEXT.map(lambda t: f'"{t}"'),
+)
+STRAY = st.sampled_from(['"', "\\", '\\"'])
+
+
 def outcome(fn, line):
     try:
         return ("ok", fn(line))
@@ -119,6 +132,35 @@ class TestSplitFieldsMatchesReference:
         ],
     )
     def test_examples(self, line):
+        assert outcome(split_fields, line) == outcome(reference_split, line)
+
+    @settings(max_examples=600, deadline=None)
+    @given(pieces=st.lists(PIECE, max_size=12))
+    def test_quote_split_lines(self, pieces):
+        line = "".join(pieces)
+        assert outcome(split_fields, line) == outcome(reference_split, line)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pieces=st.lists(PIECE | STRAY, max_size=12))
+    def test_quote_split_lines_with_strays(self, pieces):
+        line = "".join(pieces)
+        assert outcome(split_fields, line) == outcome(reference_split, line)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            'a"b c"d e',
+            '"" "" x""y',
+            '"a""b"',
+            '  "x"  # "y',
+            '"a"#b',
+            'k "#" v#"',
+            'a "b" "c\\" d"',
+            '\u00a0"a\u2028b"\u3000c\u0085',
+            'Resource "/a b" grid  # "/c d"',
+        ],
+    )
+    def test_quote_split_examples(self, line):
         assert outcome(split_fields, line) == outcome(reference_split, line)
 
     def test_parse_error_keeps_column_and_field(self):

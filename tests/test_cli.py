@@ -234,6 +234,24 @@ class TestQuery:
         n_double = int(double.split("# whole filter: ")[1].split()[0])
         assert 0 < n_double < n_single
 
+    def test_printed_counts_are_the_separate_evaluations(self, study, capsys):
+        from repro.core import ByName, Expansion, PrFilter, PTDataStore
+        from repro.core.query import QueryEngine
+
+        names = ("/IRS/src/matsolve", "/irs-cli-p0004-r0")
+        main(["query", "--db", study, "--name", names[0], "--name", names[1],
+              "--relatives", "D", "--count-only"])
+        out = capsys.readouterr().out.splitlines()
+        store = PTDataStore(database=study, initialize=False)
+        engine = QueryEngine(store)
+        families = store.resolve_prfilter(
+            PrFilter([ByName(name, Expansion.DESCENDANTS) for name in names]))
+        want = [f"{engine.count_for_family(fam)} match alone" for fam in families]
+        whole = len(engine.result_ids(families))
+        store.close()
+        assert [line.split(": ", 1)[1] for line in out if line.startswith("# family")] == want
+        assert f"# whole filter: {whole} results" in out
+
     def test_bad_attr_clause(self, study, capsys):
         assert main(["query", "--db", study, "--attr", "nonsense"]) == 1
 
