@@ -442,7 +442,7 @@ class PTDataStore:
         missing = sorted({rid for rid in ids if rid not in cache})
         for chunk in _chunks(missing):
             marks = ",".join("?" * len(chunk))
-            for row in self.backend.stream(  # noqa: PTL001 — '?' marks only
+            for row in self.backend.query(  # noqa: PTL001 — '?' marks only
                 f"SELECT {self._RES_COLS} FROM {self._RES_FROM} "
                 f"WHERE r.id IN ({marks})",
                 chunk,

@@ -17,6 +17,7 @@ and whole-filter count as the query is built).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..obs.clock import now as _now
@@ -24,7 +25,7 @@ from ..obs.metrics import metrics as _M
 from ..obs.tracing import trace as _trace
 from .datastore import PTDataStore, _chunks
 from .filters import PrFilter, ResourceFamily
-from .results import Context, PerformanceResult
+from .results import Context, PerformanceResult, _new_result
 
 # Query-layer metrics (no-ops while the registry is disabled).
 _PRFILTER_EVALS = _M.counter("query.prfilter_evaluations")
@@ -32,6 +33,8 @@ _PRFILTER_SECONDS = _M.histogram("query.prfilter_seconds")
 _RESULTS_MATCHED = _M.counter("query.results_matched", unit="results")
 _RESULTS_FETCHED = _M.counter("query.results_fetched", unit="results")
 _FETCH_SECONDS = _M.histogram("query.fetch_seconds")
+
+_first = itemgetter(0)
 
 
 class QueryEngine:
@@ -48,12 +51,12 @@ class QueryEngine:
         out: set[int] = set()
         for chunk in _chunks(ids):
             marks = ",".join("?" * len(chunk))
-            rows = self.store.backend.stream(  # noqa: PTL001 — '?' marks only
+            rows = self.store.backend.query(  # noqa: PTL001 — '?' marks only
                 f"SELECT DISTINCT focus_id FROM focus_has_resource "
                 f"WHERE resource_id IN ({marks})",
                 chunk,
             )
-            out.update(r[0] for r in rows)
+            out.update(map(_first, rows))
         return out
 
     def _result_ids_for_focus_ids(
@@ -72,8 +75,8 @@ class QueryEngine:
             if focus_type is not None:
                 sql += " AND focus_type = ?"
                 params.append(focus_type)
-            rows = self.store.backend.stream(sql, params)
-            out.update(r[0] for r in rows)
+            rows = self.store.backend.query(sql, params)  # noqa: PTL001 — '?' marks only
+            out.update(map(_first, rows))
         return out
 
     def result_ids(
@@ -113,14 +116,14 @@ class QueryEngine:
     ) -> set[int]:
         if not families:
             if focus_type is None:
-                rows = self.store.backend.stream("SELECT id FROM performance_result")
-                return {r[0] for r in rows}
-            rows = self.store.backend.stream(  # noqa: PTL001 — '?' marks only
+                rows = self.store.backend.query("SELECT id FROM performance_result")
+                return set(map(_first, rows))
+            rows = self.store.backend.query(  # noqa: PTL001 — '?' marks only
                 "SELECT DISTINCT performance_result_id "
                 "FROM performance_result_has_focus WHERE focus_type = ?",
                 (focus_type,),
             )
-            return {r[0] for r in rows}
+            return set(map(_first, rows))
         # Intersect incrementally, smallest family first: the moment the
         # surviving set goes empty no further family needs to be probed
         # (∀-family semantics short-circuit on the first empty meet).
@@ -188,10 +191,11 @@ class QueryEngine:
         ids = sorted(set(result_ids))
         if not ids:
             return []
+        backend = self.store.backend
         base: dict[int, tuple] = {}
         for chunk in _chunks(ids):
             marks = ",".join("?" * len(chunk))
-            rows = self.store.backend.stream(  # noqa: PTL001 — '?' marks only
+            rows = backend.query(  # noqa: PTL001 — '?' marks only
                 f"SELECT p.id, e.name, m.name, t.name, p.value, p.units, "
                 f"p.start_time, p.end_time, p.value_type "
                 f"FROM performance_result p "
@@ -201,14 +205,13 @@ class QueryEngine:
                 f"WHERE p.id IN ({marks})",
                 chunk,
             )
-            for r in rows:
-                base[r[0]] = r
-        # Contexts: result -> [(focus_id, focus_type)], focus -> resource ids.
+            base.update(zip(map(_first, rows), rows))
+        # Contexts: result -> [(focus_id, focus_type)] in row order,
+        # focus -> resource ids.
         assoc: dict[int, list[tuple[int, str]]] = {rid: [] for rid in ids}
-        focus_ids: set[int] = set()
         for chunk in _chunks(ids):
             marks = ",".join("?" * len(chunk))
-            rows = self.store.backend.stream(  # noqa: PTL001 — '?' marks only
+            rows = backend.query(  # noqa: PTL001 — '?' marks only
                 f"SELECT performance_result_id, focus_id, focus_type "
                 f"FROM performance_result_has_focus "
                 f"WHERE performance_result_id IN ({marks})",
@@ -216,7 +219,7 @@ class QueryEngine:
             )
             for pr_id, fid, ftype in rows:
                 assoc[pr_id].append((fid, ftype))
-                focus_ids.add(fid)
+        focus_keys = {key for keys in assoc.values() for key in keys}
         # Vector payloads for array-valued results (Section-6 extension).
         vector_ids = [rid for rid, row in base.items() if row[8] == "vector"]
         vectors: dict[int, list[tuple[int, float, float, float]]] = {
@@ -224,7 +227,7 @@ class QueryEngine:
         }
         for chunk in _chunks(sorted(vector_ids)):
             marks = ",".join("?" * len(chunk))
-            rows = self.store.backend.stream(  # noqa: PTL001 — '?' marks only
+            rows = backend.query(  # noqa: PTL001 — '?' marks only
                 f"SELECT performance_result_id, bin_index, bin_start, bin_end, value "
                 f"FROM performance_result_vector "
                 f"WHERE performance_result_id IN ({marks})",
@@ -234,38 +237,34 @@ class QueryEngine:
                 vectors[pr_id].append((bi, bs, be, v))
         for rows_ in vectors.values():
             rows_.sort()
-        focus_resources: dict[int, set[int]] = {fid: set() for fid in focus_ids}
-        for chunk in _chunks(sorted(focus_ids)):
+        focus_resources: dict[int, list[int]] = {fid: [] for fid, _t in focus_keys}
+        for chunk in _chunks(sorted(focus_resources)):
             marks = ",".join("?" * len(chunk))
-            rows = self.store.backend.stream(  # noqa: PTL001 — '?' marks only
+            rows = backend.query(  # noqa: PTL001 — '?' marks only
                 f"SELECT focus_id, resource_id FROM focus_has_resource "
                 f"WHERE focus_id IN ({marks})",
                 chunk,
             )
             for fid, rid in rows:
-                focus_resources[fid].add(rid)
+                focus_resources[fid].append(rid)
+        # One Context per (focus_id, focus_type), shared by every result
+        # that has it.
+        members = {fid: frozenset(rids) for fid, rids in focus_resources.items()}
+        contexts = {
+            key: Context(key[0], members[key[0]], key[1]) for key in focus_keys
+        }
+        context_of = contexts.__getitem__
         out: list[PerformanceResult] = []
         for rid in ids:
             row = base.get(rid)
             if row is None:
                 continue
-            contexts = tuple(
-                Context(fid, frozenset(focus_resources.get(fid, ())), ftype)
-                for fid, ftype in assoc.get(rid, ())
-            )
             out.append(
-                PerformanceResult(
-                    id=row[0],
-                    execution=row[1],
-                    metric=row[2],
-                    tool=row[3],
-                    value=row[4],
-                    units=row[5] or "",
-                    contexts=contexts,
-                    start_time=row[6],
-                    end_time=row[7],
-                    value_type=row[8],
-                    series=tuple(vectors.get(rid, ())),
+                _new_result(
+                    row[0], row[1], row[2], row[3], row[4], row[5] or "",
+                    tuple(map(context_of, assoc[rid])),
+                    row[6], row[7], row[8],
+                    tuple(vectors.get(rid, ())),
                 )
             )
         return out

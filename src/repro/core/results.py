@@ -55,6 +55,47 @@ class PerformanceResult:
         return frozenset(out)
 
 
+_new_object = object.__new__
+
+
+def _new_result(
+    id: int,
+    execution: str,
+    metric: str,
+    tool: str,
+    value: Optional[float],
+    units: str,
+    contexts: tuple[Context, ...],
+    start_time: Optional[str],
+    end_time: Optional[str],
+    value_type: str,
+    series: tuple[tuple[int, float, float, float], ...],
+) -> PerformanceResult:
+    """A :class:`PerformanceResult` filled in one step, for bulk fetches.
+
+    The frozen dataclass's ``__init__`` stores each field through
+    ``object.__setattr__``; this writes the instance dict directly.  The
+    instance equals, hashes and prints exactly as one built by
+    ``PerformanceResult(...)`` does.  Fields are written in declaration
+    order, the order ``__init__`` uses, so the instance dicts keep
+    sharing one key table.
+    """
+    obj = _new_object(PerformanceResult)
+    d = obj.__dict__
+    d["id"] = id
+    d["execution"] = execution
+    d["metric"] = metric
+    d["tool"] = tool
+    d["value"] = value
+    d["units"] = units
+    d["contexts"] = contexts
+    d["start_time"] = start_time
+    d["end_time"] = end_time
+    d["value_type"] = value_type
+    d["series"] = series
+    return obj
+
+
 @dataclass
 class ResultRow:
     """One row of the GUI-style result table (see repro.gui.mainwindow)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 from .. import minidb
 from ..minidb.errors import DatabaseError, IntegrityError, OperationalError, ProgrammingError
@@ -46,6 +46,7 @@ class Backend:
         try:
             cur.execute(self.sql(sql), tuple(params))
         except Exception as exc:  # noqa: BLE001 - normalised below
+            cur.close()
             raise self.translate_error(exc) from exc
         return cur
 
@@ -58,20 +59,14 @@ class Backend:
         return cur
 
     def query(self, sql: str, params: Sequence[Any] = ()) -> list[tuple]:
-        return self.execute(sql, params).fetchall()
+        """Every row of a query, read in one ``fetchall``.
 
-    def stream(self, sql: str, params: Sequence[Any] = ()) -> Iterator[tuple]:
-        """Iterate a query's rows without materialising the result set.
-
-        Both minidb and sqlite3 cursors stream rows on demand, so an
-        abandoned iteration (e.g. an existence probe) never pays for the
-        rows it does not consume.  Rows come from the cursor's own
-        iterator, not one ``fetchone`` call each.  The cursor is closed
-        when iteration ends or the generator is discarded.
+        One call drains the cursor without a Python frame per row, and
+        the cursor is closed before the rows are returned.
         """
         cur = self.execute(sql, params)
         try:
-            yield from cur
+            return cur.fetchall()
         finally:
             cur.close()
 

@@ -265,6 +265,14 @@ class Evaluator:
     phase of a SELECT.
     """
 
+    #: node type -> ``_eval_<Node>`` function; one table per class, so a
+    #: subclass's overrides never reach the base class's table.
+    _handlers: dict[type, Callable] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {}
+
     def __init__(
         self,
         params: Sequence[Any] = (),
@@ -281,10 +289,22 @@ class Evaluator:
     # -- public ------------------------------------------------------------
 
     def evaluate(self, expr: ast.Expr, scope: Scope) -> Any:
-        method = getattr(self, f"_eval_{type(expr).__name__}", None)
-        if method is None:
-            raise ProgrammingError(f"cannot evaluate {type(expr).__name__}")
-        return method(expr, scope)
+        try:
+            handler = self._handlers[type(expr)]
+        except KeyError:
+            handler = self._handler_for(type(expr))
+        return handler(self, expr, scope)
+
+    @classmethod
+    def _handler_for(cls, node_type: type) -> Callable:
+        """The ``_eval_<Node>`` function for *node_type*, entered in the
+        class's dispatch table on first use (threads racing on a first use
+        store the same function, so the table needs no lock)."""
+        handler = getattr(cls, f"_eval_{node_type.__name__}", None)
+        if handler is None:
+            raise ProgrammingError(f"cannot evaluate {node_type.__name__}")
+        cls._handlers[node_type] = handler
+        return handler
 
     def is_true(self, expr: ast.Expr, scope: Scope) -> bool:
         return _is_true(self.evaluate(expr, scope))

@@ -96,7 +96,7 @@ class TestErrorNormalisation:
 
 
 class TestStream:
-    """Backend.stream iterates the cursor itself, lazily, on both engines."""
+    """An engine cursor streams its rows lazily when it is iterated."""
 
     @pytest.fixture(autouse=True)
     def _table(self, backend):
@@ -110,15 +110,16 @@ class TestStream:
 
         monkeypatch.setattr(vector, "BATCH_SIZE", 3)
         sql = "SELECT id, v FROM t WHERE id IN (2, 3, 5, 7, 11, 13, 17, 19)"
-        assert list(backend.stream(sql)) == backend.query(sql)
-        assert list(backend.stream("SELECT v FROM t ORDER BY id")) == [
+        assert list(backend.execute(sql)) == backend.query(sql)
+        assert list(backend.execute("SELECT v FROM t ORDER BY id")) == [
             (f"v{i}",) for i in range(20)
         ]
 
     def test_abandoned_stream_stays_lazy(self, backend):
-        rows = backend.stream("SELECT id FROM t ORDER BY id")
+        cur = backend.execute("SELECT id FROM t ORDER BY id")
+        rows = iter(cur)
         assert next(rows) == (1,)
-        rows.close()
+        cur.close()
         assert backend.scalar("SELECT COUNT(*) FROM t") == 20
 
 
@@ -142,7 +143,7 @@ def test_commit_mid_stream_raises_ses003_on_next_row(monkeypatch, sql):
         session.commit()
         backend = Backend(session)
         backend.executemany("INSERT INTO t (v) VALUES (?)", [("x",)] * 10)  # opens a txn
-        rows = backend.stream(sql)
+        rows = iter(backend.execute(sql))
         assert next(rows) == (1,)
         assert next(rows) == (2,)
         session.commit()
@@ -152,6 +153,72 @@ def test_commit_mid_stream_raises_ses003_on_next_row(monkeypatch, sql):
     finally:
         session.close()
         eng.close()
+
+
+class _SpyCursor:
+    """Wraps a DB-API cursor, recording ``close`` and optionally failing
+    ``fetchall``."""
+
+    def __init__(self, cursor, fail_fetch: bool) -> None:
+        self._cursor = cursor
+        self._fail_fetch = fail_fetch
+        self.closed = False
+
+    def execute(self, sql, params=()):
+        return self._cursor.execute(sql, params)
+
+    def fetchall(self):
+        if self._fail_fetch:
+            raise OperationalError("fetch failed")
+        return self._cursor.fetchall()
+
+    def close(self):
+        self.closed = True
+        self._cursor.close()
+
+
+class _SpyConnection:
+    def __init__(self, connection, fail_fetch: bool = False) -> None:
+        self._connection = connection
+        self._fail_fetch = fail_fetch
+        self.cursors: list[_SpyCursor] = []
+
+    def cursor(self):
+        cur = _SpyCursor(self._connection.cursor(), self._fail_fetch)
+        self.cursors.append(cur)
+        return cur
+
+
+class TestQueryClosesCursor:
+    """Backend.query reads the whole result and closes its cursor, whether
+    it returns or raises."""
+
+    @pytest.fixture(autouse=True)
+    def _table(self, backend):
+        backend.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        backend.executemany("INSERT INTO t (v) VALUES (?)", [("a",), ("b",)])
+
+    def _spy(self, backend, monkeypatch, fail_fetch=False) -> _SpyConnection:
+        spy = _SpyConnection(backend.connection, fail_fetch)
+        monkeypatch.setattr(backend, "connection", spy)
+        return spy
+
+    def test_closed_after_return(self, backend, monkeypatch):
+        spy = self._spy(backend, monkeypatch)
+        assert backend.query("SELECT v FROM t ORDER BY id") == [("a",), ("b",)]
+        assert [c.closed for c in spy.cursors] == [True]
+
+    def test_closed_after_fetch_raises(self, backend, monkeypatch):
+        spy = self._spy(backend, monkeypatch, fail_fetch=True)
+        with pytest.raises(OperationalError, match="fetch failed"):
+            backend.query("SELECT v FROM t")
+        assert [c.closed for c in spy.cursors] == [True]
+
+    def test_closed_after_execute_raises(self, backend, monkeypatch):
+        spy = self._spy(backend, monkeypatch)
+        with pytest.raises(DatabaseError):
+            backend.query("SELECT v FROM no_such_table")
+        assert [c.closed for c in spy.cursors] == [True]
 
 
 def test_closed_cursor_iteration_raises_ses004(monkeypatch):

@@ -350,25 +350,25 @@ def _fetch_and_resource_statements():
     store = PTDataStore()
     store.load_file("examples/data/quickstart.ptdf")
     seen = []
-    real_stream = store.backend.stream
+    real_query = store.backend.query
     real_query_one = store.backend.query_one
 
-    def stream(sql, params=()):
+    def query(sql, params=()):
         seen.append((sql, tuple(params)))
-        return real_stream(sql, params)
+        return real_query(sql, params)
 
     def query_one(sql, params=()):
         seen.append((sql, tuple(params)))
         return real_query_one(sql, params)
 
-    store.backend.stream = stream
+    store.backend.query = query
     store.backend.query_one = query_one
     qe = QueryEngine(store)
     results = qe.fetch(PrFilter([ByName("/lin-2p", Expansion.DESCENDANTS)]))
     store._resource_obj_cache.clear()
     qe.free_resources(results)  # one IN-probe lookup
     store.resource_by_id(1)  # one point lookup
-    store.backend.stream = real_stream
+    store.backend.query = real_query
     store.backend.query_one = real_query_one
     return store, results, [s for s in seen if " JOIN " in s[0]]
 

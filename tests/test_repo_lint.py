@@ -393,82 +393,6 @@ def test_perf_counter_and_other_attrs_clean(tmp_path):
     assert violations == []
 
 
-# ------------------------------------------------------------------- PTL005
-
-
-def test_iterating_fetchall_flagged(tmp_path):
-    violations = lint_source(
-        tmp_path,
-        """\
-        def scan(cur):
-            out = set()
-            for row in cur.fetchall():
-                out.add(row[0])
-            return out
-        """,
-    )
-    assert [v.code for v in violations] == ["PTL005"]
-    assert "stream" in violations[0].message
-
-
-def test_comprehension_over_fetchall_flagged(tmp_path):
-    violations = lint_source(
-        tmp_path,
-        """\
-        def names(cur):
-            return {r[0] for r in cur.fetchall()}
-        """,
-    )
-    assert [v.code for v in violations] == ["PTL005"]
-
-
-def test_materializing_fetchall_clean(tmp_path):
-    # Returning or storing the full list is a legitimate fetchall use.
-    violations = lint_source(
-        tmp_path,
-        """\
-        def rows(cur):
-            cur.execute("SELECT 1")
-            return cur.fetchall()
-        """,
-    )
-    assert violations == []
-
-
-def test_iterating_cursor_clean(tmp_path):
-    violations = lint_source(
-        tmp_path,
-        """\
-        def scan(backend):
-            return {r[0] for r in backend.stream("SELECT id FROM t")}
-        """,
-    )
-    assert violations == []
-
-
-def test_fetchall_noqa_suppressed(tmp_path):
-    violations = lint_source(
-        tmp_path,
-        """\
-        def scan(cur):
-            return [r for r in cur.fetchall()]  # noqa: PTL005
-        """,
-    )
-    assert violations == []
-
-
-def test_fetchall_allowed_in_tests(tmp_path):
-    # Test files are allowlisted: assertions there want full materialization.
-    d = tmp_path / "tests"
-    d.mkdir()
-    path = d / "mod.py"
-    path.write_text(
-        "def scan(cur):\n"
-        "    return [r for r in cur.fetchall()]\n"
-    )
-    assert check_file(str(path)) == []
-
-
 # ------------------------------------------------------------------- PTL006
 
 

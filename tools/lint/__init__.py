@@ -1,6 +1,6 @@
 """Repo lint harness: AST + dataflow checks plus external tools.
 
-``python -m tools.lint`` runs eight custom checkers over the source
+``python -m tools.lint`` runs seven custom checkers over the source
 tree (stdlib ``ast`` only, so it works in a bare checkout).  PTL001,
 PTL002 and PTL007 are flow-aware: they resolve names through the
 reaching-definitions engine in :mod:`tools.lint.dataflow`.
@@ -19,7 +19,6 @@ PTL002    a DB-API cursor is opened but neither closed, returned,
 PTL003    bare ``except:`` in engine code (swallows KeyboardInterrupt
           and hides real faults)
 PTL004    direct ``time.time()`` call instead of ``repro.obs.clock``
-PTL005    iterating directly over ``.fetchall()`` (tests exempt)
 PTL006    per-row loop nested in a batch-protocol method
 PTL007    shared mutable engine state (Table/Catalog/ColumnStore
           fields) written outside the owning modules

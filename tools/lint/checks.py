@@ -386,43 +386,6 @@ class _Checker(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    # -- PTL005 ---------------------------------------------------------------
-
-    def _check_fetchall_iter(self, iter_node: ast.expr) -> None:
-        if (
-            isinstance(iter_node, ast.Call)
-            and isinstance(iter_node.func, ast.Attribute)
-            and iter_node.func.attr == "fetchall"
-        ):
-            self._add(
-                iter_node,
-                "PTL005",
-                "iterating directly over .fetchall() materializes the whole "
-                "result set; engine cursors stream — iterate the cursor "
-                "itself or use Backend.stream()",
-            )
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_fetchall_iter(node.iter)
-        self.generic_visit(node)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._check_fetchall_iter(node.iter)
-        self.generic_visit(node)
-
-    def _visit_comprehension(
-        self,
-        node: Union[ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp],
-    ) -> None:
-        for gen in node.generators:
-            self._check_fetchall_iter(gen.iter)
-        self.generic_visit(node)
-
-    visit_ListComp = _visit_comprehension
-    visit_SetComp = _visit_comprehension
-    visit_DictComp = _visit_comprehension
-    visit_GeneratorExp = _visit_comprehension
-
     # -- PTL002 ---------------------------------------------------------------
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -546,8 +509,8 @@ class _Checker(ast.NodeVisitor):
 
 
 def _is_test_path(path: str) -> bool:
-    """Paths allowlisted for PTL005/PTL007 — tests materialize results and
-    poke engine internals legitimately."""
+    """Paths allowlisted for PTL007/PTL008 — tests poke engine internals
+    legitimately."""
     parts = os.path.normpath(path).split(os.sep)
     if any(p in ("tests", "test") for p in parts[:-1]):
         return True
@@ -571,8 +534,6 @@ def check_file(path: str) -> list[Violation]:
     owns_txn_plumbing = os.path.basename(path) in PTL008_ALLOWED_MODULES
     out = []
     for v in checker.violations:
-        if v.code == "PTL005" and is_test:
-            continue
         if v.code == "PTL007" and (is_test or owns_engine_state):
             continue
         if v.code == "PTL008" and (is_test or owns_txn_plumbing):
