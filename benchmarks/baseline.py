@@ -2,8 +2,8 @@
 
 ``BENCH_scalability.json`` is kept in two places — the harness results
 directory and the committed repo-root copy ``tools/bench_guard.py``
-compares against — and every producer (the pytest benches and the
-load-generator harness) must update both through :func:`merge_baseline`
+compares against — and every producer (the pytest benches) must update
+both through :func:`merge_baseline`
 so the copies can never drift apart.
 """
 

@@ -19,8 +19,11 @@ loading and querying from Python; this CLI packages the same operations:
 * ``ptrack profile``   statement profiler: run a workload with the
                        profiler enabled and print per-statement stats,
                        recorded plans (``--flight``) and planner drift
-* ``ptrack serve``     serve a minidb database to concurrent sessions
-                       over a JSON-lines socket protocol
+
+Every command closes its store on every path, so a minidb store's lock
+file is free again when a command returns, whether it failed or not.
+While another command holds a minidb store, a second one waits up to
+5 s for it, then fails with ``database error: database is locked``.
 
 Exit code 0 on success, 2 on usage errors, 1 on operational failures.
 """
@@ -28,8 +31,9 @@ Exit code 0 on success, 2 on usage errors, 1 on operational failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import obs
 from .core import (
@@ -51,12 +55,19 @@ from .ptdf.ptdfgen import PTdfGen
 from .tools import ALL_CONVERTERS
 
 
-def _open_store(args, initialize: bool = False) -> PTDataStore:
-    return PTDataStore(
+@contextlib.contextmanager
+def _store(args, initialize: bool = False) -> Iterator[PTDataStore]:
+    """The command's store, closed (uncommitted work rolled back) on
+    every way out of the ``with`` block."""
+    store = PTDataStore(
         backend_kind=args.backend,
         database=args.db,
         initialize=initialize or args.db == ":memory:",
     )
+    try:
+        yield store
+    finally:
+        store.close()
 
 
 def _add_db_options(p: argparse.ArgumentParser) -> None:
@@ -70,9 +81,8 @@ def _add_db_options(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_init(args) -> int:
-    store = PTDataStore(backend_kind=args.backend, database=args.db, initialize=True)
-    store.commit()
-    store.close()
+    with _store(args, initialize=True) as store:
+        store.commit()
     print(f"initialised {args.backend} data store at {args.db}")
     return 0
 
@@ -99,26 +109,25 @@ def cmd_load(args) -> int:
 
     if args.trace:
         obs.trace.enable()
-    store = _open_store(args, initialize=True)
     try:
-        try:
-            _stats, warnings = load_files(
-                store, args.files, lint=not args.force, on_file=on_file
-            )
-        except PTdfLintError as exc:
-            for diag in exc.diagnostics:
+        with _store(args, initialize=True) as store:
+            try:
+                _stats, warnings = load_files(
+                    store, args.files, lint=not args.force, on_file=on_file
+                )
+            except PTdfLintError as exc:
+                for diag in exc.diagnostics:
+                    print(diag, file=sys.stderr)
+                print(
+                    "load refused: the files above have lint errors "
+                    "(use --force to load anyway)",
+                    file=sys.stderr,
+                )
+                return 1
+            for diag in warnings:
                 print(diag, file=sys.stderr)
-            print(
-                "load refused: the files above have lint errors "
-                "(use --force to load anyway)",
-                file=sys.stderr,
-            )
-            return 1
-        for diag in warnings:
-            print(diag, file=sys.stderr)
-        store.commit()
+            store.commit()
     finally:
-        store.close()
         if args.trace:
             spans = obs.trace.save(args.trace)
             obs.trace.disable()
@@ -131,9 +140,8 @@ def cmd_lint(args) -> int:
 
     context = None
     if args.db != ":memory:":
-        store = _open_store(args)
-        context = context_from_store(store)
-        store.close()
+        with _store(args) as store:
+            context = context_from_store(store)
     linter = Linter(context)
     errors = warnings = 0
     for path in args.files:
@@ -188,46 +196,44 @@ def cmd_gen(args) -> int:
 
 
 def cmd_ls(args) -> int:
-    store = _open_store(args)
-    kind = args.what
-    if kind == "applications":
-        rows = store.applications()
-    elif kind == "executions":
-        rows = store.executions(args.application)
-    elif kind == "metrics":
-        rows = store.metrics()
-    elif kind == "tools":
-        rows = store.tools()
-    elif kind == "types":
-        rows = [t.name for t in store.resource_types()]
-    elif kind == "resources":
-        if not args.type:
-            print("ls resources requires --type", file=sys.stderr)
+    with _store(args) as store:
+        kind = args.what
+        if kind == "applications":
+            rows = store.applications()
+        elif kind == "executions":
+            rows = store.executions(args.application)
+        elif kind == "metrics":
+            rows = store.metrics()
+        elif kind == "tools":
+            rows = store.tools()
+        elif kind == "types":
+            rows = [t.name for t in store.resource_types()]
+        elif kind == "resources":
+            if not args.type:
+                print("ls resources requires --type", file=sys.stderr)
+                return 2
+            rows = [r.name for r in store.resources_of_type(args.type)]
+        else:  # pragma: no cover - argparse restricts choices
             return 2
-        rows = [r.name for r in store.resources_of_type(args.type)]
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
-    for row in rows:
-        print(row)
-    store.close()
+        for row in rows:
+            print(row)
     return 0
 
 
 def cmd_report(args) -> int:
-    store = _open_store(args)
-    if args.kind == "summary":
-        print(store_summary(store))
-    elif args.kind == "application":
-        if not args.name:
-            print("report application requires NAME", file=sys.stderr)
-            return 2
-        print(application_report(store, args.name))
-    else:
-        if not args.name:
-            print("report execution requires NAME", file=sys.stderr)
-            return 2
-        print(execution_report(store, args.name))
-    store.close()
+    with _store(args) as store:
+        if args.kind == "summary":
+            print(store_summary(store))
+        elif args.kind == "application":
+            if not args.name:
+                print("report application requires NAME", file=sys.stderr)
+                return 2
+            print(application_report(store, args.name))
+        else:
+            if not args.name:
+                print("report execution requires NAME", file=sys.stderr)
+                return 2
+            print(execution_report(store, args.name))
     return 0
 
 
@@ -253,72 +259,68 @@ def cmd_query(args) -> int:
 
 
 def _cmd_query_inner(args) -> int:
-    store = _open_store(args)
-    engine = QueryEngine(store)
-    prf = PrFilter()
-    expansion = Expansion(args.relatives)
-    for name in args.name or ():
-        prf.add(ByName(name, expansion))
-    for type_path in args.type or ():
-        prf.add(ByType(type_path, Expansion.NONE))
-    for clause_text in args.attr or ():
-        clause = _parse_attr_clause(clause_text)
-        prf.add(ByAttributes((clause,), expansion=Expansion.NONE))
-    families = store.resolve_prfilter(prf)
-    counts, ids = engine.live_counts(families)
-    for f, count in zip(prf.filters, counts):
-        print(f"# family {f.describe()}: {count} match alone")
-    print(f"# whole filter: {len(ids)} results")
-    if args.count_only:
-        store.close()
-        return 0
-    results = engine.fetch_results(ids)
-    window = MainWindow(engine)
-    window.show_results(results)
-    for column in args.column or ():
-        window.add_column(column)
-    if args.sort:
-        window.sort(args.sort, descending=args.desc)
-    if args.limit:
-        window.rows = window.rows[: args.limit]
-    if args.csv:
-        window.save_csv(args.csv)
-        print(f"# wrote {len(window.rows)} rows to {args.csv}")
-    else:
-        print("\t".join(window.columns))
-        for row in window.as_table():
-            print("\t".join(str(c) for c in row))
-    store.close()
+    with _store(args) as store:
+        engine = QueryEngine(store)
+        prf = PrFilter()
+        expansion = Expansion(args.relatives)
+        for name in args.name or ():
+            prf.add(ByName(name, expansion))
+        for type_path in args.type or ():
+            prf.add(ByType(type_path, Expansion.NONE))
+        for clause_text in args.attr or ():
+            clause = _parse_attr_clause(clause_text)
+            prf.add(ByAttributes((clause,), expansion=Expansion.NONE))
+        families = store.resolve_prfilter(prf)
+        counts, ids = engine.live_counts(families)
+        for f, count in zip(prf.filters, counts):
+            print(f"# family {f.describe()}: {count} match alone")
+        print(f"# whole filter: {len(ids)} results")
+        if args.count_only:
+            return 0
+        results = engine.fetch_results(ids)
+        window = MainWindow(engine)
+        window.show_results(results)
+        for column in args.column or ():
+            window.add_column(column)
+        if args.sort:
+            window.sort(args.sort, descending=args.desc)
+        if args.limit:
+            window.rows = window.rows[: args.limit]
+        if args.csv:
+            window.save_csv(args.csv)
+            print(f"# wrote {len(window.rows)} rows to {args.csv}")
+        else:
+            print("\t".join(window.columns))
+            for row in window.as_table():
+                print("\t".join(str(c) for c in row))
     return 0
 
 
 def cmd_attrs(args) -> int:
-    store = _open_store(args)
-    res = store.resource_by_name(args.resource)
-    if res is None:
-        print(f"no such resource: {args.resource}", file=sys.stderr)
-        return 1
-    print(f"{res.name}  (type {res.type_name})")
-    for a in store.attributes_of(res.id):
-        print(f"  {a.name} = {a.value}")
-    for c in store.constraints_of(res.id):
-        print(f"  -> constraint: {c.name}")
-    store.close()
+    with _store(args) as store:
+        res = store.resource_by_name(args.resource)
+        if res is None:
+            print(f"no such resource: {args.resource}", file=sys.stderr)
+            return 1
+        print(f"{res.name}  (type {res.type_name})")
+        for a in store.attributes_of(res.id):
+            print(f"  {a.name} = {a.value}")
+        for c in store.constraints_of(res.id):
+            print(f"  -> constraint: {c.name}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    store = _open_store(args)
-    cmp = compare_executions(store, args.left, args.right, metric=args.metric)
-    print(
-        f"{args.left} vs {args.right}: {len(cmp.common)} common, "
-        f"{len(cmp.only_left)} only-left, {len(cmp.only_right)} only-right"
-    )
-    for pair in cmp.regressions(args.threshold):
-        sig = next(iter(pair.signature), "")
-        print(f"  REGRESSION {pair.metric} {sig}: "
-              f"{pair.left:.6g} -> {pair.right:.6g} (x{pair.ratio:.2f})")
-    store.close()
+    with _store(args) as store:
+        cmp = compare_executions(store, args.left, args.right, metric=args.metric)
+        print(
+            f"{args.left} vs {args.right}: {len(cmp.common)} common, "
+            f"{len(cmp.only_left)} only-left, {len(cmp.only_right)} only-right"
+        )
+        for pair in cmp.regressions(args.threshold):
+            sig = next(iter(pair.signature), "")
+            print(f"  REGRESSION {pair.metric} {sig}: "
+                  f"{pair.left:.6g} -> {pair.right:.6g} (x{pair.ratio:.2f})")
     return 0
 
 
@@ -328,28 +330,27 @@ def cmd_chart(args) -> int:
     from .gui.barchart import min_max_chart
     from .gui.svg import barchart_to_svg, save_svg
 
-    store = _open_store(args)
-    engine = QueryEngine(store)
-    executions = args.executions or store.executions(args.application)
     categories, minima, maxima = [], [], []
-    for execution in executions:
-        prf = PrFilter([ByName(f"/{execution}", Expansion.DESCENDANTS)])
-        if args.name:
-            prf.add(ByName(args.name, Expansion.NONE))
-        by_metric = {
-            r.metric: r.value
-            for r in engine.fetch(prf)
-            if r.metric in (f"{args.metric} (min)", f"{args.metric} (max)")
-        }
-        lo = by_metric.get(f"{args.metric} (min)")
-        hi = by_metric.get(f"{args.metric} (max)")
-        if lo is not None and hi is not None:
-            categories.append(execution)
-            minima.append(lo)
-            maxima.append(hi)
+    with _store(args) as store:
+        engine = QueryEngine(store)
+        executions = args.executions or store.executions(args.application)
+        for execution in executions:
+            prf = PrFilter([ByName(f"/{execution}", Expansion.DESCENDANTS)])
+            if args.name:
+                prf.add(ByName(args.name, Expansion.NONE))
+            by_metric = {
+                r.metric: r.value
+                for r in engine.fetch(prf)
+                if r.metric in (f"{args.metric} (min)", f"{args.metric} (max)")
+            }
+            lo = by_metric.get(f"{args.metric} (min)")
+            hi = by_metric.get(f"{args.metric} (max)")
+            if lo is not None and hi is not None:
+                categories.append(execution)
+                minima.append(lo)
+                maxima.append(hi)
     if not categories:
         print("no min/max data matched", file=sys.stderr)
-        store.close()
         return 1
     title = f"{args.name or args.metric} min/max"
     chart = min_max_chart(title, categories, minima, maxima, value_label=args.metric)
@@ -361,7 +362,6 @@ def cmd_chart(args) -> int:
         print(f"wrote {args.csv}")
     else:
         print(chart.render_ascii())
-    store.close()
     return 0
 
 
@@ -374,29 +374,27 @@ def cmd_predict(args) -> int:
         store_predictions,
     )
 
-    store = _open_store(args)
-    executions = args.executions or store.executions(args.application)
-    try:
-        model, points = fit_model_to_history(store, executions, args.metric)
-    except ValueError as exc:
-        print(f"cannot fit model: {exc}", file=sys.stderr)
-        store.close()
-        return 1
-    print(model.describe())
-    print(f"{'execution':<28}{'nproc':>6}{'actual':>12}{'predicted':>12}{'rel err':>9}")
-    for row in compare_predictions(store, model, executions, args.metric):
-        print(
-            f"{row.execution:<28}{row.processes:>6}{row.actual:>12.4g}"
-            f"{row.predicted:>12.4g}{row.relative_error:>9.1%}"
-        )
-    if args.extrapolate:
-        created = store_predictions(
-            store, model, args.application or "unknown", args.metric,
-            args.extrapolate,
-        )
-        for execution, p in zip(created, args.extrapolate):
-            print(f"stored {execution}: predicted {model.predict(p):.4g}")
-    store.close()
+    with _store(args) as store:
+        executions = args.executions or store.executions(args.application)
+        try:
+            model, points = fit_model_to_history(store, executions, args.metric)
+        except ValueError as exc:
+            print(f"cannot fit model: {exc}", file=sys.stderr)
+            return 1
+        print(model.describe())
+        print(f"{'execution':<28}{'nproc':>6}{'actual':>12}{'predicted':>12}{'rel err':>9}")
+        for row in compare_predictions(store, model, executions, args.metric):
+            print(
+                f"{row.execution:<28}{row.processes:>6}{row.actual:>12.4g}"
+                f"{row.predicted:>12.4g}{row.relative_error:>9.1%}"
+            )
+        if args.extrapolate:
+            created = store_predictions(
+                store, model, args.application or "unknown", args.metric,
+                args.extrapolate,
+            )
+            for execution, p in zip(created, args.extrapolate):
+                print(f"stored {execution}: predicted {model.predict(p):.4g}")
     return 0
 
 
@@ -407,18 +405,17 @@ def _run_workload(args) -> None:
     The per-family counts before the whole-filter evaluation mirror the
     GUI's live match counts (Figure 3) and re-probe the same SQL.
     """
-    store = _open_store(args, initialize=True)
-    load_files(store, args.files, lint=False)
-    store.commit()
-    engine = QueryEngine(store)
-    engine.count_for_filter([])
-    for execution in store.executions()[:1]:
-        prf = PrFilter([ByName(f"/{execution}", Expansion.DESCENDANTS)])
-        families = store.resolve_prfilter(prf)
-        for fam in families:
-            engine.count_for_family(fam)
-        engine.fetch_results(engine.result_ids(families))
-    store.close()
+    with _store(args, initialize=True) as store:
+        load_files(store, args.files, lint=False)
+        store.commit()
+        engine = QueryEngine(store)
+        engine.count_for_filter([])
+        for execution in store.executions()[:1]:
+            prf = PrFilter([ByName(f"/{execution}", Expansion.DESCENDANTS)])
+            families = store.resolve_prfilter(prf)
+            for fam in families:
+                engine.count_for_family(fam)
+            engine.fetch_results(engine.result_ids(families))
 
 
 def cmd_stats(args) -> int:
@@ -493,32 +490,6 @@ def cmd_profile(args) -> int:
     finally:
         if not was_enabled:
             obs.profiler.disable()
-    return 0
-
-
-def cmd_serve(args) -> int:
-    """Serve a minidb database to concurrent sessions.
-
-    Runs the JSON-lines line-protocol server (``repro.minidb.server``)
-    over one shared engine: each client socket gets its own session with
-    snapshot-isolated reads and per-table writer locks.  ``--port 0``
-    picks an ephemeral port and prints it, which is how the load
-    generator and tests attach.
-    """
-    from .minidb.connection import Engine
-    from .minidb.server import MiniDbServer
-
-    engine = Engine(args.db)
-    server = MiniDbServer(engine, host=args.host, port=args.port)
-    print(f"minidb serving {args.db} on {server.host}:{server.port}")
-    sys.stdout.flush()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        engine.close()
     return 0
 
 
@@ -696,17 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution name for --ptdf output (default ptrack-profile)",
     )
     p.set_defaults(fn=cmd_profile)
-
-    p = sub.add_parser(
-        "serve", help="serve a minidb database to concurrent sessions"
-    )
-    p.add_argument("--db", default=":memory:", help="database file (default in-memory)")
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument(
-        "--port", type=int, default=7474,
-        help="TCP port (0 = pick an ephemeral port; default 7474)",
-    )
-    p.set_defaults(fn=cmd_serve)
 
     parser.add_argument(
         "--log-level",

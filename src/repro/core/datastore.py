@@ -127,6 +127,14 @@ class PTDataStore:
     ) -> None:
         self.backend = backend if backend is not None else open_backend(backend_kind, database)
         self.use_closure_tables = use_closure_tables
+        try:
+            self._open(initialize, load_base_types, with_indexes)
+        except BaseException:
+            if backend is None:  # close what this call opened (and locked)
+                self.backend.close()
+            raise
+
+    def _open(self, initialize: bool, load_base_types: bool, with_indexes: bool) -> None:
         if initialize and not schema_mod.schema_is_present(self.backend):
             schema_mod.create_schema(self.backend, with_indexes=with_indexes)
         # Name -> id caches (loaded lazily; critical for Paradyn-scale loads).

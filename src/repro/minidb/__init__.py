@@ -17,8 +17,10 @@ Feature set (see `repro/minidb/parser.py` for the grammar):
   ``HAVING``, aggregates, ``DISTINCT``, ``ORDER BY``, ``LIMIT``/``OFFSET``,
   ``UNION [ALL]``, ``IN``/``EXISTS``/scalar subqueries.
 * Transactions with rollback, plus write-ahead-log persistence.
-* Concurrent sessions over one database (``Engine.connect()``):
-  snapshot-isolated reads, per-table writer locks, group-commit WAL.
+* One session per file-backed database: a connection holds an exclusive
+  ``flock`` on ``<path>.lock`` from open to close; a second opener waits
+  up to ``connection.LOCK_TIMEOUT_S`` (5 s), then raises
+  ``OperationalError("database is locked")``.
 
 Entry point::
 
@@ -32,7 +34,7 @@ Entry point::
 """
 
 from .analyzer import Analysis, Diagnostic, analyze
-from .connection import Connection, Cursor, Engine, connect
+from .connection import Connection, Cursor, connect
 from .errors import (
     DatabaseError,
     DataError,
@@ -40,7 +42,6 @@ from .errors import (
     IntegrityError,
     InterfaceError,
     InternalError,
-    LockTimeoutError,
     NotSupportedError,
     OperationalError,
     ProgrammingError,
@@ -59,9 +60,7 @@ __all__ = [
     "connect",
     "Connection",
     "Cursor",
-    "Engine",
     "SessionError",
-    "LockTimeoutError",
     "Error",
     "Warning",
     "InterfaceError",

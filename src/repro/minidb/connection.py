@@ -9,14 +9,20 @@ placeholders, ``fetchone/fetchmany/fetchall``, ``description``,
 Transaction semantics follow PEP 249: an implicit transaction opens on the
 first data-modifying statement and is closed by ``commit()``/``rollback()``.
 DDL statements commit implicitly (before and after), like Oracle.
+
+A file-backed database has one connection at a time: a connection holds
+an exclusive lock on ``<path>.lock`` from open to close, and a second
+opener, in this process or another, waits up to :data:`LOCK_TIMEOUT_S`
+before it raises ``OperationalError("database is locked")``.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
-import threading
+import time
 from collections import OrderedDict
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, Optional, Sequence
 
 from ..obs.clock import now as _now
 from ..obs.metrics import metrics as _M
@@ -25,13 +31,14 @@ from ..obs.tracing import trace as _trace
 from . import ast_nodes as ast
 from . import optimizer
 from .analyzer import Analyzer, Diagnostic
-from .errors import InterfaceError, SemanticError, SessionError, SqlSyntaxError
+from .errors import (
+    InterfaceError, OperationalError, SemanticError, SessionError, SqlSyntaxError,
+)
 from .executor import Executor, Result
-from .locks import SCHEMA_LOCK
 from .operators import plan_snapshot
 from .parser import fingerprint as _fingerprint, parse
 from .sqltypes import bind_params
-from .storage import Database, Transaction
+from .storage import Database
 from .wal import Journal, load_snapshot
 
 _DDL_NODES = (
@@ -89,111 +96,67 @@ class _CachedStatement:
         self.fingerprint: Optional[str] = None
 
 
-class Engine:
-    """A shared minidb engine: one database, many concurrent sessions.
+#: Seconds a second opener of a file-backed database waits for its lock
+#: file before it raises ``OperationalError("database is locked")``:
+#: sqlite3's default busy timeout.
+LOCK_TIMEOUT_S = 5.0
 
-    The engine owns the storage, the journal, the writer-lock manager
-    (through the database) and the parsed-statement/plan cache every
-    session shares.  ``Engine.connect()`` flips the database into shared
-    mode — committed table versions are published for snapshot reads —
-    and hands out an independent session :class:`Connection`.  The plain
-    module-level ``connect()`` keeps the original embedded single-session
-    shape by building a private engine per connection.
+
+def _lock(path: str) -> BinaryIO:
+    """Open ``<path>.lock`` and take an exclusive ``flock`` on it.
+
+    ``flock`` (not POSIX ``lockf``) because its lock belongs to the open
+    file, so a second connection in this process is shut out just as a
+    second process is, and no unrelated ``close()`` drops it.  The kernel
+    releases it when the process dies.  The file stays behind, empty.
+    """
+    fh = open(path + ".lock", "ab")
+    try:
+        deadline = _now() + LOCK_TIMEOUT_S
+        delay = 0.001
+        while True:
+            try:
+                fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+                return fh
+            except BlockingIOError:
+                left = deadline - _now()
+                if left <= 0:
+                    raise OperationalError("database is locked") from None
+                time.sleep(min(delay, left))
+                delay = min(delay * 2, 0.05)
+    except BaseException:
+        fh.close()
+        raise
+
+
+class Connection:
+    """An open minidb database handle: the one session on its database.
+
+    A file-backed connection holds the store's lock file from before it
+    reads the snapshot until after its close-time checkpoint, so a store
+    has one session at a time (see :func:`_lock`).  The connection owns
+    the database, its journal and the parsed-statement/plan cache.
     """
 
     def __init__(self, database: str = ":memory:") -> None:
         self.db = Database()
         self.path: Optional[str] = None
         self._closed = False
-        self._cache_lock = threading.RLock()
+        self._lock_file: Optional[BinaryIO] = None
         self._statement_cache: OrderedDict[str, Any] = OrderedDict()
-        self._session_seq = 0
-        if database != ":memory:":
-            self.path = os.fspath(database)
+        if database == ":memory:":
+            return
+        self.path = os.fspath(database)
+        self._lock_file = _lock(self.path)
+        try:
             if os.path.exists(self.path):
                 load_snapshot(self.db, self.path)
             journal = Journal(self.db, self.path)
             journal.replay()
-            self.db.journal = journal
-
-    def connect(self) -> "Connection":
-        """Open an independent session over the shared database."""
-        if self._closed:
-            raise SessionError(
-                "engine is closed", code="SES002",
-                hint="create a new Engine; sessions cannot outlive it",
-            )
-        self.db.enable_shared()
-        with self._cache_lock:
-            self._session_seq += 1
-            owner = f"session-{self._session_seq}"
-        return Connection(_engine=self, _owner=owner)
-
-    def close(self) -> None:
-        """Checkpoint the journal and refuse further sessions."""
-        if self._closed:
-            return
-        if self.db.journal is not None:
-            self.db.journal.checkpoint()
-        self._closed = True
-
-    def __enter__(self) -> "Engine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def parse_cached(self, sql: str) -> _CachedStatement:
-        """Parse *sql* through the shared LRU statement cache."""
-        with self._cache_lock:
-            entry = self._statement_cache.get(sql)
-            if entry is None:
-                _CACHE_MISSES.inc()
-                with _trace.span("parse", cat="minidb"):
-                    entry = _CachedStatement(parse(sql))
-                while len(self._statement_cache) >= STATEMENT_CACHE_SIZE:
-                    self._statement_cache.popitem(last=False)
-                self._statement_cache[sql] = entry
-            else:
-                _CACHE_HITS.inc()
-                self._statement_cache.move_to_end(sql)
-            return entry
-
-
-class Connection:
-    """An open minidb database handle (one session).
-
-    Created directly (or via ``connect()``) it embeds a private
-    :class:`Engine` and behaves exactly like the original single-session
-    connection.  Created via :meth:`Engine.connect` it is one session of
-    a shared database: reads run against a committed snapshot, writes
-    serialize through per-table writer locks, and the session's own
-    transaction is kept on the connection instead of the database.
-    """
-
-    def __init__(
-        self,
-        database: str = ":memory:",
-        *,
-        _engine: Optional[Engine] = None,
-        _owner: Optional[str] = None,
-    ) -> None:
-        if _engine is None:
-            _engine = Engine(database)
-        self.engine = _engine
-        self.db = _engine.db
-        self.path = _engine.path
-        #: Lock-manager owner token; ``None`` means embedded single-session.
-        self.owner = _owner
-        self._closed = False
-        self._txn: Optional[Transaction] = None
-        # Bumped whenever this session's transaction ends; cursors that
-        # captured an in-transaction read view refuse to stream past it.
-        self._txn_epoch = 0
-
-    @property
-    def _statement_cache(self) -> "OrderedDict[str, Any]":
-        return self.engine._statement_cache
+        except BaseException:
+            self._unlock()
+            raise
+        self.db.journal = journal
 
     # -- PEP 249 interface ---------------------------------------------------------
 
@@ -203,40 +166,32 @@ class Connection:
 
     def commit(self) -> None:
         self._check_open()
-        if self.owner is None:
-            self.db.commit()
-            return
-        if self._txn is not None and self._txn.active:
-            self.db.commit(self._txn)
-            self._txn_epoch += 1
-        self._txn = None
+        self.db.commit()
 
     def rollback(self) -> None:
         self._check_open()
-        if self.owner is None:
-            self.db.rollback()
-            return
-        if self._txn is not None and self._txn.active:
-            self.db.rollback(self._txn)
-            self._txn_epoch += 1
-        self._txn = None
+        self.db.rollback()
 
     def close(self) -> None:
+        """Roll back, checkpoint the journal, then release the lock file
+        (also when the checkpoint fails)."""
         if self._closed:
             return
-        if self.owner is None:
-            self.db.rollback()
-            if self.db.journal is not None:
-                self.db.journal.checkpoint()
-        else:
-            # A session rolls back its own work and drops its locks; the
-            # shared journal is checkpointed by Engine.close(), not here.
-            if self._txn is not None and self._txn.active:
-                self.db.rollback(self._txn)
-                self._txn_epoch += 1
-            self._txn = None
-            self.db.locks.release_all(self.owner)
         self._closed = True
+        journal = self.db.journal
+        try:
+            self.db.rollback()
+            if journal is not None:
+                journal.checkpoint()
+        finally:
+            if journal is not None:
+                journal.close()
+            self._unlock()
+
+    def _unlock(self) -> None:
+        if self._lock_file is not None:
+            self._lock_file.close()  # closing the file drops its flock
+            self._lock_file = None
 
     def __enter__(self) -> "Connection":
         return self
@@ -270,57 +225,34 @@ class Connection:
         self._check_open()
         if self.db.journal is None:
             return
-        if self.owner is None:
-            self.db.commit()
-            self.db.journal.checkpoint()
-            return
-        # Shared mode: quiesce writers first — the snapshot writer walks
-        # live table state, so take every table lock plus the schema lock.
-        self.commit()
-        names = [SCHEMA_LOCK] + [key for key in self.db.tables]
-        self.db.locks.acquire_many(self.owner, names)
-        try:
-            self.db.journal.checkpoint()
-        finally:
-            self.db.locks.release_all(self.owner)
+        self.db.commit()
+        self.db.journal.checkpoint()
 
     def _check_open(self) -> None:
         if self._closed:
             raise SessionError(
                 "connection is closed",
                 code="SES001",
-                hint="open a new session with connect() or Engine.connect()",
+                hint="open a new connection with connect()",
             )
 
     # -- internals -----------------------------------------------------------------------
 
     def _parse_cached(self, sql: str) -> _CachedStatement:
-        return self.engine.parse_cached(sql)
-
-    def _begin(self) -> Optional[Transaction]:
-        """Open (or join) this session's transaction.
-
-        Embedded mode keeps the database's implicit transaction and
-        returns ``None`` (executors then resolve it through storage);
-        shared sessions get an explicit owner-tagged transaction pinned
-        to a committed snapshot.
-        """
-        if self.owner is None:
-            self.db.begin()
-            return None
-        if self._txn is None or not self._txn.active:
-            self._txn = self.db.begin(owner=self.owner)
-        return self._txn
-
-    def _read_view(self):
-        """What reads run against: the live database when embedded, this
-        session's pinned (or a fresh) committed snapshot when shared."""
-        if self.owner is None:
-            return self.db
-        txn = self._txn
-        if txn is not None and txn.active and txn.snapshot is not None:
-            return txn.snapshot
-        return self.db.snapshot_view()
+        """Parse *sql* through the LRU statement cache."""
+        cache = self._statement_cache
+        entry = cache.get(sql)
+        if entry is None:
+            _CACHE_MISSES.inc()
+            with _trace.span("parse", cat="minidb"):
+                entry = _CachedStatement(parse(sql))
+            while len(cache) >= STATEMENT_CACHE_SIZE:
+                cache.popitem(last=False)
+            cache[sql] = entry
+        else:
+            _CACHE_HITS.inc()
+            cache.move_to_end(sql)
+        return entry
 
     def _ensure_analyzed(
         self, entry: _CachedStatement, params: Optional[Sequence[Any]]
@@ -512,58 +444,28 @@ class Connection:
         meter: bool = False,
     ) -> Result:
         stmt = entry.stmt
-        if self.owner is not None and isinstance(
-            stmt, (ast.Begin, ast.Commit, ast.Rollback)
-        ):
-            # Session transactions live on the connection, not the shared
-            # database: route SQL transaction control through the session.
-            if isinstance(stmt, ast.Begin):
-                self._begin()
-            elif isinstance(stmt, ast.Commit):
-                self.commit()
-            else:
-                self.rollback()
-            return Result(rowcount=0)
+        db = self.db
         if isinstance(stmt, _DDL_NODES):
             # DDL commits the open transaction and runs in its own.
-            if self.owner is None:
-                self.db.commit()
-                txn = self.db.begin()
-                result = Executor(self.db, params).execute(stmt)
-                if self.db.journal is not None:
-                    txn.log(("ddl", sql))
-                self.db.commit()
-                return result
-            # Shared mode: exclude every writer while the catalog changes.
-            self.commit()
-            names = [SCHEMA_LOCK] + list(self.db.tables)
-            self.db.locks.acquire_many(self.owner, names)
-            txn = self.db.begin(owner=self.owner)
-            try:
-                result = Executor(self.db, params, txn=txn).execute(stmt)
-                if self.db.journal is not None:
-                    txn.log(("ddl", sql))
-                self.db.commit(txn)
-            except BaseException:
-                self.db.rollback(txn)
-                raise
-            finally:
-                self.db.locks.release_all(self.owner)
+            db.commit()
+            txn = db.begin()
+            result = Executor(db, params, txn=txn).execute(stmt)
+            if db.journal is not None:
+                txn.log(("ddl", sql))
+            db.commit()
             return result
         if isinstance(stmt, _DML_NODES) or (
             isinstance(stmt, ast.ExplainAnalyze)
             and isinstance(stmt.statement, _DML_NODES)
         ):
-            txn = self._begin()  # joins the open transaction if any
-            return Executor(self.db, params, meter=meter, txn=txn).execute(stmt)
+            # Joins the open transaction if any.
+            return Executor(db, params, meter=meter, txn=db.begin()).execute(stmt)
         if isinstance(stmt, ast.Select):
-            return Executor(
-                self._read_view(), params, plan=self._plan_for(entry), meter=meter
-            ).execute(stmt)
+            return Executor(db, params, plan=self._plan_for(entry), meter=meter).execute(stmt)
         # Remaining statements (CHECK, EXPLAIN, EXPLAIN ANALYZE of a
-        # SELECT, embedded BEGIN/COMMIT/ROLLBACK) are read-only or
-        # transaction control; run them against the session's read view.
-        return Executor(self._read_view(), params, meter=meter).execute(stmt)
+        # SELECT, BEGIN/COMMIT/ROLLBACK) are read-only or transaction
+        # control.
+        return Executor(db, params, meter=meter).execute(stmt)
 
 
 class Cursor:
@@ -584,9 +486,6 @@ class Cursor:
         self._batches: Optional[Iterator[list[tuple]]] = None
         self._batch: list[tuple] = []
         self._bpos = 0
-        # Shared-mode sessions: the connection's transaction epoch this
-        # cursor's streaming read view belongs to (None = not pinned).
-        self._epoch: Optional[int] = None
 
     # -- execution ---------------------------------------------------------------------
 
@@ -613,19 +512,6 @@ class Cursor:
                 self._batches = None
             else:
                 self._batch = first_batch
-        conn = self.connection
-        if (
-            conn.owner is not None
-            and self._batches is not None
-            and conn._txn is not None
-            and conn._txn.active
-        ):
-            # An in-transaction streaming cursor reads through the live
-            # tables this session touched; once the transaction ends that
-            # view is gone, so pin the epoch and refuse stale fetches.
-            self._epoch = conn._txn_epoch
-        else:
-            self._epoch = None
         return self
 
     def executemany(self, sql: str, seq_of_params: Iterable[Sequence[Any]]) -> "Cursor":
@@ -640,7 +526,7 @@ class Cursor:
             # Vectorized fast path: parse/plan once, one journal batch.
             # Per-row parameter arity is checked by the batch builder.
             conn._ensure_analyzed(entry, None)
-            txn = conn._begin()
+            txn = conn.db.begin()
             if prof or _M.enabled or _trace.enabled:
                 t0 = _now()
                 with _trace.span("executemany", cat="minidb", table=stmt.table):
@@ -684,7 +570,6 @@ class Cursor:
 
     def fetchone(self) -> Optional[tuple]:
         self._check_open()
-        self._check_snapshot()
         if self._pos < len(self._rows):
             row = self._rows[self._pos]
             self._pos += 1
@@ -716,7 +601,6 @@ class Cursor:
 
     def fetchall(self) -> list[tuple]:
         self._check_open()
-        self._check_snapshot()
         out = self._rows[self._pos :]
         self._pos = len(self._rows)
         if self._bpos < len(self._batch) or self._batches is not None:
@@ -741,14 +625,10 @@ class Cursor:
                 yield row
                 continue
             # Serve the rest of the current batch without a fetchone call
-            # per row; the closed-cursor (SES004) and read-view (SES003)
-            # checks stay per row.
-            epoch = self._epoch
+            # per row; the closed-cursor check (SES004) stays per row.
             while bpos < len(batch):
                 if self._closed or conn._closed:
                     self._check_open()
-                if epoch is not None and epoch != conn._txn_epoch:
-                    self._check_snapshot()
                 self._bpos = bpos + 1
                 yield batch[bpos]
                 if self._batch is not batch:
@@ -783,18 +663,6 @@ class Cursor:
                 hint="create a new cursor from the connection",
             )
         self.connection._check_open()
-
-    def _check_snapshot(self) -> None:
-        if self._epoch is not None and self._epoch != self.connection._txn_epoch:
-            self._close_stream()
-            raise SessionError(
-                "cursor read view ended with its transaction",
-                code="SES003",
-                hint=(
-                    "fetch all rows before COMMIT/ROLLBACK, or re-execute "
-                    "the query in the new transaction"
-                ),
-            )
 
 
 def connect(database: str = ":memory:") -> Connection:

@@ -90,14 +90,12 @@ class SemanticError(ProgrammingError):
 
 
 class SessionError(InterfaceError):
-    """A cursor or connection was used outside its session's lifetime.
+    """A cursor or connection was used after it was closed.
 
-    Raised when a cursor is touched after its connection closed, or when
-    a streaming cursor tries to keep reading from a transaction snapshot
-    that was committed or rolled away.  Carries a machine-readable
-    ``code`` (``"SES001"``, ...) and a ``hint`` describing how to
-    recover, mirroring :class:`SemanticError`'s shape so callers can
-    render both the same way.
+    Raised when a connection (``SES001``) or a cursor (``SES004``) is
+    touched after ``close()``.  Carries the machine-readable ``code`` and
+    a ``hint`` describing how to recover, mirroring
+    :class:`SemanticError`'s shape so callers can render both the same way.
     """
 
     def __init__(
@@ -112,33 +110,6 @@ class SessionError(InterfaceError):
         if hint:
             text = f"{text}; {hint}"
         super().__init__(text)
-
-
-class LockTimeoutError(OperationalError):
-    """A writer lock could not be acquired before the deadlock timeout.
-
-    Structured so callers can implement retry/backoff policies: carries
-    the contended ``resource`` (table name or the schema lock), the
-    ``owner`` that gave up, the ``holder`` that held the lock, and the
-    ``waited`` seconds before giving up.
-    """
-
-    def __init__(
-        self,
-        resource: str,
-        owner: "str | None" = None,
-        holder: "str | None" = None,
-        waited: float = 0.0,
-    ) -> None:
-        self.resource = resource
-        self.owner = owner
-        self.holder = holder
-        self.waited = waited
-        super().__init__(
-            f"timed out after {waited:.3f}s waiting for writer lock on "
-            f"{resource!r} (owner={owner!r}, held by {holder!r}); possible "
-            f"deadlock — roll back and retry the transaction"
-        )
 
 
 def closest(name: str, candidates) -> "str | None":

@@ -192,9 +192,8 @@ class Executor:
         txn=None,
     ) -> None:
         self.db = db
-        # The session transaction mutations run under.  ``None`` in the
-        # classic embedded mode (storage falls back to the database's
-        # implicit transaction); engine sessions always pass theirs.
+        # The transaction mutations run under; ``None`` lets storage
+        # resolve the database's implicit transaction.
         self.txn = txn
         self.evaluator = Evaluator(params, subquery_runner=self._run_subquery)
         self.plan = plan
@@ -328,7 +327,6 @@ class Executor:
         is atomic: a failing row leaves none of them behind.
         """
         table = self.db.table(stmt.table)
-        self.db.lock_for_write(self.txn, table.meta)
         if stmt.select is not None:
             source_rows = self._select_rows(stmt.select)
         else:
@@ -362,7 +360,6 @@ class Executor:
         db = self.db
         table = db.table(stmt.table)
         meta = table.meta
-        db.lock_for_write(self.txn, meta)
         width = len(stmt.columns) if stmt.columns else len(meta.columns)
         for template in stmt.rows:
             if len(template) != width:
@@ -429,9 +426,6 @@ class Executor:
     def _exec_Update(self, stmt: ast.Update) -> Result:
         table = self.db.table(stmt.table)
         meta = table.meta
-        # Lock before the target scan so the rows we collect cannot move
-        # under a concurrent writer between scan and mutation.
-        self.db.lock_for_write(self.txn, meta)
         assignments = [(meta.column_index(c), e) for c, e in stmt.assignments]
         count = 0
         for rowid, row in self._dml_targets(stmt.table, stmt.where):
@@ -448,8 +442,6 @@ class Executor:
 
     def _exec_Delete(self, stmt: ast.Delete) -> Result:
         table = self.db.table(stmt.table)
-        # children=True: the dangling-reference check scans child tables.
-        self.db.lock_for_write(self.txn, table.meta, children=True)
         targets = self._dml_targets(stmt.table, stmt.where)
         for rowid, _row in targets:
             self.db.delete_row(table, rowid, txn=self.txn)

@@ -294,30 +294,6 @@ class Index:
         self._sorted = []
         self._sorted_valid = False
 
-    # -- copy-on-write snapshots ---------------------------------------------------
-
-    def freeze(self) -> "Index":
-        """A read-only snapshot sharing this index's current structures.
-
-        O(1): the frozen copy aliases ``_map``/``_sorted``.  Safe because
-        every writer calls :meth:`detach` (replacing those objects on the
-        live index) before its first mutation, and lazy re-sorting
-        *reassigns* ``_sorted`` rather than mutating it in place.
-        """
-        snap = Index.__new__(Index)
-        snap.__dict__.update(self.__dict__)
-        return snap
-
-    def detach(self) -> None:
-        """Copy-on-write split before the first mutation in a transaction.
-
-        Copies the outer map, each array bucket (an ``int`` bucket is
-        immutable), and the sorted key list so frozen snapshots handed to
-        readers keep the old objects.
-        """
-        self._map = {k: b if type(b) is int else b[:] for k, b in self._map.items()}
-        self._sorted = list(self._sorted)
-
     # -- lookups ------------------------------------------------------------------
 
     def lookup(self, key: tuple) -> list[int]:

@@ -211,9 +211,7 @@ def path_rowids(ctx: ExecContext, path, table, values):
         return _hash_probe(ctx, path, table, values)
     if _M.enabled:
         _INDEX_LOOKUPS.inc()
-    # Plans cache live Index objects; snapshot reads resolve them to the
-    # pinned version's frozen copy (identity on a live database).
-    index = ctx.db.index_state(path.index)
+    index = path.index
     if isinstance(path, IndexEquality):
         return () if None in values else index.rowids(values)
     if isinstance(path, InProbePath):  # always a one-column index
@@ -326,7 +324,7 @@ class VecScan(Operator):
         table = ctx.db.table(path.table)
         get = table.rows.get
         if isinstance(path, IndexEquality):
-            rowids = ctx.db.index_state(path.index).rowids
+            rowids = path.index.rowids
 
             def probe(values: tuple) -> tuple[int, list]:
                 if _M.enabled:

@@ -4,37 +4,17 @@ A :class:`Table` stores rows as ``rowid -> tuple`` with monotonically
 increasing row ids; secondary indexes live alongside.  :class:`Database`
 owns the catalog, all tables and indexes, the per-transaction undo logs,
 and (when opened on a file) the write-ahead log.
-
-Concurrency model (see docs/minidb.md "Concurrency model"):
-
-* Mutations run inside a :class:`Transaction`.  In the classic embedded
-  mode there is a single implicit transaction (``db.begin()`` with no
-  owner) and nothing below changes shape or cost.
-* In *shared* mode (``Database.enable_shared()``, used by the session
-  engine) tables are copy-on-write: a writer's first touch of a table
-  acquires its writer lock and detaches the row dict and index
-  structures, so the previously published snapshot stays immutable.
-  Commit publishes a new :class:`TableVersion` per touched table under
-  ``_publish_lock`` — an O(tables-touched) pointer swap.
-* Readers never lock.  ``snapshot_view()`` hands out a
-  :class:`SnapshotView` pinning the last published version of every
-  table; views duck-type the read-side ``Database`` API (``table()``,
-  ``indexes_on()``, ``catalog``, ``index_state()``) so the planner and
-  operators run against either unchanged.
 """
 
 from __future__ import annotations
 
 import array as _array
-import threading
-import time
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..obs.metrics import metrics as _M
 from .catalog import Catalog, IndexMeta, TableMeta
 from .errors import IntegrityError, InternalError
 from .index import Index, batch_keys, has_null, row_keys
-from .locks import SCHEMA_LOCK, LockManager
 from .sqltypes import coerce
 
 # Column-store metrics (no-ops while the registry is disabled).
@@ -45,8 +25,6 @@ _CS_SEGMENTS = _M.counter("minidb.column_store.segments")
 _TXN_BEGUN = _M.counter("minidb.txn.begun")
 _TXN_COMMITTED = _M.counter("minidb.txn.committed")
 _TXN_ROLLED_BACK = _M.counter("minidb.txn.rolled_back")
-_TXN_SNAPSHOTS = _M.counter("minidb.txn.snapshots")
-_TXN_DETACHES = _M.counter("minidb.txn.cow_detaches")
 
 #: Rows per column segment.  Power of two so batch slicing stays aligned.
 SEGMENT_ROWS = 4096
@@ -190,14 +168,7 @@ class Table:
         self.next_rowid = 1
         self.next_auto = 1  # next auto-assigned integer primary key
         self.data_version = 0
-        # Seqlock parity bit for column-store builds: odd while a row
-        # mutation is in flight, even when at rest.  ``data_version``
-        # bumps at the *end* of a mutation, so the epoch is what lets a
-        # snapshot build detect that it started mid-mutation.
-        self.mutation_epoch = 0
         self._column_store: Optional[ColumnStore] = None
-        #: Last committed copy-on-write version (shared mode only).
-        self.published: Optional[TableVersion] = None
         #: the snapshot body the rows are still encoded in, as the
         #: snapshot reader keeps it (see defer); ``None`` once decoded
         self.encoded: Any = None
@@ -222,40 +193,15 @@ class Table:
         if self.encoded is not None:
             self._load()
 
-    def begin_mutation(self) -> None:
-        """Mark a row mutation in flight (epoch goes odd)."""
-        if not (self.mutation_epoch & 1):
-            self.mutation_epoch += 1
-
     def bump_version(self) -> None:
-        """Record a row mutation; drops any cached columnar snapshot.
-
-        Always lands the mutation epoch on an even value so an unpaired
-        ``bump_version`` (replay paths) cannot wedge snapshot builds.
-        """
+        """Record a row mutation; drops any cached columnar snapshot."""
         self.data_version += 1
-        self.mutation_epoch = (self.mutation_epoch | 1) + 1
         self._column_store = None
 
     def column_store(self) -> ColumnStore:
         store = self._column_store
-        if store is not None and store.version == self.data_version:
-            return store
-        # Version-stable build: a writer bumping data_version (or holding
-        # the epoch odd mid-mutation) while we copy must never yield a
-        # torn snapshot — rows from version N+1 filed under version N.
-        while True:
-            epoch = self.mutation_epoch
-            if epoch & 1:  # mutation in flight; let the writer finish
-                time.sleep(0)
-                continue
-            try:
-                store = ColumnStore(self)
-            except RuntimeError:  # rows dict resized mid-copy
-                continue
-            if self.mutation_epoch == epoch and store.version == self.data_version:
-                break
-        self._column_store = store
+        if store is None or store.version != self.data_version:
+            store = self._column_store = ColumnStore(self)
         return store
 
     def scan(self) -> Iterator[tuple[int, tuple]]:
@@ -265,51 +211,11 @@ class Table:
 def _rowid_order(table: Table) -> None:
     """Re-sort *table*'s rows into rowid order, in place (a row put back
     after a delete lands at the end of the dict)."""
-    table.begin_mutation()
     rows = table.rows
     ordered = sorted(rows.items())
     rows.clear()
     rows.update(ordered)
     table.bump_version()
-
-
-class TableVersion:
-    """One immutable published version of a table (shared mode).
-
-    Duck-types the read side of :class:`Table` — ``meta``, ``rows``,
-    ``data_version``, ``scan()``, ``column_store()`` and frozen
-    ``indexes`` — so scan operators run against either.  Publishing is a
-    pointer swap: the live table's row dict and index structures are
-    adopted as-is, which is safe because the next writer detaches
-    (copies) them before mutating.
-    """
-
-    __slots__ = (
-        "meta", "rows", "data_version", "indexes", "_column_store", "_cs_lock"
-    )
-
-    def __init__(self, table: "Table", indexes: dict[str, Index]) -> None:
-        self.meta = table.meta
-        self.rows = table.rows
-        self.data_version = table.data_version
-        self.indexes = indexes  # lower-cased index name -> frozen Index
-        self._column_store: Optional[ColumnStore] = None
-        self._cs_lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def scan(self) -> Iterator[tuple[int, tuple]]:
-        return iter(self.rows.items())
-
-    def column_store(self) -> ColumnStore:
-        store = self._column_store
-        if store is None:
-            with self._cs_lock:
-                store = self._column_store
-                if store is None:
-                    store = self._column_store = ColumnStore(self)
-        return store
 
 
 class TablePlan:
@@ -358,88 +264,23 @@ class UndoEntry:
 class Transaction:
     """One unit of work against a :class:`Database`.
 
-    Owns the undo log for rollback, the WAL record buffer flushed as one
-    group at commit, and the set of tables touched (= copy-on-write
-    detached and, in shared mode, writer-locked).  ``owner`` is ``None``
-    for the classic embedded implicit transaction and a session id
-    (``"session-<n>"``) for engine sessions; the owner string is what
-    the lock manager keys on.
+    Owns the undo log for rollback and the WAL record buffer written as
+    one batch at commit.
     """
 
-    __slots__ = ("db", "owner", "undo", "touched", "wal_records", "active", "snapshot")
+    __slots__ = ("db", "undo", "wal_records")
 
-    def __init__(self, db: "Database", owner: Optional[str] = None) -> None:
+    def __init__(self, db: "Database") -> None:
         self.db = db
-        self.owner = owner
         self.undo: list[UndoEntry] = []
-        self.touched: set[str] = set()
         #: pending WAL records as plain tuples, encoded at commit:
         #: ("insert_batch", table, applied)
         #: | ("update", table, rowid, row) | ("delete", table, rowid)
         #: | ("ddl", sql)
         self.wal_records: list[tuple] = []
-        self.active = True
-        #: reader snapshot pinned at begin (shared mode only)
-        self.snapshot: Optional["SnapshotView"] = None
 
     def log(self, record: tuple) -> None:
         self.wal_records.append(record)
-
-
-class SnapshotView:
-    """A consistent, read-only view over the last published versions.
-
-    Duck-types the read-side :class:`Database` API used by the analyzer,
-    planner and operators: ``catalog``, ``table()``, ``indexes_on()``
-    and ``index_state()``.  When built for a writer transaction, tables
-    that transaction already touched resolve to the *live* table so a
-    session reads its own uncommitted writes.
-    """
-
-    __slots__ = ("_db", "_versions", "_txn", "catalog")
-
-    def __init__(
-        self,
-        db: "Database",
-        versions: "dict[str, Table | TableVersion]",
-        txn: Optional[Transaction] = None,
-    ) -> None:
-        self._db = db
-        self._versions = versions
-        self._txn = txn
-        self.catalog = db.catalog
-
-    def table(self, name: str):
-        meta = self.catalog.table(name)  # raises ProgrammingError if absent
-        key = meta.name.lower()
-        txn = self._txn
-        if txn is not None and key in txn.touched:
-            return self._db.tables[key]
-        version = self._versions.get(key)
-        if version is None:
-            # Created after this snapshot was pinned (DDL is schema-locked
-            # and self-committing, so the published version is complete).
-            table = self._db.tables[key]
-            return table.published or table
-        return version
-
-    def indexes_on(self, table: str) -> list[Index]:
-        version = self.table(table)
-        if isinstance(version, TableVersion):
-            return list(version.indexes.values())
-        return self._db.indexes_on(table)
-
-    def index_state(self, index: Index) -> Index:
-        """The snapshot's frozen counterpart of a live planner index.
-
-        Cached plans embed live :class:`Index` objects; execution against
-        a snapshot resolves them by name into the pinned version's frozen
-        copies (falling back to the live index for touched tables).
-        """
-        version = self.table(index.table)
-        if isinstance(version, TableVersion):
-            return version.indexes.get(index.name.lower(), index)
-        return index
 
 
 class Database:
@@ -456,104 +297,18 @@ class Database:
         self.tables: dict[str, Table] = {}
         self.indexes: dict[str, Index] = {}
         self._plans: dict[str, TablePlan] = {}
-        self.journal = None  # set by connection/engine when file-backed
-        #: the classic embedded implicit transaction (owner None)
+        self.journal = None  # set by the connection when file-backed
+        #: the open implicit transaction, if any
         self._txn: Optional[Transaction] = None
-        #: shared (multi-session) mode switches on copy-on-write publishing
-        self.shared = False
-        self.locks = LockManager()
-        self._publish_lock = threading.Lock()
 
     @property
     def in_transaction(self) -> bool:
         return self._txn is not None
 
-    # -- shared (multi-session) mode --------------------------------------------
-
-    def enable_shared(self) -> None:
-        """Switch on copy-on-write publishing for multi-session use."""
-        with self._publish_lock:
-            if self.shared:
-                return
-            self.shared = True
-            for key in self.tables:
-                self._publish_table(self.table(key))
-
-    def _publish_table(self, table: Table) -> None:
-        """Publish the live table state as the committed version.
-
-        Caller holds ``_publish_lock`` (or is the sole thread, at
-        ``enable_shared`` time).
-        """
-        frozen = {
-            idx.name.lower(): idx.freeze()
-            for idx in self.indexes_on(table.meta.name)
-        }
-        table.published = TableVersion(table, frozen)
-
-    def snapshot_view(self, txn: Optional[Transaction] = None) -> SnapshotView:
-        """A consistent read view over the last committed versions."""
-        with self._publish_lock:
-            versions: dict[str, Any] = {}
-            for key, table in self.tables.items():
-                versions[key] = table.published if table.published is not None else table
-        if _M.enabled:
-            _TXN_SNAPSHOTS.inc()
-        return SnapshotView(self, versions, txn)
-
-    def index_state(self, index: Index) -> Index:
-        """Live databases resolve planner indexes to themselves."""
-        return index
-
-    def _touch(self, table: Table, txn: Optional[Transaction]) -> None:
-        """First-mutation hook: lock, then copy-on-write detach (shared).
-
-        Re-touching a table the transaction already detached is free, so
-        every mutation path calls this unconditionally.
-        """
-        if txn is None:
-            return
-        key = table.meta.name.lower()
-        if key in txn.touched:
-            return
-        if self.shared:
-            if txn.owner is not None:
-                self.locks.acquire(txn.owner, key)
-            self._detach(table)
-        txn.touched.add(key)
-
-    def _detach(self, table: Table) -> None:
-        """Split the live table from its published snapshot before writes."""
-        table.rows = dict(table.rows)
-        for idx in self.indexes_on(table.meta.name):
-            idx.detach()
-        table._column_store = None
-        if _M.enabled:
-            _TXN_DETACHES.inc()
-
-    def lock_for_write(
-        self, txn: Optional[Transaction], meta: TableMeta, children: bool = False
-    ) -> None:
-        """Acquire a DML statement's full lock set up front (ordered).
-
-        The set is the target table, its FK-referenced parents (their
-        indexes are read during constraint checks), and — for DELETE —
-        the child tables scanned for dangling references.  Acquiring the
-        whole set sorted keeps single-statement writers deadlock-free.
-        """
-        if not self.shared or txn is None or txn.owner is None:
-            return
-        names = {meta.name.lower()}
-        for _fk, _pos, ref_meta, _ref_index, _ref_pos in self._plan(meta).fks:
-            names.add(ref_meta.name.lower())
-        if children:
-            for other in self.catalog.tables.values():
-                for fk in other.foreign_keys:
-                    if fk.ref_table.lower() == meta.name.lower():
-                        names.add(other.name.lower())
-        self.locks.acquire_many(txn.owner, names)
-
     # -- schema operations -----------------------------------------------------
+    # The DDL mutators take *txn* as every mutator does (PTL008) but log
+    # nothing to it: the connection runs each DDL statement in a
+    # transaction of its own and journals the statement text.
 
     def create_table(self, meta_stmt, txn: Optional[Transaction] = None) -> TableMeta:
         self._invalidate_plans()
@@ -564,9 +319,6 @@ class Database:
             self._make_internal_index(meta, meta.primary_key, unique=True, tag="pk")
         for i, uq in enumerate(meta.unique_sets):
             self._make_internal_index(meta, uq, unique=True, tag=f"uq{i}")
-        txn = txn if txn is not None else self._txn
-        if txn is not None:
-            txn.touched.add(meta.name.lower())  # publish at commit
         return meta
 
     def _make_internal_index(self, meta: TableMeta, cols: list[str], unique: bool, tag: str) -> None:
@@ -583,11 +335,6 @@ class Database:
         del self.tables[meta.name.lower()]
         for iname in [n for n, idx in self.indexes.items() if idx.table.lower() == meta.name.lower()]:
             del self.indexes[iname]
-        txn = txn if txn is not None else self._txn
-        if txn is not None:
-            # Mark touched: the commit-time publish loop skips tables that
-            # no longer exist, and new snapshots simply omit the table.
-            txn.touched.add(meta.name.lower())
 
     def create_index(self, stmt, txn: Optional[Transaction] = None) -> None:
         self._invalidate_plans()
@@ -603,17 +350,11 @@ class Database:
             self.catalog.drop_index(imeta.name)
             raise
         self.indexes[imeta.name.lower()] = idx
-        txn = txn if txn is not None else self._txn
-        if txn is not None:
-            txn.touched.add(imeta.table.lower())  # republish with the index
 
     def drop_index(self, name: str, txn: Optional[Transaction] = None) -> None:
         self._invalidate_plans()
         imeta = self.catalog.drop_index(name)
         self.indexes.pop(imeta.name.lower(), None)
-        txn = txn if txn is not None else self._txn
-        if txn is not None:
-            txn.touched.add(imeta.table.lower())
 
     def table(self, name: str) -> Table:
         """The table *name*, decoded first if a lazy open left it encoded."""
@@ -677,52 +418,31 @@ class Database:
 
     # -- transactions -------------------------------------------------------------
 
-    def begin(self, owner: Optional[str] = None) -> Transaction:
-        """Open (or join) a transaction.
-
-        With no *owner* this is the classic embedded implicit
-        transaction: idempotent, tracked on the database itself.  With an
-        owner (engine sessions) every call opens an independent
-        transaction the caller threads through the executor; in shared
-        mode it pins the session's read snapshot.
-        """
-        if owner is None:
-            if self._txn is not None:
-                return self._txn
-            txn = self._txn = Transaction(self, None)
-        else:
-            txn = Transaction(self, owner)
-        if self.shared:
-            txn.snapshot = self.snapshot_view(txn)
+    def begin(self) -> Transaction:
+        """Open (or join) the implicit transaction: idempotent, tracked
+        on the database itself."""
+        if self._txn is not None:
+            return self._txn
+        txn = self._txn = Transaction(self)
         if _M.enabled:
             _TXN_BEGUN.inc()
         return txn
 
-    def commit(self, txn: Optional[Transaction] = None) -> None:
-        """Commit: WAL append + group fsync, then publish, then unlock.
-
-        Ordering is what gives both durability and isolation: records
-        reach the log before the new versions become visible, and the
-        versions are published before the writer locks release.
-        """
-        txn = txn if txn is not None else self._txn
-        if txn is None or not txn.active:
+    def commit(self) -> None:
+        """Commit: append the records to the WAL and fsync, then end
+        the transaction."""
+        txn = self._txn
+        if txn is None:
             return
         if self.journal is not None and txn.wal_records:
             self.journal.commit_records(txn.wal_records)
-        if self.shared and txn.touched:
-            with self._publish_lock:
-                for key in txn.touched:
-                    table = self.tables.get(key)
-                    if table is not None:
-                        self._publish_table(table)
         self._finish(txn)
         if _M.enabled:
             _TXN_COMMITTED.inc()
 
-    def rollback(self, txn: Optional[Transaction] = None) -> None:
-        txn = txn if txn is not None else self._txn
-        if txn is None or not txn.active:
+    def rollback(self) -> None:
+        txn = self._txn
+        if txn is None:
             return
         self.undo(txn)
         self._finish(txn)
@@ -746,20 +466,13 @@ class Database:
     def _finish(self, txn: Transaction) -> None:
         txn.undo.clear()
         txn.wal_records.clear()
-        txn.touched.clear()
-        txn.snapshot = None
-        txn.active = False
-        if txn is self._txn:
-            self._txn = None
-        if txn.owner is not None:
-            self.locks.release_all(txn.owner)
+        self._txn = None
 
     def _apply_undo(self, entry: UndoEntry) -> None:
         table = self.tables.get(entry.table.lower())
         if table is None:
             raise InternalError(f"undo references missing table {entry.table}")
         if entry.kind == "insert_batch":
-            table.begin_mutation()
             rows = table.rows
             for rowid, row in reversed(entry.rows):
                 self._unindex_row(table, rowid, row)
@@ -767,12 +480,10 @@ class Database:
             table.next_rowid, table.next_auto = entry.counters
             table.bump_version()
         elif entry.kind == "delete":
-            table.begin_mutation()
             table.rows[entry.rowid] = entry.old_row
             self._index_row(table, entry.rowid, entry.old_row, check=False)
             table.bump_version()
         elif entry.kind == "update":
-            table.begin_mutation()
             self._unindex_row(table, entry.rowid, entry.row)
             table.rows[entry.rowid] = entry.old_row
             self._index_row(table, entry.rowid, entry.old_row, check=False)
@@ -907,11 +618,9 @@ class Database:
         txn = txn if txn is not None else self._txn
         if txn is None:
             txn = self.begin()
-        self._touch(table, txn)
         # One int object per row id, shared by the row dict and every index.
         rowids = list(range(first_rowid, first_rowid + n))
         applied = list(zip(rowids, zip(*columns)))
-        table.begin_mutation()
         try:
             for idx, positions in plan.indexes:
                 idx.insert_many(keys[positions], rowids)
@@ -937,7 +646,6 @@ class Database:
         txn = txn if txn is not None else self._txn
         if txn is None:
             txn = self.begin()
-        self._touch(table, txn)
         old_row = table.rows[rowid]
         for i, col in enumerate(meta.columns):
             if new_row[i] is None and col.not_null:
@@ -945,7 +653,6 @@ class Database:
                     f"NOT NULL constraint failed: {meta.name}.{col.name}"
                 )
         self._check_foreign_keys(meta, new_row)
-        table.begin_mutation()
         try:
             self._unindex_row(table, rowid, old_row)
             try:
@@ -967,8 +674,6 @@ class Database:
         txn = txn if txn is not None else self._txn
         if txn is None:
             txn = self.begin()
-        self._touch(table, txn)
-        table.begin_mutation()
         try:
             old_row = table.rows.pop(rowid)
             self._unindex_row(table, rowid, old_row)

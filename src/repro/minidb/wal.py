@@ -33,11 +33,10 @@ session closes without touching the file.
 
 Mutation records accumulate on the :class:`~repro.minidb.storage.Transaction`
 (as plain tuples) and reach the WAL file only at commit, so rollback
-leaves no trace on disk.  Commits from concurrent sessions serialize
-through a single append point — each commit's records plus its commit
-marker are written contiguously under the append lock — and the fsync is
-*group committed*: a committer whose bytes were already covered by a
-neighbour's fsync skips its own (``minidb.wal.piggybacked_fsyncs``).
+leaves no trace on disk.  Each commit writes its records and its commit
+marker in one append and fsyncs the file before it returns.  Only one
+connection has the files open at a time: it holds ``<path>.lock``
+(see ``connection._lock``).
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ import json
 import os
 import struct
 import sys
-import threading
 import zlib
 from typing import Any, NamedTuple, Optional, Sequence
 
@@ -70,8 +68,6 @@ _WAL_BYTES = _M.counter("minidb.wal.bytes", unit="bytes")
 _WAL_FSYNCS = _M.counter("minidb.wal.fsyncs")
 _WAL_COMMITS = _M.counter("minidb.wal.commits")
 _WAL_REPLAYED = _M.counter("minidb.wal.replayed_records")
-_WAL_GROUP_COMMITS = _M.counter("minidb.wal.group_commits")
-_WAL_PIGGYBACKED = _M.counter("minidb.wal.piggybacked_fsyncs")
 _TABLES_MATERIALISED = _M.counter("minidb.wal.tables_materialised")
 
 
@@ -365,27 +361,22 @@ def load_snapshot(db: Database, path: str) -> None:
             f"cannot read database file {path}: {len(data) - offset} bytes of table "
             f"data, the header lists {sum(sizes) + len(sizes)}"
         )
-    lock = threading.Lock()
     for table, tdoc, size in zip(tables, doc["tables"], sizes):
         enc = _Encoded(data[offset:offset + size], version, tdoc.get("crc32"))
-        _defer(db, path, table, enc, lock)
+        _defer(db, path, table, enc)
         offset += size + 1
 
 
-def _defer(db: Database, path: str, table: Table, enc: _Encoded, lock: threading.Lock) -> None:
+def _defer(db: Database, path: str, table: Table, enc: _Encoded) -> None:
     """Leave *table* encoded as *enc*; its first touch through
     ``Database.table()`` or ``indexes_on()`` decodes it and builds all of
     its indexes at once."""
 
     def load() -> None:
-        with lock:
-            enc = table.encoded
-            if enc is None:  # another thread decoded it first
-                return
-            with _trace.span("wal.materialise", cat="minidb", table=table.meta.name):
-                rowids, *columns = enc.arrays(table, path)
-                db.fill(table, rowids, columns)
-            _TABLES_MATERIALISED.inc()
+        with _trace.span("wal.materialise", cat="minidb", table=table.meta.name):
+            rowids, *columns = enc.arrays(table, path)
+            db.fill(table, rowids, columns)
+        _TABLES_MATERIALISED.inc()
 
     table.defer(enc, load)
     for idx in db._indexes_of(table.meta.name):
@@ -393,15 +384,11 @@ def _defer(db: Database, path: str, table: Table, enc: _Encoded, lock: threading
 
 
 class Journal:
-    """Concurrent-safe WAL writer: one append point, group-commit fsync.
+    """The WAL writer: one append and one fsync per commit.
 
     Transactions buffer their records as plain tuples (see
     ``Transaction.wal_records``); :meth:`commit_records` encodes them and
-    writes records + commit marker contiguously under the append lock, so
-    interleaved commits from other sessions can never split a batch.
-    Durability is group-committed: after appending, a committer checks
-    whether a neighbour's fsync already covered its sequence number and
-    skips the syscall when it did.
+    writes records + commit marker in one append.
     """
 
     def __init__(self, db: Database, path: str) -> None:
@@ -409,10 +396,7 @@ class Journal:
         self.path = path
         self.wal_path = path + ".wal"
         self._fh = None
-        self._append_lock = threading.Lock()
-        self._fsync_lock = threading.Lock()
-        self._written_seq = 0  # commits fully appended (buffered)
-        self._durable_seq = 0  # commits covered by an fsync
+        self._commits = 0  # commits appended since the last checkpoint
 
     # -- transaction boundary -------------------------------------------------------
 
@@ -432,7 +416,7 @@ class Journal:
         raise OperationalError(f"unknown journal record {op!r}")
 
     def _handle(self):
-        if self._fh is None or self._fh.closed:
+        if self._fh is None:
             self._fh = open(self.wal_path, "a", encoding="utf-8")
         return self._fh
 
@@ -441,40 +425,23 @@ class Journal:
         os.fsync(fileno)
 
     def commit_records(self, records: "list[tuple]") -> None:
-        """Append one transaction's records + commit marker, durably.
-
-        Returns only once the commit marker is covered by an fsync —
-        ours, or a concurrent committer's that flushed past us (group
-        commit).  Encoding happens outside the locks.
-        """
+        """Append one transaction's records + commit marker, durably:
+        returns once an fsync covers the commit marker."""
         if not records:
             return
         lines = [_encode(self._encode_record(rec)) for rec in records]
         lines.append(_encode({"op": "commit"}))
         data = "\n".join(lines) + "\n"
-        with self._append_lock:
-            fh = self._handle()
-            fh.write(data)
-            fh.flush()
-            self._written_seq += 1
-            my_seq = self._written_seq
-        with self._fsync_lock:
-            if self._durable_seq < my_seq:
-                # Any commit fully appended before this point rides along:
-                # its bytes are on the file, our fsync makes them durable.
-                covered = self._written_seq
-                self._do_fsync(fh.fileno())
-                if covered > self._durable_seq:
-                    self._durable_seq = covered
-                if _M.enabled:
-                    _WAL_FSYNCS.inc()
-            elif _M.enabled:
-                _WAL_PIGGYBACKED.inc()
+        fh = self._handle()
+        fh.write(data)
+        fh.flush()
+        self._commits += 1
+        self._do_fsync(fh.fileno())
         if _M.enabled:
+            _WAL_FSYNCS.inc()
             _WAL_RECORDS.add(len(records))
             _WAL_BYTES.add(len(data))
             _WAL_COMMITS.inc()
-            _WAL_GROUP_COMMITS.inc()
 
     # -- recovery / checkpoint ----------------------------------------------------------
 
@@ -593,25 +560,26 @@ class Journal:
     def checkpoint(self) -> None:
         """Fold the WAL into a fresh snapshot and truncate it.
 
-        Taken under both commit locks so an in-flight commit can never
-        append to a WAL that is about to be removed.  Returns without
-        writing when there is nothing to fold: no commit since the last
-        checkpoint, no WAL on disk and a snapshot already in place.
+        Returns without writing when there is nothing to fold: no commit
+        since the last checkpoint, no WAL on disk and a snapshot already
+        in place.
         """
-        with self._append_lock, self._fsync_lock:
-            if (
-                self._written_seq == 0
-                and not os.path.exists(self.wal_path)
-                and os.path.exists(self.path)
-            ):
-                return
-            if self._fh is not None and not self._fh.closed:
-                self._fh.close()
+        if (
+            self._commits == 0
+            and not os.path.exists(self.wal_path)
+            and os.path.exists(self.path)
+        ):
+            return
+        self.close()
+        write_snapshot(self.db, self.path)
+        try:
+            os.remove(self.wal_path)
+        except FileNotFoundError:
+            pass
+        self._commits = 0
+
+    def close(self) -> None:
+        """Close the WAL file handle (it reopens on the next commit)."""
+        if self._fh is not None:
+            self._fh.close()
             self._fh = None
-            write_snapshot(self.db, self.path)
-            try:
-                os.remove(self.wal_path)
-            except FileNotFoundError:
-                pass
-            self._written_seq = 0
-            self._durable_seq = 0

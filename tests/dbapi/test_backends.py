@@ -123,36 +123,26 @@ class TestStream:
         assert backend.scalar("SELECT COUNT(*) FROM t") == 20
 
 
-@pytest.mark.parametrize(
-    "sql",
-    [
-        "SELECT id FROM t WHERE id IN (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)",  # batched
-        "SELECT id FROM t",  # row plan
-    ],
-    ids=["batched", "row"],
-)
-def test_commit_mid_stream_raises_ses003_on_next_row(monkeypatch, sql):
-    from repro.dbapi.backends import Backend
-    from repro.minidb import Engine, SessionError, vector
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT id FROM t WHERE id IN (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)",  # batched
+            "SELECT id FROM t",  # row plan
+        ],
+        ids=["batched", "row"],
+    )
+    def test_commit_mid_stream_keeps_streaming(self, backend, monkeypatch, sql):
+        from repro.minidb import vector
 
-    monkeypatch.setattr(vector, "BATCH_SIZE", 4)
-    eng = Engine(":memory:")
-    session = eng.connect()
-    try:
-        session.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-        session.commit()
-        backend = Backend(session)
-        backend.executemany("INSERT INTO t (v) VALUES (?)", [("x",)] * 10)  # opens a txn
+        monkeypatch.setattr(vector, "BATCH_SIZE", 4)
+        backend.commit()
+        backend.execute("DELETE FROM t WHERE id > 10")  # opens a txn
         rows = iter(backend.execute(sql))
         assert next(rows) == (1,)
         assert next(rows) == (2,)
-        session.commit()
-        with pytest.raises(SessionError) as exc_info:
-            next(rows)
-        assert exc_info.value.code == "SES003"
-    finally:
-        session.close()
-        eng.close()
+        backend.commit()
+        assert list(rows) == [(i,) for i in range(3, 11)]
+        assert backend.scalar("SELECT COUNT(*) FROM t") == 10
 
 
 class _SpyCursor:
@@ -238,3 +228,18 @@ def test_closed_cursor_iteration_raises_ses004(monkeypatch):
         next(it)
     assert exc_info.value.code == "SES004"
     conn.close()
+
+
+def test_cursor_after_connection_close():
+    import repro.minidb as minidb
+    from repro.minidb import InterfaceError, SessionError
+
+    conn = minidb.connect()
+    cur = conn.cursor()
+    conn.close()
+    with pytest.raises(SessionError) as exc_info:
+        cur.execute("SELECT 1")
+    err = exc_info.value
+    assert isinstance(err, InterfaceError)
+    assert err.code == "SES001"
+    assert err.hint

@@ -10,13 +10,11 @@ and no trace of the batch in the table, its indexes or its counters.
 
 import json
 import sqlite3
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.minidb as minidb
-from repro.minidb import Engine
 from repro.minidb.errors import ProgrammingError, SemanticError
 
 SCHEMA = [
@@ -281,42 +279,3 @@ class TestSubqueryTemplate:
         reopened = minidb.connect(path)
         assert reopened.execute("SELECT * FROM s").fetchall() == [(1, 0), (2, 1), (3, 2)]
         reopened.close()
-
-
-class TestSharedModeSnapshot:
-    def test_reader_keeps_its_snapshot_while_a_batch_commits(self):
-        engine = Engine(":memory:")
-        setup = engine.connect()
-        for ddl in SCHEMA:
-            setup.execute(ddl)
-        for sql, rows in SEED:
-            setup.executemany(sql, rows)
-        setup.commit()
-        setup.close()
-
-        reader, writer = engine.connect(), engine.connect()
-        reader.execute("BEGIN")
-        query = "SELECT id, u FROM t WHERE x >= 0 ORDER BY id"
-        assert reader.execute(query).fetchall() == [(1, "a"), (5, "m")]
-        done = threading.Event()
-
-        def write():
-            writer.executemany(
-                INSERT, [(None, 1, 1, f"k{i}", i, float(i)) for i in range(200)]
-            )
-            writer.commit()
-            done.set()
-
-        thread = threading.Thread(target=write)
-        thread.start()
-        thread.join()
-        assert done.is_set()
-        # Same rows, through the same (now frozen) index structures.
-        assert reader.execute(query).fetchall() == [(1, "a"), (5, "m")]
-        assert reader.execute("SELECT COUNT(*) FROM t WHERE u = 'k7'").fetchall() == [(0,)]
-        reader.commit()
-        assert reader.execute("SELECT COUNT(*) FROM t").fetchall() == [(202,)]
-        assert reader.execute("SELECT id FROM t WHERE u = 'k7'").fetchall() == [(13,)]
-        reader.close()
-        writer.close()
-        engine.close()

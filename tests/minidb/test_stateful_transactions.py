@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import repro.minidb as minidb
+from tests.minidb.crash import crash
 
 
 class TransactionMachine(RuleBasedStateMachine):
@@ -176,9 +177,8 @@ class TestWalDurabilityProperty:
                 conn.commit()
                 committed = dict(pending)
         # Crash: reopen without close/checkpoint.
+        crash(conn)
         reopened = minidb.connect(path)
         state = dict(reopened.execute("SELECT k, v FROM t").fetchall())
         assert state == committed
         reopened.close()
-        conn.rollback()
-        conn.close()

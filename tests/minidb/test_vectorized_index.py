@@ -16,7 +16,7 @@ import sqlite3
 import pytest
 
 import repro.minidb as minidb
-from repro.minidb import Engine, optimizer, vector
+from repro.minidb import optimizer, vector
 from repro.minidb import operators as ops
 from repro.minidb.parser import parse
 from repro.obs.metrics import metrics as obs_metrics
@@ -177,40 +177,6 @@ def test_in_probe_leaf_prints_batched():
     while leaf.children():
         leaf = leaf.children()[0]
     assert isinstance(leaf, ops.VecScan) and leaf.BATCHED
-
-
-def test_snapshot_read_while_writer_commits(monkeypatch):
-    """A shared-mode reader's batched probe sees its pinned snapshot only."""
-    monkeypatch.setattr(vector, "BATCH_SIZE", 2)
-    eng = Engine(":memory:")
-    setup = eng.connect()
-    _populate(setup)
-    setup.close()
-    sql = "SELECT id, res FROM fr WHERE res IN (?, ?, ?)"
-    params = (3, 4, 5)
-    reader, writer = eng.connect(), eng.connect()
-    try:
-        reader.execute("BEGIN")
-        before = reader.execute(sql, params).fetchall()
-        assert len(before) > 4
-        cur = reader.cursor()
-        cur.execute(sql, params)
-        head = [cur.fetchone()]
-        writer.execute("DELETE FROM fr WHERE res = 4")
-        writer.execute("INSERT INTO fr VALUES (1001, 1, 5, 'z')")
-        writer.commit()
-        # The open stream and a fresh statement both read the pinned view.
-        assert head + cur.fetchall() == before
-        cur.close()
-        assert reader.execute(sql, params).fetchall() == before
-        reader.commit()
-        after = reader.execute(sql, params).fetchall()
-        assert (1001, 5) in after
-        assert all(res != 4 for _id, res in after)
-    finally:
-        reader.close()
-        writer.close()
-        eng.close()
 
 
 def test_rows_deleted_mid_scan_are_skipped(monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.minidb as minidb
+from tests.minidb.crash import crash
 
 
 @pytest.fixture
@@ -68,52 +69,51 @@ class TestWalReplay:
         c.execute("INSERT INTO t (v) VALUES ('three')")
         c.commit()
         # Simulate a crash: no close/checkpoint, reopen from snapshot+WAL.
+        crash(c)
         c2 = minidb.connect(db_path)
         assert c2.execute("SELECT COUNT(*) FROM t").fetchall() == [(3,)]
         c2.close()
-        c.close()
 
     def test_uncommitted_changes_not_in_wal(self, db_path):
         c = make_db(db_path)
         c.execute("INSERT INTO t (v) VALUES ('ghost')")
-        # No commit: a new reader must not see it.
+        # No commit: the store reopened after a crash must not hold it.
+        crash(c)
         c2 = minidb.connect(db_path)
         assert c2.execute("SELECT COUNT(*) FROM t").fetchall() == [(2,)]
         c2.close()
-        c.rollback()
-        c.close()
 
     def test_torn_tail_ignored(self, db_path):
         c = make_db(db_path)
         c.execute("INSERT INTO t (v) VALUES ('three')")
         c.commit()
+        crash(c)
         wal = db_path + ".wal"
         with open(wal, "a", encoding="utf-8") as fh:
             fh.write('{"op": "insert", "table": "t", "rowid": 99, "row": [99, "tor')
         c2 = minidb.connect(db_path)
         assert c2.execute("SELECT COUNT(*) FROM t").fetchall() == [(3,)]
         c2.close()
-        c.close()
 
     def test_update_delete_in_wal(self, db_path):
         c = make_db(db_path)
         c.execute("UPDATE t SET v = 'uno' WHERE id = 1")
         c.execute("DELETE FROM t WHERE id = 2")
         c.commit()
+        crash(c)
         c2 = minidb.connect(db_path)
         assert c2.execute("SELECT v FROM t").fetchall() == [("uno",)]
         c2.close()
-        c.close()
 
     def test_ddl_in_wal(self, db_path):
         c = make_db(db_path)
         c.execute("CREATE TABLE extra (x INTEGER)")
         c.execute("INSERT INTO extra VALUES (5)")
         c.commit()
+        crash(c)
         c2 = minidb.connect(db_path)
         assert c2.execute("SELECT x FROM extra").fetchall() == [(5,)]
         c2.close()
-        c.close()
 
 
 class TestCheckpoint:
@@ -285,11 +285,11 @@ class TestWalTailRecovery:
         c.execute("INSERT INTO t (v) VALUES ('three')")
         c.commit()
         # Crash 2: c is abandoned without close().
+        crash(c)
         c2 = minidb.connect(db_path)
         assert c2.execute("SELECT v FROM u").fetchall() == []
         assert c2.execute("SELECT COUNT(*) FROM t").fetchall() == [(3,)]
         c2.close()
-        c.close()
 
     def test_torn_tail_does_not_swallow_next_commit(self, db_path):
         self._store(db_path)
@@ -299,13 +299,14 @@ class TestWalTailRecovery:
         c.execute("INSERT INTO u (id, v) VALUES (2, 'acknowledged')")
         c.commit()
         # Crash 2: c is abandoned without close().
+        crash(c)
         c2 = minidb.connect(db_path)
         assert c2.execute("SELECT id, v FROM u").fetchall() == [(2, "acknowledged")]
         c2.close()
-        c.close()
 
     def test_replay_cuts_wal_back_to_last_commit(self, db_path):
         c = make_db(db_path)  # committed, never checkpointed
+        crash(c)
         committed = _wal_lines(db_path)
         assert committed[-1] == {"op": "commit"}
         _append_wal(db_path, json.dumps({"op": "delete", "table": "t", "rowid": 1}) + "\n")
@@ -314,10 +315,10 @@ class TestWalTailRecovery:
         assert _wal_lines(db_path) == committed
         assert c2.execute("SELECT COUNT(*) FROM t").fetchall() == [(2,)]
         c2.close()
-        c.close()
 
     def test_commit_line_torn_before_newline_kept(self, db_path):
         c = make_db(db_path)
+        crash(c)
         with open(db_path + ".wal", "rb+") as fh:
             fh.seek(-1, os.SEEK_END)
             assert fh.read() == b"\n"
@@ -326,11 +327,10 @@ class TestWalTailRecovery:
         c2 = minidb.connect(db_path)
         c2.execute("INSERT INTO t (v) VALUES ('three')")
         c2.commit()
+        crash(c2)
         c3 = minidb.connect(db_path)
         assert c3.execute("SELECT COUNT(*) FROM t").fetchall() == [(3,)]
         c3.close()
-        c2.close()
-        c.close()
 
     def test_wal_without_commit_is_removed(self, db_path):
         make_db(db_path).close()
@@ -368,17 +368,6 @@ class TestReadOnlyClose:
         assert _file_state(db_path) == before
         assert not os.path.exists(db_path + ".wal")
 
-    def test_engine_session(self, db_path):
-        make_db(db_path).close()
-        before = _file_state(db_path)
-        engine = minidb.Engine(db_path)
-        s = engine.connect()
-        assert s.execute("SELECT v FROM t ORDER BY id").fetchall() == [("one",), ("two",)]
-        s.close()
-        engine.close()
-        assert _file_state(db_path) == before
-        assert not os.path.exists(db_path + ".wal")
-
     def test_datastore_open_query_close(self, db_path):
         from repro.core import PTDataStore
 
@@ -400,12 +389,12 @@ class TestReadOnlyClose:
         c = make_db(db_path)
         c.execute("INSERT INTO t (v) VALUES ('three')")
         c.commit()  # crash: c is never closed
+        crash(c)
         c2 = minidb.connect(db_path)
         c2.close()
         assert not os.path.exists(db_path + ".wal")
         _header, bodies = _read_v3(db_path)
         assert sorted(bodies["t"][2]) == ["one", "three", "two"]
-        c.close()
 
     def test_new_path_writes_snapshot(self, db_path):
         assert not os.path.exists(db_path)
@@ -653,8 +642,8 @@ class TestLazyOpen:
 
     def test_writes_to_lazy_tables_match_an_eager_store(self, db_path, tmp_path):
         self._store(db_path)
-        lazy = minidb.connect(db_path)
         eager = self._eager(db_path, str(tmp_path / "eager.db"))
+        lazy = minidb.connect(db_path)
         assert _encoded(lazy.db) == ["p", "t", "u"] and _encoded(eager.db) == []
         ops = [  # (statement, fails)
             ("INSERT INTO t (pid, sid, g, x) VALUES (2, 3, 9, 0.5)", False),
@@ -691,6 +680,7 @@ class TestLazyOpen:
         c = minidb.connect(db_path)
         c.execute("INSERT INTO u (v) VALUES ('c')")
         c.commit()  # crash: never closed
+        crash(c)
         # ...and a record whose commit marker never made it.
         _append_wal(db_path, json.dumps({"op": "delete", "table": "t", "rowid": 1}) + "\n")
         _append_wal(db_path, '{"op": "ins')
@@ -699,7 +689,6 @@ class TestLazyOpen:
         assert c2.execute("SELECT v FROM u ORDER BY id").fetchall() == [("a",), ("b",), ("c",)]
         assert c2.execute("SELECT COUNT(*) FROM t").fetchall() == [(30,)]
         c2.close()
-        c.close()
         header, bodies = _read_v3(db_path)
         assert bodies["u"][2] == ["a", "b", "c"] and len(bodies["t"][0]) == 30
 
@@ -719,21 +708,6 @@ class TestLazyOpen:
         assert [t["meta"]["name"] for t in header["tables"]] == ["p", "t", "u"]
         assert _body(db_path, "t") == respelled  # byte for byte
         assert after["u"][2] == ["z", "b"] and after["t"] == bodies["t"]
-
-    def test_engine_connect_after_lazy_open(self, db_path):
-        self._store(db_path)
-        engine = minidb.Engine(db_path)
-        assert _encoded(engine.db) == ["p", "t", "u"]
-        s = engine.connect()
-        assert _encoded(engine.db) == []
-        assert s.execute("SELECT COUNT(*) FROM t WHERE g = 1").fetchall() == [(8,)]
-        s.execute("INSERT INTO u (v) VALUES ('c')")
-        s.commit()
-        s.close()
-        engine.close()
-        c = minidb.connect(db_path)
-        assert c.execute("SELECT v FROM u ORDER BY id").fetchall() == [("a",), ("b",), ("c",)]
-        c.close()
 
     def test_truncated_body_raises_at_open(self, db_path):
         self._store(db_path)
@@ -865,7 +839,7 @@ def _column_values(base):
 
 def _index_entries(db):
     """Every index's (key, rowids) entries, in no particular key order."""
-    return {name: sorted(map(repr, db.index_state(idx)._map.items()))
+    return {name: sorted(map(repr, idx._map.items()))
             for name, idx in db.indexes.items()}
 
 

@@ -1,12 +1,19 @@
 """CLI tests: every ptrack subcommand end to end."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro.minidb as minidb
+from repro import cli
 from repro.cli import main
+from repro.minidb import connection
 from repro.synth.irs_gen import IRSRunSpec, generate_irs_run
 from repro.synth.machines import MCR
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 @pytest.fixture(scope="module")
@@ -494,3 +501,102 @@ class TestLoadProgress:
         ) == 0
         events = json.loads(trace.read_text())["traceEvents"]
         assert any(e["name"] == "load.file" for e in events)
+
+
+class TestConcurrentLoads:
+    """Two ``ptrack load`` processes started together on one store."""
+
+    PROCS = 512  # processes per execution: two results each, plus a series
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        from tests.core.corpus import corpus_writer
+
+        root = tmp_path_factory.mktemp("concurrent")
+        halves = []
+        for half in (range(0, 4), range(4, 8)):
+            paths = []
+            for e in half:
+                path = str(root / f"exec{e}.ptdf")
+                corpus_writer([e], procs=self.PROCS).write(path)
+                paths.append(path)
+            halves.append(paths)
+        return halves
+
+    @staticmethod
+    def _results_by_execution(backend, db):
+        from repro.core.datastore import PTDataStore
+
+        store = PTDataStore(backend_kind=backend, database=db, initialize=False)
+        try:
+            return dict(store.backend.query(
+                "SELECT e.name, COUNT(*) FROM performance_result r "
+                "JOIN execution e ON e.id = r.execution_id GROUP BY e.name"
+            ))
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("backend", ["minidb", "sqlite"])
+    def test_no_load_exits_0_with_rows_missing(self, corpus, tmp_path, backend):
+        db = str(tmp_path / "store.db")
+        assert main(["init", "--backend", backend, "--db", db]) == 0
+        env = dict(os.environ, PYTHONPATH=SRC)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "load", "--backend", backend,
+                 "--db", db, "--quiet", *paths],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for paths in corpus
+        ]
+        errs = [p.communicate(timeout=120)[1] for p in procs]
+        outcomes = [(p.returncode, err) for p, err in zip(procs, errs)]
+        counts = self._results_by_execution(backend, db)
+        per_execution = 2 * self.PROCS + 1
+        landed = 0
+        for (code, err), paths in zip(outcomes, corpus):
+            names = [f"irs-{os.path.basename(p)[4:-5]}" for p in paths]
+            if code == 0:
+                landed += 1
+                assert [counts.get(n) for n in names] == [per_execution] * 4, err
+            else:
+                assert backend == "sqlite" and code == 1, err
+                assert "database error:" in err
+        if backend == "minidb":
+            assert landed == 2
+            assert len(counts) == 8
+        assert landed >= 1
+
+
+class TestStoreClosedOnFailure:
+    """A command that fails in process still closes its store, so the
+    minidb lock file is free the moment ``main`` returns."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["query", "--attr", "no operator here"], 1),
+        (["ls", "resources"], 2),
+        (["report", "application"], 2),
+        (["attrs", "/no/such/resource"], 1),
+        (["predict", "--metric", "no such metric"], 1),
+        (["chart", "--metric", "no such metric"], 1),
+    ], ids=["query", "ls", "report", "attrs", "predict", "chart"])
+    def test_store_opens_at_once_after_a_failed_command(
+        self, study, argv, code, monkeypatch, capsys
+    ):
+        opened = []
+
+        class Spy(cli.PTDataStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+                self.closed = False
+
+            def close(self):
+                self.closed = True
+                super().close()
+
+        monkeypatch.setattr(cli, "PTDataStore", Spy)
+        monkeypatch.setattr(connection, "LOCK_TIMEOUT_S", 0.05)
+        assert main([argv[0], "--db", study, *argv[1:]]) == code
+        assert [s.closed for s in opened] == [True]
+        minidb.connect(study).close()

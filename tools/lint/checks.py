@@ -72,11 +72,10 @@ _PTL007_MUTATORS = frozenset(
     }
 )
 
-#: PTL008 — Database mutators that take the writing transaction.  Since the
-#: concurrent engine landed, these acquire the table's writer lock and do
-#: the copy-on-write detach through the transaction passed as ``txn=``;
-#: calling them without one silently falls back to the embedded implicit
-#: transaction, which takes no locks and is wrong in shared mode.
+#: PTL008 — Database mutators that take the writing transaction.  Called
+#: without ``txn=`` they fall back to the database's implicit transaction,
+#: so which transaction journals and undoes the mutation is no longer
+#: visible at the call site.
 PTL008_MUTATORS = frozenset(
     {
         "insert_rows",
@@ -261,9 +260,9 @@ class _Checker(ast.NodeVisitor):
             self._add(
                 node,
                 "PTL008",
-                f"Database.{node.func.attr}() called without txn=: the "
-                f"implicit embedded transaction takes no writer locks and "
-                f"no copy-on-write detach; pass the session transaction "
+                f"Database.{node.func.attr}() called without txn=: it "
+                f"falls back to the implicit transaction; pass the "
+                f"transaction the mutation runs under "
                 f"(or add the module to the PTL008 allowlist with a "
                 f"justification in docs/static_analysis.md)",
             )
