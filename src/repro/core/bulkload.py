@@ -9,7 +9,10 @@ order.  The closure tables (``resource_has_ancestor`` /
 :meth:`BulkLoader.load` applies a whole record stream and commits it;
 on any failure it rolls the backend transaction back and re-warms the
 store's caches from the database, so a failed load leaves the store
-exactly as it was.  The store's ``add_*`` methods are single-record
+exactly as it was.  A load takes the store's write lock before it reads
+an id or a name (:meth:`~repro.dbapi.backends.Backend.begin_write`), so
+two processes loading one sqlite3 store at once take turns instead of
+assigning the same ids.  The store's ``add_*`` methods are single-record
 writes: one handler call, one :meth:`BulkLoader.flush`, no commit, and
 :meth:`BulkLoader.discard` on failure.  A record streamed through
 :meth:`load` and the same record written through ``add_*`` produce the
@@ -177,6 +180,10 @@ class BulkLoader:
         store = self.store
         stats = LoadStats()
         try:
+            if self.backend.begin_write():
+                # Another writer may have committed since the store read
+                # its caches: read them again, under the lock.
+                self.discard()
             for rec in records:
                 if isinstance(rec, ApplicationRec):
                     before = len(store._app_ids)
@@ -225,9 +232,9 @@ class BulkLoader:
         return stats
 
     def discard(self) -> None:
-        """Forget what this loader cached but did not flush: rebuild the
-        store's caches from the database, without rolling it back (the
-        focus cache is read again on the next loader's first use)."""
+        """Rebuild the store's caches from the database, forgetting what
+        this loader cached but did not flush, without rolling it back
+        (the focus cache is read again on the next loader's first use)."""
         self.store._resource_obj_cache.clear()
         self.store._focus_ids = None
         self.store._warm_caches()

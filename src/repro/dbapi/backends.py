@@ -92,6 +92,18 @@ class Backend:
 
     # -- transactions ----------------------------------------------------------------
 
+    def begin_write(self) -> bool:
+        """Hold the store's write lock for the transaction about to write.
+
+        True when what the caller read from the store before this call
+        may be stale: another connection committed since the backend
+        last looked.  False when nothing can have changed — the
+        connection excludes every other writer (a minidb connection
+        holds its store's lock from open to close), or no other
+        connection committed.
+        """
+        return False
+
     def commit(self) -> None:
         self.connection.commit()
 
@@ -156,6 +168,9 @@ class SqliteBackend(Backend):
         try:
             conn = sqlite3.connect(database)
             conn.execute("PRAGMA foreign_keys = ON")
+            #: ``PRAGMA data_version`` when this connection last looked;
+            #: it moves only when another connection commits
+            self._data_version = conn.execute("PRAGMA data_version").fetchone()[0]
         except sqlite3.Error as exc:
             raise self.translate_error(exc) from exc
         super().__init__(conn)
@@ -174,6 +189,25 @@ class SqliteBackend(Backend):
         if isinstance(exc, sqlite3.DatabaseError):
             return DatabaseError(str(exc))
         return exc
+
+    def begin_write(self) -> bool:
+        """``BEGIN IMMEDIATE``: take sqlite3's write lock now, waiting up
+        to the connection's busy timeout, instead of at the first INSERT
+        — so ids and names read after it cannot go stale.  The caller's
+        earlier reads are stale when ``PRAGMA data_version`` moved since
+        the last look (an already open transaction already holds the
+        lock, or will take it at its next write)."""
+        conn = self.connection
+        if conn.in_transaction:
+            return False
+        try:
+            conn.execute("BEGIN IMMEDIATE")
+            version = conn.execute("PRAGMA data_version").fetchone()[0]
+        except sqlite3.Error as exc:
+            raise self.translate_error(exc) from exc
+        stale = version != self._data_version
+        self._data_version = version
+        return stale
 
     def has_table(self, name: str) -> bool:
         row = self.query_one(

@@ -60,6 +60,7 @@ _ANALYZE_RUNS = _M.counter("minidb.analyzer.runs")
 _BATCHES = _M.counter("minidb.executemany_batches")
 _PLAN_HITS = _M.counter("minidb.plan_cache.hits")
 _PLAN_MISSES = _M.counter("minidb.plan_cache.misses")
+_ROWS_RETURNED = _M.counter("minidb.rows.returned", unit="rows")
 
 #: Parsed-statement cache capacity per connection.  Eviction is LRU so a
 #: burst of one-off statements cannot dump the hot loader statements.
@@ -72,11 +73,13 @@ class _CachedStatement:
     ``version`` is the catalog generation the statement was last analyzed
     against; a DDL statement bumps it, forcing cached statements through
     the analyzer once more before their next execution.  SELECTs also
-    cache their lowered physical plan: ``plan_version`` is the catalog
-    generation the plan was built against (so CREATE/DROP INDEX — which
-    bumps the generation — invalidates the plan, not just the analysis),
-    and ``plan_stats`` fingerprints the size of every referenced table so
-    a table growing past an optimizer threshold re-plans too.
+    cache their lowered physical plan, which every execution runs as it
+    is: ``plan_version`` is the catalog generation the plan was built
+    against (so CREATE/DROP INDEX and DROP/CREATE TABLE — which bump the
+    generation — invalidate the plan, not just the analysis), and
+    ``plan_stats`` fingerprints the size of every table the plan reads
+    (see :func:`_size_buckets`) so a table growing or shrinking past an
+    optimizer threshold re-plans too.
     """
 
     __slots__ = (
@@ -94,6 +97,19 @@ class _CachedStatement:
         # Normalized statement text for the profiler, computed on first
         # profiled execution and cached with the parse.
         self.fingerprint: Optional[str] = None
+
+
+def _size_buckets(tables: Sequence) -> tuple:
+    """Size fingerprint for the plan cache: one bucket per table.
+
+    ``bit_length`` buckets row counts at power-of-two boundaries, so a
+    table crossing an optimizer size threshold (hash-join build minimum,
+    join-order swap) lands in a new bucket and forces a re-plan, while
+    ordinary row churn inside a bucket keeps the plan.  *tables* are the
+    plan's own ``Table`` objects, so no catalog lookup runs per
+    execution.
+    """
+    return tuple([len(t.rows).bit_length() for t in tables])
 
 
 #: Seconds a second opener of a file-backed database waits for its lock
@@ -250,7 +266,8 @@ class Connection:
                 cache.popitem(last=False)
             cache[sql] = entry
         else:
-            _CACHE_HITS.inc()
+            if _M.enabled:
+                _CACHE_HITS.inc()
             cache.move_to_end(sql)
         return entry
 
@@ -272,7 +289,7 @@ class Connection:
             analysis.raise_first_error()
             entry.required_params = analysis.required_params
             entry.version = catalog.version
-        else:
+        elif _M.enabled:
             _MEMO_HITS.inc()
         if params is not None and entry.required_params > len(params):
             raise SemanticError(
@@ -316,13 +333,12 @@ class Connection:
         prof = _profiler.enabled
         cache_hit = prof and sql in self._statement_cache
         entry = self._parse_cached(sql)
-        stmt = entry.stmt
         self._ensure_analyzed(entry, params)
         if not (prof or _M.enabled or _trace.enabled):
             return self._dispatch(entry, sql, params)
         t0 = _now()
         try:
-            with _trace.span("execute", cat="minidb", stmt=type(stmt).__name__):
+            with _trace.span("execute", cat="minidb", stmt=type(entry.stmt).__name__):
                 result = self._dispatch(entry, sql, params, meter=prof)
         except Exception:
             if prof:
@@ -400,7 +416,9 @@ class Connection:
         rows_returned: int,
         cache_hit: bool,
     ) -> None:
-        plan = plan_snapshot(result.root) if result.root is not None else None
+        plan = (
+            plan_snapshot(result.root, result.stats) if result.root is not None else None
+        )
         scanned = result.stats.rows_scanned if result.stats is not None else 0
         _profiler.record(
             fp,
@@ -412,32 +430,25 @@ class Connection:
             cache_hit=cache_hit,
         )
 
-    def _table_stats(self, tables: Sequence[str]) -> tuple:
-        """Size fingerprint for the plan cache: one bucket per table.
-
-        ``bit_length`` buckets row counts at power-of-two boundaries, so a
-        table crossing an optimizer size threshold (hash-join build
-        minimum, join-order swap) lands in a new bucket and forces a
-        re-plan, while ordinary row churn inside a bucket keeps the plan.
-        """
-        db = self.db
-        return tuple(len(db.table(t).rows).bit_length() for t in tables)
-
     def _plan_for(self, entry: _CachedStatement) -> "optimizer.PhysicalPlan":
-        catalog = self.db.catalog
-        if entry.plan is not None and entry.plan_version == catalog.version:
-            if self._table_stats(entry.plan.tables) == entry.plan_stats:
+        """The cached plan of a SELECT, re-planned first when the catalog
+        generation moved or a table it reads changed size bucket."""
+        plan = entry.plan
+        if (
+            plan is not None
+            and entry.plan_version == self.db.catalog.version
+            and _size_buckets(plan.tables) == entry.plan_stats
+        ):
+            if _M.enabled:
                 _PLAN_HITS.inc()
-                return entry.plan.clone()
+            return plan
         _PLAN_MISSES.inc()
         with _trace.span("plan", cat="minidb"):
             plan = optimizer.plan_select(self.db, entry.stmt)
         entry.plan = plan
-        entry.plan_version = catalog.version
-        entry.plan_stats = self._table_stats(plan.tables)
-        # Clone per execution: the cached tree must stay stateless so two
-        # concurrently-draining cursors never share operator state.
-        return plan.clone()
+        entry.plan_version = self.db.catalog.version
+        entry.plan_stats = _size_buckets(plan.tables)
+        return plan
 
     def _dispatch(
         self, entry: _CachedStatement, sql: str, params: Sequence[Any],
@@ -445,6 +456,8 @@ class Connection:
     ) -> Result:
         stmt = entry.stmt
         db = self.db
+        if type(stmt) is ast.Select:
+            return Executor(db, params, self._plan_for(entry), meter).execute(stmt)
         if isinstance(stmt, _DDL_NODES):
             # DDL commits the open transaction and runs in its own.
             db.commit()
@@ -460,8 +473,6 @@ class Connection:
         ):
             # Joins the open transaction if any.
             return Executor(db, params, meter=meter, txn=db.begin()).execute(stmt)
-        if isinstance(stmt, ast.Select):
-            return Executor(db, params, plan=self._plan_for(entry), meter=meter).execute(stmt)
         # Remaining statements (CHECK, EXPLAIN, EXPLAIN ANALYZE of a
         # SELECT, BEGIN/COMMIT/ROLLBACK) are read-only or transaction
         # control.
@@ -482,7 +493,8 @@ class Cursor:
         self._rows: list[tuple] = []
         self._pos = 0
         # SELECTs: an iterator of row batches plus the current batch being
-        # sliced by fetchone/fetchmany.
+        # sliced by fetchone/fetchmany.  ``minidb.rows.returned`` counts
+        # each batch as the cursor pulls it.
         self._batches: Optional[Iterator[list[tuple]]] = None
         self._batch: list[tuple] = []
         self._bpos = 0
@@ -512,6 +524,8 @@ class Cursor:
                 self._batches = None
             else:
                 self._batch = first_batch
+                if _M.enabled:
+                    _ROWS_RETURNED.add(len(first_batch))
         return self
 
     def executemany(self, sql: str, seq_of_params: Iterable[Sequence[Any]]) -> "Cursor":
@@ -583,6 +597,8 @@ class Cursor:
             if batch is None:
                 self._close_stream()
                 return None
+            if _M.enabled:
+                _ROWS_RETURNED.add(len(batch))
             self._batch = batch
             self._bpos = 1
             return batch[0]
@@ -608,9 +624,12 @@ class Cursor:
             self._batch = []
             self._bpos = 0
             if self._batches is not None:
+                start = len(out)
                 for batch in self._batches:
                     out.extend(batch)
                 self._batches = None
+                if _M.enabled:
+                    _ROWS_RETURNED.add(len(out) - start)
         return out
 
     def __iter__(self) -> Iterator[tuple]:

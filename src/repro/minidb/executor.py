@@ -7,14 +7,15 @@ the catalog; every INSERT (and each ``executemany`` batch) builds its
 rows into columns and hands storage one batch; UPDATE and DELETE drain a
 scan(+filter) tree over the planner-chosen access path for the row ids
 they mutate.  EXPLAIN and EXPLAIN ANALYZE render the real operator
-tree — with per-operator ``actual rows/batches/loops/time`` hanging off
-the operators in the ANALYZE case.
+tree — in the ANALYZE case with the per-operator ``actual
+rows/batches/loops/time`` the execution's
+:class:`~repro.minidb.operators.ExecStats` collected.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..obs.clock import now as _now
 from ..obs.metrics import metrics as _M
@@ -33,8 +34,9 @@ from .sqltypes import INTEGER, REAL, TEXT, coerce
 from .storage import Database
 
 # Engine metrics (see docs/observability.md).  Scan/access/hash-join
-# counters live on the physical operators; the executor keeps the
-# statement-level row counters.
+# counters live on the physical operators; the cursor counts the rows a
+# SELECT returns, the executor those of an EXPLAIN ANALYZE and the rows
+# statements write.
 _ROWS_RETURNED = _M.counter("minidb.rows.returned", unit="rows")
 _ROWS_WRITTEN = _M.counter("minidb.rows.written", unit="rows")
 
@@ -150,8 +152,9 @@ class Result:
 
     ``root`` is the physical operator tree that produced the result (when
     one exists: SELECT, UPDATE, DELETE) and ``stats`` the per-execution
-    :class:`~repro.minidb.operators.ExecStats`; the statement profiler
-    reads both when it finalizes a statement, after any stream drains.
+    :class:`~repro.minidb.operators.ExecStats`, which holds the operator
+    actuals of a metered run; the statement profiler reads both when it
+    finalizes a statement, after any stream drains.
     """
 
     __slots__ = (
@@ -165,23 +168,29 @@ class Result:
         rowcount: int = -1,
         lastrowid: Optional[int] = None,
         batches: Optional[Iterator[list[tuple]]] = None,
+        root: Optional[Operator] = None,
     ) -> None:
         self.description = description
         self.rows = rows or []
         self.rowcount = rowcount
         self.lastrowid = lastrowid
         self.batches = batches
-        self.root: Optional[Operator] = None
+        self.root = root
         self.stats: Optional[ExecStats] = None
 
 
 class Executor:
     """Executes one statement; cheap to construct per call.
 
-    ``plan`` is an optional pre-lowered (and already cloned)
+    ``plan`` is an optional pre-lowered
     :class:`~repro.minidb.optimizer.PhysicalPlan` supplied by the
-    connection's statement cache for top-level SELECTs.
+    connection's statement cache for top-level SELECTs.  Its operators
+    are stateless, so it runs as it is: this execution's state lives in
+    the executor's :class:`~repro.minidb.operators.ExecContext` and
+    :class:`~repro.minidb.operators.ExecStats`.
     """
+
+    __slots__ = ("db", "txn", "evaluator", "plan", "ctx", "_subplans", "_dml_root")
 
     def __init__(
         self,
@@ -195,44 +204,30 @@ class Executor:
         # The transaction mutations run under; ``None`` lets storage
         # resolve the database's implicit transaction.
         self.txn = txn
-        self.evaluator = Evaluator(params, subquery_runner=self._run_subquery)
+        self.evaluator = Evaluator(params, self._run_subquery)
         self.plan = plan
-        self.stats = ExecStats()
-        # Per-statement-execution caches shared by the main plan and every
-        # expression subquery: hash-join builds and FROM-subquery rows.
-        self._hash_builds: dict[int, dict] = {}
-        self._subquery_rows: dict[int, list] = {}
+        # The execution's root context.  Its caches — hash-join builds and
+        # FROM-subquery rows — are shared by the main plan and every
+        # expression subquery.  ``meter`` pre-arms per-operator actuals
+        # collection (the same machinery EXPLAIN ANALYZE uses) so the
+        # flight recorder can read a fully metered tree without
+        # re-executing the statement.
+        self.ctx = ExecContext(db, self.evaluator, ExecStats(), meter)
         # Expression subqueries are planned once per execution, keyed by
         # the AST node identity — a correlated subquery re-run per outer
         # row reuses its plan (and its hash builds).
         self._subplans: dict[int, optimizer.PhysicalPlan] = {}
-        # ``meter`` pre-arms per-operator actuals collection (the same
-        # machinery EXPLAIN ANALYZE uses) so the flight recorder can read
-        # a fully metered tree without re-executing the statement.
-        self._analyze = meter
         # Operator tree of the last DML scan, for EXPLAIN ANALYZE rendering.
         self._dml_root: Optional[Operator] = None
-
-    def _context(self, outer: Optional[Scope] = None) -> ExecContext:
-        return ExecContext(
-            self.db,
-            self.evaluator,
-            outer=outer,
-            analyze=self._analyze,
-            hash_builds=self._hash_builds,
-            subquery_rows=self._subquery_rows,
-            stats=self.stats,
-        )
 
     # -- dispatch --------------------------------------------------------------
 
     def execute(self, stmt) -> Result:
-        name = type(stmt).__name__
-        handler = getattr(self, f"_exec_{name}", None)
+        handler = _HANDLERS.get(type(stmt))
         if handler is None:
-            raise ProgrammingError(f"cannot execute {name}")
-        result = handler(stmt)
-        result.stats = self.stats
+            raise ProgrammingError(f"cannot execute {type(stmt).__name__}")
+        result = handler(self, stmt)
+        result.stats = self.ctx.stats
         if result.root is None:
             result.root = self._dml_root
         return result
@@ -272,22 +267,7 @@ class Executor:
 
     def _exec_Select(self, stmt: ast.Select) -> Result:
         plan = self._plan_for_select(stmt)
-        result = Result(
-            description=plan.description,
-            rowcount=-1,
-            batches=self._stream_batches(plan.root),
-        )
-        result.root = plan.root
-        return result
-
-    def _stream_batches(self, root: Operator) -> Iterator[list[tuple]]:
-        returned = 0
-        try:
-            for batch in root.batches(self._context()):
-                returned += len(batch)
-                yield batch
-        finally:
-            _ROWS_RETURNED.add(returned)
+        return Result(plan.description, batches=plan.root.batches(self.ctx), root=plan.root)
 
     def _run_subquery(
         self, select: ast.Select, outer: Scope, limit_one: bool = False
@@ -304,7 +284,7 @@ class Executor:
             plan = optimizer.plan_select(self.db, select, correlated=True)
             self._subplans[id(select)] = plan
         rows: list[tuple] = []
-        it = plan.root.batches(self._context(outer))
+        it = plan.root.batches(self.ctx.child(outer))
         try:
             for batch in it:
                 rows.extend(batch)
@@ -457,7 +437,7 @@ class Executor:
         self._dml_root = root
         get = self.db.table(table_name).rows.get
         targets = []
-        for batch in root.batches(self._context()):
+        for batch in root.batches(self.ctx):
             for rowid in batch.rowids:
                 row = get(rowid)
                 if row is not None:
@@ -542,17 +522,17 @@ class Executor:
                     "static analysis of anything else"
                 ),
             )
-        self._analyze = True
+        self.ctx.analyze = True
         self._dml_root = None
         root: Optional[Operator] = None
         t0 = _now()
         try:
             if isinstance(inner, ast.Select):
-                plan = self._plan_for_select(inner)
+                root = self._plan_for_select(inner).root
                 count = 0
-                for batch in self._stream_batches(plan.root):
+                for batch in root.batches(self.ctx):
                     count += len(batch)
-                root = plan.root
+                _ROWS_RETURNED.add(count)
                 verb = "returned"
             else:
                 result = self.execute(inner)
@@ -560,10 +540,10 @@ class Executor:
                 count = result.rowcount
                 verb = "affected"
         finally:
-            self._analyze = False
+            self.ctx.analyze = False
         total_ms = (_now() - t0) * 1000.0
         if root is not None:
-            lines = render_plan(root, analyze=True)
+            lines = render_plan(root, self.ctx.stats)
         else:
             lines = [type(inner).__name__.upper()]
         lines.append(f"ACTUAL: {count} row(s) {verb} in {total_ms:.3f} ms")
@@ -572,3 +552,11 @@ class Executor:
             rows=[(line,) for line in lines],
             rowcount=len(lines),
         )
+
+
+#: statement node type -> the ``Executor._exec_<Node>`` method running it
+_HANDLERS: dict[type, Callable[[Executor, Any], Result]] = {
+    getattr(ast, name[len("_exec_"):]): fn
+    for name, fn in vars(Executor).items()
+    if name.startswith("_exec_")
+}

@@ -1,8 +1,12 @@
 """Physical operators for minidb — one batch-at-a-time pipeline.
 
-Every operator is built once per statement by the optimizer
-(:mod:`repro.minidb.optimizer`), then cloned per execution so cached plans
-can run concurrently.  One pull protocol moves data: ``batches(ctx)``
+Every operator is built once per plan by the optimizer
+(:mod:`repro.minidb.optimizer`) and is stateless: a cached plan runs as
+it is, execution after execution, and two cursors may drain the same plan
+at once, because each run keeps its state in its own generator frames and
+its own :class:`ExecContext`.  Work that depends on the plan alone (column
+getters, probe expressions, the access-path kind) is done when the
+operator is built.  One pull protocol moves data: ``batches(ctx)``
 returns a generator of batches.  Below the projection boundary (scans,
 joins, filters) a batch is a :class:`~repro.minidb.vector.ColumnBatch` of
 column vectors; above it (projection, aggregation, distinct, union, sort,
@@ -10,22 +14,25 @@ top-N, limit) a batch is a plain list of row tuples.  Expressions run as
 :mod:`repro.minidb.vector` kernels, which fall back to the row interpreter
 per expression, never per plan.
 
-Per-operator actuals (``actual_rows``/``actual_batches``/``loops``/
-``seconds``) hang off the operator instances themselves; ``EXPLAIN
-ANALYZE`` renders them with :func:`render_plan`.  Engine metrics (rows
-scanned, access-path counters, hash-join build/probe activity) are
-flushed from the operator bodies.
+Per-operator actuals (rows, batches, loops, seconds) belong to one
+execution: they live in its :class:`ExecStats`, keyed by operator, and
+are collected only while ``ctx.analyze`` is on.  ``EXPLAIN ANALYZE``
+renders them with :func:`render_plan`, the statement profiler reads them
+with :func:`plan_snapshot`.  Engine metrics (rows scanned, access-path
+counters, hash-join build/probe activity) are flushed from the operator
+bodies.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Iterator, Optional
 
 from ..obs.clock import now as _now
 from ..obs.metrics import metrics as _M
+from . import ast_nodes as ast
 from . import vector as _vector
 from .expressions import AggregateAccumulator, Evaluator, Scope
 from .planner import (
@@ -52,66 +59,88 @@ _VEC_BATCHES = _M.counter("minidb.vector.batches")
 _VEC_ROWS = _M.counter("minidb.vector.rows", unit="rows")
 
 
+class Actuals:
+    """What one operator did in one execution: rows and batches it
+    produced, how often it ran (``loops``) and its inclusive time."""
+
+    __slots__ = ("rows", "batches", "loops", "seconds")
+
+    def __init__(self) -> None:
+        self.rows = 0
+        self.batches = 0
+        self.loops = 0
+        self.seconds = 0.0
+
+
 class ExecStats:
-    """Per-statement-execution totals the profiler reads at finalize.
+    """Per-statement-execution numbers, read after the run.
 
     One instance is shared by every :class:`ExecContext` of a statement
-    execution (subquery contexts included).  Scan operators add their
-    local counts here at the same once-per-run flush points that feed
-    the global registry counters, so the cost is per-run, not per-row,
-    and the numbers exist even while the metrics registry is disabled.
+    execution (subquery contexts included).  ``rows_scanned`` is always
+    kept: scan operators add their local counts here at the same
+    once-per-run flush points that feed the global registry counters, so
+    the cost is per run, not per row, and the number exists even while
+    the metrics registry is disabled.  ``actuals`` maps each operator
+    that ran to its :class:`Actuals`; it is filled only while the run is
+    analyzed (``EXPLAIN ANALYZE`` or the statement profiler).
     """
 
-    __slots__ = ("rows_scanned",)
+    __slots__ = ("rows_scanned", "actuals")
 
     def __init__(self) -> None:
         self.rows_scanned = 0
+        self.actuals: dict = {}
+
+    def actual(self, op: "Operator") -> Actuals:
+        """*op*'s actuals in this execution, created on first use."""
+        found = self.actuals.get(op)
+        if found is None:
+            found = self.actuals[op] = Actuals()
+        return found
 
 
 class ExecContext:
-    """Per-execution state shared by every operator in one plan run."""
+    """Per-execution state shared by every operator in one plan run.
+
+    ``outer`` is the enclosing query's row for a correlated subquery
+    (kernels that fall back to the interpreter chain their scopes to it).
+    ``hash_builds`` holds hash-join build tables, keyed by id(access
+    path): built on the first probe of a statement execution, reused for
+    every later one (including re-runs of correlated subqueries).
+    ``subquery_rows`` holds FROM-subquery materialisations, keyed by
+    id(operator): FROM subqueries are uncorrelated by construction, so
+    one execution computes them at most once even when a join probes
+    them per batch.  A :meth:`child` context shares both caches and the
+    execution's :class:`ExecStats`.
+    """
 
     __slots__ = (
-        "db", "evaluator", "outer", "analyze", "hash_builds", "subquery_rows",
-        "stats",
+        "db", "evaluator", "stats", "analyze", "outer", "hash_builds", "subquery_rows",
     )
 
     def __init__(
         self,
         db,
         evaluator: Evaluator,
-        outer: Optional[Scope] = None,
+        stats: ExecStats,
         analyze: bool = False,
+        outer: Optional[Scope] = None,
         hash_builds: Optional[dict] = None,
         subquery_rows: Optional[dict] = None,
-        stats: Optional[ExecStats] = None,
     ) -> None:
         self.db = db
         self.evaluator = evaluator
-        # The enclosing query's row for a correlated subquery; kernels
-        # that fall back to the interpreter chain their scopes to it.
-        self.outer = outer if outer is not None else Scope()
+        self.stats = stats
         self.analyze = analyze
-        # Hash-join build tables, keyed by id(access path): built on the
-        # first probe of a statement execution, reused for every later one
-        # (including re-runs of correlated subqueries).
-        self.hash_builds = hash_builds if hash_builds is not None else {}
-        # FROM-subquery materialisations, keyed by id(operator): FROM
-        # subqueries are uncorrelated by construction, so one execution
-        # computes them at most once even when a join probes them per batch.
-        self.subquery_rows = subquery_rows if subquery_rows is not None else {}
-        self.stats = stats if stats is not None else ExecStats()
+        self.outer = Scope() if outer is None else outer
+        self.hash_builds = {} if hash_builds is None else hash_builds
+        self.subquery_rows = {} if subquery_rows is None else subquery_rows
 
     def child(self, outer: Scope) -> "ExecContext":
         """A context for a sub-plan sharing this execution's caches."""
         return ExecContext(
-            self.db,
-            self.evaluator,
-            outer=outer,
-            analyze=self.analyze,
-            hash_builds=self.hash_builds,
-            subquery_rows=self.subquery_rows,
-            stats=self.stats,
+            self.db, self.evaluator, self.stats, self.analyze, outer,
+            self.hash_builds, self.subquery_rows,
         )
 
 
@@ -120,58 +149,50 @@ class Operator:
 
     ``batches(ctx)`` starts one run of the operator and returns its
     generator of batches; closing the generator (or dropping it) ends
-    the run.  ``BATCHED`` marks operators native to the pipeline — every
-    concrete operator sets it, and the plan-shape test asserts it on
-    every node of every plan.
+    the run.  An operator keeps no run state of its own, so one instance
+    serves every run of its plan.  ``BATCHED`` marks operators native to
+    the pipeline — every concrete operator sets it, and the plan-shape
+    test asserts it on every node of every plan.
     """
 
     #: True on every concrete pipeline operator.
     BATCHED = False
 
-    def __init__(self) -> None:
-        self.actual_rows = 0
-        self.actual_batches = 0
-        self.loops = 0
-        self.seconds = 0.0
-        self.est_rows: Optional[int] = None
+    #: the planner's row estimate, set by the optimizer (None: unknown)
+    est_rows: Optional[int] = None
 
     # -- plan shape ---------------------------------------------------------
 
     def children(self) -> tuple:
         return ()
 
-    def clone(self) -> "Operator":
-        raise NotImplementedError  # pragma: no cover
-
     def describe(self) -> str:
         raise NotImplementedError  # pragma: no cover
-
-    def _copy_plan_attrs(self, fresh: "Operator") -> "Operator":
-        fresh.est_rows = self.est_rows
-        return fresh
 
     # -- pull protocol --------------------------------------------------------
 
     def batches(self, ctx: ExecContext) -> Iterator:
         """One run of this operator: a generator of batches."""
-        self.loops += 1
-        it = self._produce_batches(ctx)
         if ctx.analyze:
-            it = self._metered(it)
-        return it
+            actual = ctx.stats.actual(self)
+            actual.loops += 1
+            return _metered(actual, self._produce_batches(ctx))
+        return self._produce_batches(ctx)
 
     def _produce_batches(self, ctx: ExecContext) -> Iterator:
         raise NotImplementedError  # pragma: no cover
 
-    def _metered(self, it: Iterator) -> Iterator:
+
+def _metered(actual: Actuals, it: Iterator) -> Iterator:
+    """*it*, adding the rows, batches and pull time it yields to *actual*."""
+    t0 = _now()
+    for batch in it:
+        actual.seconds += _now() - t0
+        actual.rows += batch.n if isinstance(batch, ColumnBatch) else len(batch)
+        actual.batches += 1
+        yield batch
         t0 = _now()
-        for batch in it:
-            self.seconds += _now() - t0
-            self.actual_rows += batch.n if isinstance(batch, ColumnBatch) else len(batch)
-            self.actual_batches += 1
-            yield batch
-            t0 = _now()
-        self.seconds += _now() - t0
+    actual.seconds += _now() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +201,7 @@ class Operator:
 
 def probe_exprs(path) -> list:
     """The expressions *path* evaluates to find its row ids, in the order
-    :func:`path_rowids` consumes their values (none for a full scan)."""
+    its :func:`rowid_source` consumes their values (none for a full scan)."""
     if isinstance(path, IndexEquality):
         return list(path.key_exprs)
     if isinstance(path, IndexRangePath):
@@ -193,45 +214,88 @@ def probe_exprs(path) -> list:
     return []
 
 
-def path_rowids(ctx: ExecContext, path, table, values):
-    """Row ids one probe of *path* visits, given the values of its
-    :func:`probe_exprs`.  Ids may name rows deleted since the probe
-    started; callers skip those.  Bumps the access-path counters.
+def rowid_source(path, table):
+    """``rowids(ctx, values)`` for one access path over *table*: the row
+    ids one probe visits, given the values of the path's
+    :func:`probe_exprs`.  The kind of path is resolved here, once per
+    plan.  Ids may name rows deleted since the probe started; callers
+    skip those.  Each probe bumps the access-path counters.
 
     An equality or IN probe never matches a NULL probe value, as SQL
     ``=`` and ``IN`` require: these paths enforce the conjuncts they
     consume (:func:`~repro.minidb.planner.enforced_conjuncts`), so no
     filter above them re-checks the rows."""
     if isinstance(path, FullScan):
-        if _M.enabled:
-            _FULL_SCANS.inc()
-        # Snapshot the key list so DML callers may mutate during iteration.
-        return list(table.rows.keys())
+
+        def full_scan(ctx: ExecContext, values) -> list:
+            if _M.enabled:
+                _FULL_SCANS.inc()
+            # Snapshot the key list so DML callers may mutate during iteration.
+            return list(table.rows.keys())
+
+        return full_scan
     if isinstance(path, HashJoinPath):
-        return _hash_probe(ctx, path, table, values)
-    if _M.enabled:
-        _INDEX_LOOKUPS.inc()
+        return lambda ctx, values: _hash_probe(ctx, path, table, values)
     index = path.index
     if isinstance(path, IndexEquality):
-        return () if None in values else index.rowids(values)
+        lookup = index.rowids
+
+        def equality(ctx: ExecContext, values):
+            if _M.enabled:
+                _INDEX_LOOKUPS.inc()
+            return () if None in values else lookup(values)
+
+        return equality
     if isinstance(path, InProbePath):  # always a one-column index
-        keys = dict.fromkeys(values)
-        keys.pop(None, None)
-        return index.rowids_in(keys)
+        lookup_in = index.rowids_in
+
+        def in_probe(ctx: ExecContext, values):
+            if _M.enabled:
+                _INDEX_LOOKUPS.inc()
+            if None in values:
+                values = [v for v in values if v is not None]
+            return lookup_in(values)  # probes each distinct key once
+
+        return in_probe
     nprefix = len(path.prefix_exprs)
-    if nprefix:
-        prefix = tuple(values[:nprefix])
-        return index.range_scan(low=prefix, high=prefix)
-    bounds = iter(values)
-    low = high = None
-    low_inc = high_inc = True
-    if path.low is not None:
-        low = (next(bounds),)
-        low_inc = path.low[0] == ">="
-    if path.high is not None:
-        high = (next(bounds),)
-        high_inc = path.high[0] == "<="
-    return index.range_scan(low, high, low_inc, high_inc)
+    low_inc = path.low is None or path.low[0] == ">="
+    high_inc = path.high is None or path.high[0] == "<="
+
+    def index_range(ctx: ExecContext, values):
+        if _M.enabled:
+            _INDEX_LOOKUPS.inc()
+        if nprefix:
+            prefix = tuple(values[:nprefix])
+            return index.range_scan(low=prefix, high=prefix)
+        bounds = iter(values)
+        low = (next(bounds),) if path.low is not None else None
+        high = (next(bounds),) if path.high is not None else None
+        return index.range_scan(low, high, low_inc, high_inc)
+
+    return index_range
+
+
+def _probe_values(exprs: list):
+    """``values(ctx)``: the values of one access path's probe
+    expressions *exprs*, set up once per plan.  Placeholders read the
+    bound parameters directly (the connection has already checked that
+    every placeholder has one); any other expression is evaluated
+    against the outer scope."""
+
+    def evaluated(ctx: ExecContext) -> list:
+        ev = ctx.evaluator
+        outer = ctx.outer
+        return [ev.evaluate(e, outer) for e in exprs]
+
+    if not all(type(e) is ast.Parameter for e in exprs):
+        return evaluated
+    positions = [e.index for e in exprs]
+
+    def parameters(ctx: ExecContext) -> list:
+        bound = ctx.evaluator.params
+        return [bound[i] for i in positions]
+
+    return parameters
 
 
 def _hash_probe(ctx: ExecContext, path, table, values):
@@ -273,9 +337,20 @@ def _key_check(path, table, values):
     return lambda row: [row[p] for p in positions] == key
 
 
-def _gathered_batch(picked: list, ids: Optional[list], getters: list) -> ColumnBatch:
-    """Column vectors for gathered rows (kind ``'o'``: no type guarantee)."""
-    cols = [list(map(g, picked)) for g in getters]
+def column_reader(slots):
+    """``columns(rows)``: the column vectors at the row positions *slots*
+    of a list of row tuples, set up once per plan."""
+    getters = [itemgetter(pos) for pos in slots]
+    if len(getters) == 1:
+        (get,) = getters
+        return lambda rows: [list(map(get, rows))]
+    return lambda rows: [list(map(g, rows)) for g in getters]
+
+
+def _gathered_batch(picked: list, ids: Optional[list], columns) -> ColumnBatch:
+    """A batch of gathered rows, read by the :func:`column_reader`
+    *columns* (kind ``'o'``: no type guarantee)."""
+    cols = columns(picked)
     return ColumnBatch(len(picked), cols, ["o"] * len(cols), ids)
 
 
@@ -293,12 +368,12 @@ class VecScan(Operator):
     rowids are served through live row lookups, so deleted rows vanish.
     Any other path (IndexEquality, IndexRange, InProbe, HashJoin) is a
     *gather*: its probe values are evaluated against the outer scope,
-    :func:`path_rowids` yields the ids, each live row is read once from
-    ``table.rows`` and ids whose row is gone are skipped.  A gather reads
-    its rows across ``yield``s, so a write on the same connection can
-    change a probed row's key before it is read; once ``data_version``
-    has moved, an exact path keeps only rows whose index columns still
-    hold a probed key (see :func:`_key_check`).
+    the path's :func:`rowid_source` gives the ids, and each batch's worth
+    of ids is read from ``table.rows`` in one step, skipping ids whose
+    row is gone.  A gather reads its rows across ``yield``s, so a write
+    on the same connection can change a probed row's key before it is
+    read; once ``data_version`` has moved, an exact path keeps only rows
+    whose index columns still hold a probed key (see :func:`_key_check`).
 
     As the inner side of a :class:`VecIndexJoin` it is probed through
     :meth:`prober` once per distinct key instead.
@@ -306,93 +381,97 @@ class VecScan(Operator):
 
     BATCHED = True
 
-    def __init__(self, path, slots) -> None:
-        super().__init__()
+    def __init__(self, path, slots, table) -> None:
         self.path = path
         self.slots = slots
-
-    def clone(self) -> "Operator":
-        return self._copy_plan_attrs(VecScan(self.path, self.slots))
+        self.table = table
+        # Set up once per plan: the access-path kind, the column reader
+        # and kinds of a gathered batch, the probe values and the path's
+        # row-id source.
+        self.full = isinstance(path, FullScan)
+        self.lazy = isinstance(path, IndexRangePath)  # ids come as an iterator
+        self.columns = column_reader(slots)
+        self.kinds = ["o"] * len(slots)
+        self.probe_values = _probe_values(probe_exprs(path))
+        self.rowids = rowid_source(path, table)
 
     def describe(self) -> str:
         return self.path.describe()
 
     def prober(self, ctx: ExecContext):
-        """``probe(values) -> (ids visited, live rows)`` for one join run,
-        with the table (and an equality path's index) resolved once."""
-        path = self.path
-        table = ctx.db.table(path.table)
-        get = table.rows.get
-        if isinstance(path, IndexEquality):
-            rowids = path.index.rowids
-
-            def probe(values: tuple) -> tuple[int, list]:
-                if _M.enabled:
-                    _INDEX_LOOKUPS.inc()
-                if None in values:
-                    return 0, []  # NULL never equals a key
-                ids = rowids(values)
-                return len(ids), [r for r in map(get, ids) if r is not None]
-
-            return probe
+        """``probe(values) -> (ids visited, live rows)`` for one join run."""
+        get = self.table.rows.get
+        rowids = self.rowids
+        lazy = self.lazy
 
         def probe(values: tuple) -> tuple[int, list]:
-            ids = list(path_rowids(ctx, path, table, values))
+            ids = rowids(ctx, values)
+            if lazy:
+                ids = list(ids)
             return len(ids), [r for r in map(get, ids) if r is not None]
 
         return probe
 
     def _produce_batches(self, ctx):
-        if isinstance(self.path, FullScan):
+        if self.full:
             return self._segment_batches(ctx)
         return self._gather_batches(ctx)
 
     def _gather_batches(self, ctx):
-        path = self.path
-        table = ctx.db.table(path.table)
+        table = self.table
         get = table.rows.get
-        getters = [itemgetter(pos) for pos in self.slots]
-        ev = ctx.evaluator
-        values = [ev.evaluate(e, ctx.outer) for e in probe_exprs(path)]
+        columns = self.columns
+        values = self.probe_values(ctx)
+        ids = self.rowids(ctx, values)
         size = _vector.BATCH_SIZE
+        # The ids in batch-sized chunks; a range path's come lazily.
+        if self.lazy:
+            source = iter(ids)
+            chunks = iter(lambda: list(islice(source, size)), [])
+        elif len(ids) <= size:
+            chunks = (ids,) if ids else ()
+        else:
+            chunks = [ids[a : a + size] for a in range(0, len(ids), size)]
         scanned = 0
         gathered = 0
         nbatches = 0
-        picked: list = []
-        ids: list = []
         version = table.data_version
         holds = None  # set once the table has changed since the probe
         try:
-            for rowid in path_rowids(ctx, path, table, values):
-                scanned += 1
-                row = get(rowid)
-                if row is None or (holds is not None and not holds(row)):
-                    continue
-                picked.append(row)
-                ids.append(rowid)
-                if len(picked) >= size:
-                    gathered += len(picked)
-                    nbatches += 1
-                    yield _gathered_batch(picked, ids, getters)
-                    picked = []
-                    ids = []
-                    if holds is None and table.data_version != version:
-                        holds = _key_check(path, table, values)
-            if picked:
-                gathered += len(picked)
+            for chunk in chunks:
+                scanned += len(chunk)
+                rows = list(map(get, chunk))
+                if holds is not None or None in rows:
+                    keep = [
+                        i for i, row in enumerate(rows)
+                        if row is not None and (holds is None or holds(row))
+                    ]
+                    rows = [rows[i] for i in keep]
+                    chunk = [chunk[i] for i in keep]
+                    if not rows:
+                        continue
+                n = len(rows)
+                gathered += n
                 nbatches += 1
-                yield _gathered_batch(picked, ids, getters)
+                yield ColumnBatch(
+                    n,
+                    columns(rows),
+                    self.kinds,
+                    chunk if type(chunk) is list else list(chunk),
+                )
+                if holds is None and table.data_version != version:
+                    holds = _key_check(self.path, table, values)
         finally:
-            _ROWS_SCANNED.add(scanned)
             ctx.stats.rows_scanned += scanned
             if _M.enabled:
+                _ROWS_SCANNED.add(scanned)
                 _VEC_BATCHES.add(nbatches)
                 _VEC_ROWS.add(gathered)
 
     def _segment_batches(self, ctx):
         if _M.enabled:
             _FULL_SCANS.inc()
-        table = ctx.db.table(self.path.table)
+        table = self.table
         store = table.column_store()
         slots = self.slots
         scanned = 0
@@ -430,17 +509,15 @@ class VecScan(Operator):
                         ids.append(rid)
                     if not picked:
                         continue
-                    batch = _gathered_batch(
-                        picked, ids, [itemgetter(pos) for pos in slots]
-                    )
+                    batch = _gathered_batch(picked, ids, self.columns)
                     n = batch.n
                 scanned += n
                 nbatches += 1
                 yield batch
         finally:
-            _ROWS_SCANNED.add(scanned)
             ctx.stats.rows_scanned += scanned
             if _M.enabled:
+                _ROWS_SCANNED.add(scanned)
                 _VEC_BATCHES.add(nbatches)
                 _VEC_ROWS.add(scanned)
 
@@ -449,9 +526,6 @@ class ConstantRow(Operator):
     """Source of a FROM-less SELECT: one batch of one row and no columns."""
 
     BATCHED = True
-
-    def clone(self):
-        return self._copy_plan_attrs(ConstantRow())
 
     def describe(self) -> str:
         return "CONSTANT ROW"
@@ -469,19 +543,14 @@ class SubqueryScan(Operator):
     BATCHED = True
 
     def __init__(self, plan: Operator, alias: str, names: list[str], slots) -> None:
-        super().__init__()
         self.plan = plan
         self.alias = alias
         self.names = names
         self.slots = slots
+        self.columns = column_reader(slots)
 
     def children(self) -> tuple:
         return (self.plan,)
-
-    def clone(self):
-        return self._copy_plan_attrs(
-            SubqueryScan(self.plan.clone(), self.alias, self.names, self.slots)
-        )
 
     def describe(self) -> str:
         return f"SUBQUERY AS {self.alias}"
@@ -500,10 +569,9 @@ class SubqueryScan(Operator):
 
     def _produce_batches(self, ctx):
         rows = self._rows(ctx)
-        getters = [itemgetter(pos) for pos in self.slots]
         size = _vector.BATCH_SIZE
         for a in range(0, len(rows), size):
-            yield _gathered_batch(rows[a : a + size], None, getters)
+            yield _gathered_batch(rows[a : a + size], None, self.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +604,6 @@ class VecIndexJoin(Operator):
     BATCHED = True
 
     def __init__(self, inner, key_kernels, kind, condition, on_kernel, child) -> None:
-        super().__init__()
         self.inner = inner
         self.key_kernels = key_kernels
         self.kind = kind
@@ -547,25 +614,19 @@ class VecIndexJoin(Operator):
     def children(self) -> tuple:
         return (self.child, self.inner)
 
-    def clone(self):
-        return self._copy_plan_attrs(
-            VecIndexJoin(
-                self.inner.clone(), self.key_kernels, self.kind, self.condition,
-                self.on_kernel, self.child.clone(),
-            )
-        )
-
     def describe(self) -> str:
         return f"JOIN ({self.kind})"
 
     def _produce_batches(self, ctx):
         inner = self.inner
         probe = inner.prober(ctx)
-        getters = [itemgetter(pos) for pos in inner.slots]
+        columns = inner.columns
         kfns = [k.fn for k in self.key_kernels]
         on = self.on_kernel.fn if self.on_kernel is not None else None
         left = self.kind == "LEFT"
-        analyze = ctx.analyze
+        # The inner leaf's actuals: one loop per outer row, as a
+        # per-outer-row probe would run it.
+        inner_actual = ctx.stats.actual(inner) if ctx.analyze else None
         size = _vector.BATCH_SIZE
         scanned = 0
         gathered = 0
@@ -581,14 +642,16 @@ class VecIndexJoin(Operator):
                 for i, key in enumerate(keys):
                     hit = hits.get(key)
                     if hit is None:
-                        t0 = _now() if analyze else 0.0
-                        hit = hits[key] = probe(key)
-                        if analyze:
-                            inner.seconds += _now() - t0
+                        if inner_actual is None:
+                            hit = hits[key] = probe(key)
+                        else:
+                            t0 = _now()
+                            hit = hits[key] = probe(key)
+                            inner_actual.seconds += _now() - t0
                     scanned += hit[0]
-                    if analyze:
-                        inner.loops += 1
-                        inner.actual_rows += len(hit[1])
+                    if inner_actual is not None:
+                        inner_actual.loops += 1
+                        inner_actual.rows += len(hit[1])
                     if len(hit[1]) != 1:
                         one_each = False
                     for row in hit[1]:
@@ -598,10 +661,8 @@ class VecIndexJoin(Operator):
                     outer = b.columns  # every outer row has exactly one pair
                 else:
                     outer = [[col[i] for i in sel] for col in b.columns]
-                kinds = b.kinds + ["o"] * len(getters)
-                merged = ColumnBatch(
-                    len(sel), outer + [list(map(g, picked)) for g in getters], kinds
-                )
+                kinds = b.kinds + ["o"] * len(inner.slots)
+                merged = ColumnBatch(len(sel), outer + columns(picked), kinds)
                 if on is not None and merged.n:
                     mask = on(merged, ctx)
                     keep = [j for j, v in enumerate(mask) if v]
@@ -627,9 +688,9 @@ class VecIndexJoin(Operator):
                         min(size, n - a), [col[a : a + size] for col in merged.columns], kinds
                     )
         finally:
-            _ROWS_SCANNED.add(scanned)
             ctx.stats.rows_scanned += scanned
             if _M.enabled:
+                _ROWS_SCANNED.add(scanned)
                 _VEC_BATCHES.add(nbatches)
                 _VEC_ROWS.add(gathered)
 
@@ -664,18 +725,12 @@ class VecFilter(Operator):
     BATCHED = True
 
     def __init__(self, condition, kernel, child) -> None:
-        super().__init__()
         self.condition = condition
         self.kernel = kernel
         self.child = child
 
     def children(self) -> tuple:
         return (self.child,)
-
-    def clone(self):
-        return self._copy_plan_attrs(
-            VecFilter(self.condition, self.kernel, self.child.clone())
-        )
 
     def describe(self) -> str:
         return "FILTER"
@@ -718,27 +773,28 @@ class VecProject(Operator):
     BATCHED = True
 
     def __init__(self, kernels, child) -> None:
-        super().__init__()
         self.kernels = kernels
         self.child = child
+        # Set up once per plan: the kernel functions, and the one kernel
+        # of a one-column projection.
+        self.kfns = [k.fn for k in kernels]
+        self.single = self.kfns[0] if len(self.kfns) == 1 else None
 
     def children(self) -> tuple:
         return (self.child,)
-
-    def clone(self):
-        return self._copy_plan_attrs(VecProject(self.kernels, self.child.clone()))
 
     def describe(self) -> str:
         return "PROJECT"
 
     def _produce_batches(self, ctx):
-        kfns = [k.fn for k in self.kernels]
-        single = kfns[0] if len(kfns) == 1 else None
-        for b in self.child.batches(ctx):
-            if single is not None:
+        single = self.single
+        if single is not None:
+            for b in self.child.batches(ctx):
                 yield [(v,) for v in single(b, ctx)]
-            else:
-                yield list(zip(*[kf(b, ctx) for kf in kfns]))
+            return
+        kfns = self.kfns
+        for b in self.child.batches(ctx):
+            yield list(zip(*[kf(b, ctx) for kf in kfns]))
 
 
 def project_row(ev: Evaluator, cols, scope: Scope, aggregates: dict) -> list:
@@ -781,7 +837,6 @@ class VecAggregate(Operator):
         self, select, group_by, calls, cols, hidden, child, key_kernels,
         arg_kernels, blocks,
     ) -> None:
-        super().__init__()
         self.select = select
         self.group_by = group_by  # GROUP BY terms, output references resolved
         self.calls = calls  # aggregate FuncCall nodes (identity-keyed)
@@ -794,14 +849,6 @@ class VecAggregate(Operator):
 
     def children(self) -> tuple:
         return (self.child,)
-
-    def clone(self):
-        return self._copy_plan_attrs(
-            VecAggregate(
-                self.select, self.group_by, self.calls, self.cols, self.hidden,
-                self.child.clone(), self.key_kernels, self.arg_kernels, self.blocks,
-            )
-        )
 
     def describe(self) -> str:
         return "AGGREGATE"
@@ -897,15 +944,11 @@ class VecDistinct(Operator):
     BATCHED = True
 
     def __init__(self, width, child) -> None:
-        super().__init__()
         self.width = width
         self.child = child
 
     def children(self) -> tuple:
         return (self.child,)
-
-    def clone(self):
-        return self._copy_plan_attrs(VecDistinct(self.width, self.child.clone()))
 
     def describe(self) -> str:
         return "DISTINCT"
@@ -928,17 +971,11 @@ class VecUnion(Operator):
     BATCHED = True
 
     def __init__(self, inputs, dedup_until: int) -> None:
-        super().__init__()
         self.inputs = inputs
         self.dedup_until = dedup_until
 
     def children(self) -> tuple:
         return tuple(self.inputs)
-
-    def clone(self):
-        return self._copy_plan_attrs(
-            VecUnion([op.clone() for op in self.inputs], self.dedup_until)
-        )
 
     def describe(self) -> str:
         return "UNION" if self.dedup_until >= 0 else "UNION ALL"
@@ -989,16 +1026,12 @@ class VecSort(Operator):
     BATCHED = True
 
     def __init__(self, spec, width, child) -> None:
-        super().__init__()
         self.spec = spec
         self.width = width
         self.child = child
 
     def children(self) -> tuple:
         return (self.child,)
-
-    def clone(self):
-        return self._copy_plan_attrs(VecSort(self.spec, self.width, self.child.clone()))
 
     def describe(self) -> str:
         return "ORDER BY"
@@ -1041,11 +1074,6 @@ class VecTopN(VecSort):
         self.limit = limit
         self.offset = offset
 
-    def clone(self):
-        return self._copy_plan_attrs(
-            VecTopN(self.spec, self.width, self.limit, self.offset, self.child.clone())
-        )
-
     def describe(self) -> str:
         return "TOP-N (ORDER BY + LIMIT)"
 
@@ -1073,18 +1101,12 @@ class VecLimit(Operator):
     BATCHED = True
 
     def __init__(self, limit, offset, child) -> None:
-        super().__init__()
         self.limit = limit
         self.offset = offset
         self.child = child
 
     def children(self) -> tuple:
         return (self.child,)
-
-    def clone(self):
-        return self._copy_plan_attrs(
-            VecLimit(self.limit, self.offset, self.child.clone())
-        )
 
     def describe(self) -> str:
         return "LIMIT"
@@ -1123,20 +1145,25 @@ class VecLimit(Operator):
 # Plan rendering.
 
 
-def render_plan(root: Operator, analyze: bool = False) -> list[str]:
-    """Indented operator-tree text for EXPLAIN / EXPLAIN ANALYZE."""
+def render_plan(root: Operator, stats: Optional[ExecStats] = None) -> list[str]:
+    """Indented operator-tree text for EXPLAIN, or for EXPLAIN ANALYZE
+    when *stats* (the execution's :class:`ExecStats`) is given."""
     lines: list[str] = []
+    actuals = stats.actuals if stats is not None else None
 
     def walk(op: Operator, depth: int) -> None:
         line = "  " * depth + op.describe()
-        if not analyze and op.est_rows is not None:
-            line += f"  (~{op.est_rows} rows)"
-        if analyze and op.loops:
-            batches = f" batches={op.actual_batches}" if op.actual_batches else ""
-            line += (
-                f" (actual rows={op.actual_rows}{batches} loops={op.loops} "
-                f"time={op.seconds * 1000.0:.3f} ms)"
-            )
+        if actuals is None:
+            if op.est_rows is not None:
+                line += f"  (~{op.est_rows} rows)"
+        else:
+            a = actuals.get(op)
+            if a is not None and a.loops:
+                batches = f" batches={a.batches}" if a.batches else ""
+                line += (
+                    f" (actual rows={a.rows}{batches} loops={a.loops} "
+                    f"time={a.seconds * 1000.0:.3f} ms)"
+                )
         lines.append(line)
         for child in op.children():
             walk(child, depth + 1)
@@ -1145,28 +1172,31 @@ def render_plan(root: Operator, analyze: bool = False) -> list[str]:
     return lines
 
 
-def plan_snapshot(root: Operator) -> list[dict]:
+def plan_snapshot(root: Operator, stats: ExecStats) -> list[dict]:
     """The operator tree as plain dicts, one node per operator (pre-order).
 
     This is the structured sibling of :func:`render_plan`, consumed by the
     statement profiler's plan flight recorder: each node carries the
-    planner's estimate (``est_rows``) next to the metered actuals
-    (``rows``/``batches``/``loops``/``seconds``), so estimate-vs-actual
-    drift can be computed without re-executing or re-parsing EXPLAIN text.
+    planner's estimate (``est_rows``) next to the actuals *stats* metered
+    for it (``rows``/``batches``/``loops``/``seconds``; zero for an
+    operator that did not run), so estimate-vs-actual drift can be
+    computed without re-executing or re-parsing EXPLAIN text.
     """
     nodes: list[dict] = []
+    none = Actuals()
 
     def walk(op: Operator, depth: int) -> None:
+        a = stats.actuals.get(op, none)
         nodes.append(
             {
                 "depth": depth,
                 "op": type(op).__name__,
                 "describe": op.describe(),
                 "est_rows": op.est_rows,
-                "rows": op.actual_rows,
-                "batches": op.actual_batches,
-                "loops": op.loops,
-                "seconds": op.seconds,
+                "rows": a.rows,
+                "batches": a.batches,
+                "loops": a.loops,
+                "seconds": a.seconds,
             }
         )
         for child in op.children():

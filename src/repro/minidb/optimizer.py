@@ -83,23 +83,19 @@ ENABLE_TOPN = True
 
 @dataclass
 class PhysicalPlan:
-    """A lowered operator tree plus its statement-level output shape."""
+    """A lowered operator tree plus its statement-level output shape.
+
+    The operators keep no run state, so the statement cache runs one
+    plan as it is for every execution, concurrent cursors included.
+    """
 
     root: Operator
     names: list[str]
     description: list[tuple]
-    #: tables whose row counts the access-path choices depended on — the
-    #: statement cache keys plan reuse on their size buckets.
-    tables: tuple[str, ...]
-
-    def clone(self) -> "PhysicalPlan":
-        """A fresh, stateless operator tree for one execution.
-
-        Cached plans must be cloned per execution: two cursors may stream
-        the same statement concurrently, and operator instances hold
-        open-generator state.
-        """
-        return PhysicalPlan(self.root.clone(), self.names, self.description, self.tables)
+    #: the :class:`~repro.minidb.storage.Table` objects whose row counts
+    #: the access-path choices depended on, resolved once at plan time —
+    #: the statement cache keys plan reuse on their size buckets.
+    tables: tuple
 
 
 def plan_select(db, stmt: ast.Select, correlated: bool = False) -> PhysicalPlan:
@@ -132,7 +128,7 @@ def plan_select(db, stmt: ast.Select, correlated: bool = False) -> PhysicalPlan:
         root=root,
         names=logical.names,
         description=description,
-        tables=tuple(sorted(_plan_tables(logical))),
+        tables=tuple(db.table(name) for name in sorted(_plan_tables(logical))),
     )
     if base is not None:
         # Lowering subsumes predicate pushdown (access-path selection) and
@@ -613,7 +609,7 @@ def _source_tree(db, branch, chain, paths, joins, filt, comp) -> Operator:
 
 def _leaf(db, node, path, slots) -> Operator:
     if isinstance(node, ScanNode):
-        op: Operator = VecScan(path, slots)
+        op: Operator = VecScan(path, slots, db.table(node.ref.name))
     else:
         op = SubqueryScan(lower_plan(db, node.plan), node.ref.alias, node.plan.names, slots)
     op.est_rows = node.est_rows
@@ -633,7 +629,7 @@ def lower_dml_scan(db, table_name: str, where: Optional[ast.Expr]) -> Operator:
     )
     comp = KernelCompiler([(meta, meta.name)])
     kernel = comp.compile(where) if where is not None else None
-    root: Operator = VecScan(path, comp.block(0))
+    root: Operator = VecScan(path, comp.block(0), db.table(table_name))
     if kernel is not None:
         root = VecFilter(where, kernel, root)
     return root

@@ -69,6 +69,41 @@ class TestExecutionHelpers:
         assert backend.db_size_bytes() > 0
 
 
+class TestBeginWrite:
+    def test_minidb_connection_already_excludes_writers(self, tmp_path):
+        b = MinidbBackend(str(tmp_path / "m.db"))
+        try:
+            assert b.begin_write() is False
+        finally:
+            b.close()
+
+    def test_sqlite_takes_the_write_lock_before_any_write(self, tmp_path):
+        path = str(tmp_path / "s.db")
+        a, b = SqliteBackend(path), SqliteBackend(path)
+        try:
+            a.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+            a.commit()
+            b.execute("PRAGMA busy_timeout = 0")
+            assert b.begin_write() is True  # a committed since b opened
+            b.rollback()
+            # Only a's own commits since: nothing a read can be stale.
+            assert a.begin_write() is False
+            assert a.connection.in_transaction
+            # A second writer is shut out before it reads anything stale.
+            with pytest.raises(OperationalError, match="locked"):
+                b.begin_write()
+            a.execute("INSERT INTO t VALUES (1)")
+            a.commit()
+            assert b.begin_write() is True
+            assert b.scalar("SELECT MAX(id) FROM t") == 1
+            b.rollback()
+            assert b.begin_write() is False  # nobody committed meanwhile
+            b.rollback()
+        finally:
+            a.close()
+            b.close()
+
+
 class TestErrorNormalisation:
     """Both backends raise the same PEP-249 classes for the same faults."""
 

@@ -16,6 +16,7 @@ import sqlite3
 import pytest
 
 import repro.minidb as minidb
+from repro.minidb import operators as ops
 from repro.minidb import optimizer, vector
 from repro.minidb.errors import SemanticError
 
@@ -333,4 +334,93 @@ class TestPlanCacheInvalidation:
         assert got == [(i,) for i in range(1, 6)]
         plan = [r[0] for r in conn.execute("EXPLAIN " + sql).fetchall()]
         assert any("HashJoin" in line for line in plan), plan
+        conn.close()
+
+    @staticmethod
+    def _cached_plan(conn, sql):
+        return conn._statement_cache[sql].plan
+
+    @staticmethod
+    def _describes(plan):
+        out, stack = [], [plan.root]
+        while stack:
+            op = stack.pop()
+            out.append(op.describe())
+            stack.extend(op.children())
+        return out
+
+    def test_table_shrink_across_threshold_replans(self):
+        """A DELETE that takes the build side under the hash-join minimum
+        re-plans the cached hash join."""
+        conn = minidb.connect()
+        conn.execute("CREATE TABLE l (a INTEGER)")
+        conn.execute("CREATE TABLE r (b INTEGER)")
+        conn.executemany("INSERT INTO l VALUES (?)", [(i,) for i in range(1, 6)])
+        conn.executemany("INSERT INTO r VALUES (?)", [(i,) for i in range(1, 9)])
+        sql = "SELECT l.a FROM l JOIN r ON r.b = l.a"
+        assert normalize(conn.execute(sql).fetchall()) == [(i,) for i in range(1, 6)]
+        before = self._cached_plan(conn, sql)
+        assert any("HashJoin" in d for d in self._describes(before))
+        conn.execute("DELETE FROM r WHERE b > 1")  # 8 rows -> 1: a smaller bucket
+        assert conn.execute(sql).fetchall() == [(1,)]
+        after = self._cached_plan(conn, sql)
+        assert after is not before
+        assert not any("HashJoin" in d for d in self._describes(after))
+        # Row churn inside the bucket keeps the plan.
+        conn.execute("UPDATE r SET b = 2")
+        assert conn.execute(sql).fetchall() == [(2,)]
+        assert self._cached_plan(conn, sql) is after
+        conn.close()
+
+    def test_rolled_back_growth_replans(self):
+        """An INSERT that crosses a bucket re-plans; rolling it back
+        crosses back, and the plan built for the grown table is dropped."""
+        conn = minidb.connect()
+        conn.execute("CREATE TABLE l (a INTEGER)")
+        conn.execute("CREATE TABLE r (b INTEGER)")
+        conn.executemany("INSERT INTO l VALUES (?)", [(i,) for i in range(1, 6)])
+        conn.execute("INSERT INTO r VALUES (1)")
+        conn.commit()
+        sql = "SELECT l.a FROM l JOIN r ON r.b = l.a"
+        assert conn.execute(sql).fetchall() == [(1,)]
+        small = self._cached_plan(conn, sql)
+        conn.executemany("INSERT INTO r VALUES (?)", [(i,) for i in range(2, 9)])
+        assert normalize(conn.execute(sql).fetchall()) == [(i,) for i in range(1, 6)]
+        grown = self._cached_plan(conn, sql)
+        assert grown is not small
+        assert any("HashJoin" in d for d in self._describes(grown))
+        conn.rollback()
+        assert conn.execute(sql).fetchall() == [(1,)]
+        again = self._cached_plan(conn, sql)
+        assert again is not grown
+        assert not any("HashJoin" in d for d in self._describes(again))
+        conn.close()
+
+    def test_drop_and_recreate_never_runs_the_old_table(self):
+        """Same name, same row count (so the same size bucket): only the
+        catalog generation tells the cached plan its table is gone."""
+        conn = minidb.connect()
+        conn.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
+        conn.executemany("INSERT INTO t VALUES (?, ?)", [(i, f"old{i}") for i in range(4)])
+        point = "SELECT v FROM t WHERE k = ?"
+        scan = "SELECT v FROM t ORDER BY v"
+        assert conn.execute(point, (2,)).fetchall() == [("old2",)]
+        assert conn.execute(scan).fetchall()[0] == ("old0",)
+        old_table = conn.db.table("t")
+        conn.execute("DROP TABLE t")
+        conn.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)")
+        conn.executemany("INSERT INTO t VALUES (?, ?)", [(i, f"new{i}") for i in range(4)])
+        new_table = conn.db.table("t")
+        assert new_table is not old_table
+        assert conn.execute(point, (2,)).fetchall() == [("new2",)]
+        assert conn.execute(scan).fetchall() == [(f"new{i}",) for i in range(4)]
+        for sql in (point, scan):
+            plan = self._cached_plan(conn, sql)
+            assert plan.tables == (new_table,)
+            stack = [plan.root]
+            while stack:
+                op = stack.pop()
+                if isinstance(op, ops.VecScan):
+                    assert op.table is new_table
+                stack.extend(op.children())
         conn.close()

@@ -2,7 +2,8 @@
 
 Index access paths (IndexEquality, IndexRange, InProbe) feed the batch
 pipeline through :class:`~repro.minidb.operators.VecScan`'s gather leaf,
-which pulls row ids from :func:`~repro.minidb.operators.path_rowids`.
+which pulls row ids from the path's
+:func:`~repro.minidb.operators.rowid_source`.
 Every shape here runs at batch sizes 1 (degenerate: one row per batch,
 the row-at-a-time case), 7 (prime, ragged final batches) and 4096 (one
 batch), and on sqlite3.  The gather visits row ids in the same order at

@@ -553,19 +553,11 @@ class TestConcurrentLoads:
         outcomes = [(p.returncode, err) for p, err in zip(procs, errs)]
         counts = self._results_by_execution(backend, db)
         per_execution = 2 * self.PROCS + 1
-        landed = 0
         for (code, err), paths in zip(outcomes, corpus):
+            assert code == 0, err
             names = [f"irs-{os.path.basename(p)[4:-5]}" for p in paths]
-            if code == 0:
-                landed += 1
-                assert [counts.get(n) for n in names] == [per_execution] * 4, err
-            else:
-                assert backend == "sqlite" and code == 1, err
-                assert "database error:" in err
-        if backend == "minidb":
-            assert landed == 2
-            assert len(counts) == 8
-        assert landed >= 1
+            assert [counts.get(n) for n in names] == [per_execution] * 4, err
+        assert len(counts) == 8
 
 
 class TestStoreClosedOnFailure:
