@@ -462,7 +462,7 @@ class Connection:
             # DDL commits the open transaction and runs in its own.
             db.commit()
             txn = db.begin()
-            result = Executor(db, params, txn=txn).execute(stmt)
+            result = Executor(db, params).execute(stmt)
             if db.journal is not None:
                 txn.log(("ddl", sql))
             db.commit()
@@ -472,7 +472,8 @@ class Connection:
             and isinstance(stmt.statement, _DML_NODES)
         ):
             # Joins the open transaction if any.
-            return Executor(db, params, meter=meter, txn=db.begin()).execute(stmt)
+            db.begin()
+            return Executor(db, params, meter=meter).execute(stmt)
         # Remaining statements (CHECK, EXPLAIN, EXPLAIN ANALYZE of a
         # SELECT, BEGIN/COMMIT/ROLLBACK) are read-only or transaction
         # control.
@@ -540,11 +541,11 @@ class Cursor:
             # Vectorized fast path: parse/plan once, one journal batch.
             # Per-row parameter arity is checked by the batch builder.
             conn._ensure_analyzed(entry, None)
-            txn = conn.db.begin()
+            conn.db.begin()
             if prof or _M.enabled or _trace.enabled:
                 t0 = _now()
                 with _trace.span("executemany", cat="minidb", table=stmt.table):
-                    result = Executor(conn.db, txn=txn).execute_insert_batch(
+                    result = Executor(conn.db).execute_insert_batch(
                         stmt, seq_of_params
                     )
                 elapsed = _now() - t0
@@ -557,7 +558,7 @@ class Cursor:
                         elapsed, max(result.rowcount, 0), cache_hit,
                     )
             else:
-                result = Executor(conn.db, txn=txn).execute_insert_batch(
+                result = Executor(conn.db).execute_insert_batch(
                     stmt, seq_of_params
                 )
             self.description = None

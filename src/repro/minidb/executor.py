@@ -190,7 +190,7 @@ class Executor:
     :class:`~repro.minidb.operators.ExecStats`.
     """
 
-    __slots__ = ("db", "txn", "evaluator", "plan", "ctx", "_subplans", "_dml_root")
+    __slots__ = ("db", "evaluator", "plan", "ctx", "_subplans", "_dml_root")
 
     def __init__(
         self,
@@ -198,12 +198,8 @@ class Executor:
         params: Sequence[Any] = (),
         plan: Optional["optimizer.PhysicalPlan"] = None,
         meter: bool = False,
-        txn=None,
     ) -> None:
         self.db = db
-        # The transaction mutations run under; ``None`` lets storage
-        # resolve the database's implicit transaction.
-        self.txn = txn
         self.evaluator = Evaluator(params, self._run_subquery)
         self.plan = plan
         # The execution's root context.  Its caches — hash-join builds and
@@ -237,25 +233,25 @@ class Executor:
     def _exec_CreateTable(self, stmt: ast.CreateTable) -> Result:
         if stmt.if_not_exists and self.db.catalog.has_table(stmt.name):
             return Result(rowcount=0)
-        self.db.create_table(stmt, txn=self.txn)
+        self.db.create_table(stmt)
         return Result(rowcount=0)
 
     def _exec_DropTable(self, stmt: ast.DropTable) -> Result:
         if stmt.if_exists and not self.db.catalog.has_table(stmt.name):
             return Result(rowcount=0)
-        self.db.drop_table(stmt.name, txn=self.txn)
+        self.db.drop_table(stmt.name)
         return Result(rowcount=0)
 
     def _exec_CreateIndex(self, stmt: ast.CreateIndex) -> Result:
         if stmt.if_not_exists and self.db.catalog.has_index(stmt.name):
             return Result(rowcount=0)
-        self.db.create_index(stmt, txn=self.txn)
+        self.db.create_index(stmt)
         return Result(rowcount=0)
 
     def _exec_DropIndex(self, stmt: ast.DropIndex) -> Result:
         if stmt.if_exists and not self.db.catalog.has_index(stmt.name):
             return Result(rowcount=0)
-        self.db.drop_index(stmt.name, txn=self.txn)
+        self.db.drop_index(stmt.name)
         return Result(rowcount=0)
 
     # -- SELECT -----------------------------------------------------------------
@@ -319,7 +315,7 @@ class Executor:
     def _insert(self, table, columns: list[list[Any]], pending,
                 statement_rows: Optional[int] = None) -> Result:
         applied, lastrowid = self.db.insert_rows(
-            table, columns, txn=self.txn, pending=pending, statement_rows=statement_rows
+            table, columns, pending=pending, statement_rows=statement_rows
         )
         _ROWS_WRITTEN.add(len(applied))
         return Result(rowcount=len(applied), lastrowid=lastrowid)
@@ -377,29 +373,14 @@ class Executor:
         *per* VALUES rows are built only after the parameter rows before
         it are in, and all of them before any is inserted — as sqlite3
         runs it: subqueries see the table as their statement found it,
-        and FOREIGN KEYs are checked at the statement's end.  The call
-        stays atomic: a failing statement unwinds the rows this call
-        already inserted, and a passing call still logs one
-        ``insert_batch`` record.
+        and FOREIGN KEYs are checked at the statement's end.  Storage
+        keeps the call atomic (``Database.insert_statements``).
         """
-        db = self.db
-        txn = self.txn if self.txn is not None else db.begin()
-        undo_mark, wal_mark = len(txn.undo), len(txn.wal_records)
-        count, lastrowid = 0, None
-        try:
-            for i in range(0, len(sources), per):
-                built, pending = _build_rows(table.meta, columns, sources[i:i + per], values_of)
-                applied, lastrowid = db.insert_rows(table, built, txn=txn, pending=pending)
-                count += len(applied)
-        except BaseException:
-            db.undo(txn, undo_mark)
-            del txn.wal_records[wal_mark:]
-            raise
-        logged = txn.wal_records[wal_mark:]
-        if len(logged) > 1:
-            txn.wal_records[wal_mark:] = [
-                ("insert_batch", table.meta.name, [pair for rec in logged for pair in rec[2]])
-            ]
+        statements = (
+            _build_rows(table.meta, columns, sources[i:i + per], values_of)
+            for i in range(0, len(sources), per)
+        )
+        count, lastrowid = self.db.insert_statements(table, statements)
         _ROWS_WRITTEN.add(count)
         return Result(rowcount=count, lastrowid=lastrowid)
 
@@ -415,7 +396,7 @@ class Executor:
             for pos, expr in assignments:
                 new_row[pos] = self.evaluator.evaluate(expr, scope)
             new_row = self.db.coerce_row(meta, new_row)
-            self.db.update_row(table, rowid, tuple(new_row), txn=self.txn)
+            self.db.update_row(table, rowid, tuple(new_row))
             count += 1
         _ROWS_WRITTEN.add(count)
         return Result(rowcount=count)
@@ -424,7 +405,7 @@ class Executor:
         table = self.db.table(stmt.table)
         targets = self._dml_targets(stmt.table, stmt.where)
         for rowid, _row in targets:
-            self.db.delete_row(table, rowid, txn=self.txn)
+            self.db.delete_row(table, rowid)
         _ROWS_WRITTEN.add(len(targets))
         return Result(rowcount=len(targets))
 

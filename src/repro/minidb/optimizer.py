@@ -101,7 +101,8 @@ class PhysicalPlan:
 def plan_select(db, stmt: ast.Select, correlated: bool = False) -> PhysicalPlan:
     """Logical plan → optimizer rules → physical operator tree.
 
-    With :data:`~repro.minidb.verifier.VERIFY_PLANS` on, the contract of
+    With :data:`~repro.minidb.verifier.VERIFY_PLANS` on (the test suite
+    sets it), the contract of
     the plan (output width, preserved predicates, ordering, distinctness)
     is captured before any rule fires and re-checked after each rewrite
     and against the final physical tree — a broken rule raises
@@ -110,7 +111,7 @@ def plan_select(db, stmt: ast.Select, correlated: bool = False) -> PhysicalPlan:
     legally resolve in an outer scope the verifier cannot see.
     """
     logical = build_logical_plan(db, stmt)
-    base = verifier.logical_contract(db, logical) if verifier.should_verify() else None
+    base = verifier.logical_contract(db, logical) if verifier.VERIFY_PLANS else None
     if ENABLE_CONSTANT_FOLDING:
         _fold_plan(logical)
         if base is not None:

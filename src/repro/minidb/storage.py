@@ -2,14 +2,15 @@
 
 A :class:`Table` stores rows as ``rowid -> tuple`` with monotonically
 increasing row ids; secondary indexes live alongside.  :class:`Database`
-owns the catalog, all tables and indexes, the per-transaction undo logs,
-and (when opened on a file) the write-ahead log.
+owns the catalog, all tables and indexes, its one implicit transaction
+(undo log and pending WAL records: no other module touches them), and
+(when opened on a file) the write-ahead log.
 """
 
 from __future__ import annotations
 
 import array as _array
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..obs.metrics import metrics as _M
 from .catalog import Catalog, IndexMeta, TableMeta
@@ -262,16 +263,16 @@ class UndoEntry:
 
 
 class Transaction:
-    """One unit of work against a :class:`Database`.
+    """The implicit unit of work of a :class:`Database` (one at a time).
 
     Owns the undo log for rollback and the WAL record buffer written as
-    one batch at commit.
+    one batch at commit.  Only this module reads or writes them; the
+    connection journals a DDL statement through :meth:`log`.
     """
 
-    __slots__ = ("db", "undo", "wal_records")
+    __slots__ = ("undo", "wal_records")
 
-    def __init__(self, db: "Database") -> None:
-        self.db = db
+    def __init__(self) -> None:
         self.undo: list[UndoEntry] = []
         #: pending WAL records as plain tuples, encoded at commit:
         #: ("insert_batch", table, applied)
@@ -306,11 +307,12 @@ class Database:
         return self._txn is not None
 
     # -- schema operations -----------------------------------------------------
-    # The DDL mutators take *txn* as every mutator does (PTL008) but log
-    # nothing to it: the connection runs each DDL statement in a
-    # transaction of its own and journals the statement text.
+    # The DDL mutators neither open nor log to the transaction: the
+    # connection runs each DDL statement in a transaction of its own and
+    # journals the statement text, and WAL replay re-runs that text
+    # outside any transaction.
 
-    def create_table(self, meta_stmt, txn: Optional[Transaction] = None) -> TableMeta:
+    def create_table(self, meta_stmt) -> TableMeta:
         self._invalidate_plans()
         meta = self.catalog.create_table(meta_stmt)
         self.tables[meta.name.lower()] = Table(meta)
@@ -329,14 +331,14 @@ class Database:
         self.catalog.indexes[name.lower()] = imeta
         self.indexes[name.lower()] = Index(name, meta.name, cols, unique=unique)
 
-    def drop_table(self, name: str, txn: Optional[Transaction] = None) -> None:
+    def drop_table(self, name: str) -> None:
         self._invalidate_plans()
         meta = self.catalog.drop_table(name)
         del self.tables[meta.name.lower()]
         for iname in [n for n, idx in self.indexes.items() if idx.table.lower() == meta.name.lower()]:
             del self.indexes[iname]
 
-    def create_index(self, stmt, txn: Optional[Transaction] = None) -> None:
+    def create_index(self, stmt) -> None:
         self._invalidate_plans()
         imeta = self.catalog.create_index(stmt)
         idx = Index(imeta.name, imeta.table, imeta.columns, unique=imeta.unique)
@@ -351,7 +353,7 @@ class Database:
             raise
         self.indexes[imeta.name.lower()] = idx
 
-    def drop_index(self, name: str, txn: Optional[Transaction] = None) -> None:
+    def drop_index(self, name: str) -> None:
         self._invalidate_plans()
         imeta = self.catalog.drop_index(name)
         self.indexes.pop(imeta.name.lower(), None)
@@ -423,7 +425,7 @@ class Database:
         on the database itself."""
         if self._txn is not None:
             return self._txn
-        txn = self._txn = Transaction(self)
+        txn = self._txn = Transaction()
         if _M.enabled:
             _TXN_BEGUN.inc()
         return txn
@@ -444,16 +446,18 @@ class Database:
         txn = self._txn
         if txn is None:
             return
-        self.undo(txn)
+        self.undo()
         self._finish(txn)
         if _M.enabled:
             _TXN_ROLLED_BACK.inc()
 
-    def undo(self, txn: Transaction, mark: int = 0) -> None:
-        """Reverse the mutations *txn* logged past undo position *mark*,
-        newest first, and drop them from its log.  A table that gets
-        deleted rows back is put in rowid order once at the end, not per
-        row: a scan returns rows in rowid order, as sqlite3 does."""
+    def undo(self, mark: int = 0) -> None:
+        """Reverse the mutations the open transaction logged past undo
+        position *mark*, newest first, and drop them from its log.  A
+        table that gets deleted rows back is put in rowid order once at
+        the end, not per row: a scan returns rows in rowid order, as
+        sqlite3 does."""
+        txn = self._txn
         restored = set()
         for entry in reversed(txn.undo[mark:]):
             self._apply_undo(entry)
@@ -527,7 +531,6 @@ class Database:
         self,
         table: Table,
         columns: list[list[Any]],
-        txn: Optional[Transaction] = None,
         pending: Optional[Exception] = None,
         statement_rows: Optional[int] = None,
     ) -> tuple[list[tuple[int, tuple]], Optional[Any]]:
@@ -615,9 +618,7 @@ class Database:
             raise error
         if not n:
             return [], None
-        txn = txn if txn is not None else self._txn
-        if txn is None:
-            txn = self.begin()
+        txn = self.begin()
         # One int object per row id, shared by the row dict and every index.
         rowids = list(range(first_rowid, first_rowid + n))
         applied = list(zip(rowids, zip(*columns)))
@@ -638,14 +639,40 @@ class Database:
         lastrowid = columns[auto_col][-1] if auto_col is not None else rowids[-1]
         return applied, lastrowid
 
-    def update_row(
-        self, table: Table, rowid: int, new_row: tuple,
-        txn: Optional[Transaction] = None,
-    ) -> None:
+    def insert_statements(
+        self, table: Table, statements: Iterable[tuple[list[list[Any]], Optional[Exception]]],
+    ) -> tuple[int, Optional[Any]]:
+        """Insert one ``(columns, pending)`` batch per statement, in order,
+        as one atomic call (see :meth:`insert_rows` for each batch).
+
+        *statements* may be lazy: a statement's rows are built only after
+        the statements before it are in, so a subquery in it sees their
+        rows.  A failing statement — or an error building one — undoes the
+        rows of every statement before it and drops their WAL records; a
+        passing call leaves one ``insert_batch`` WAL record.  Returns the
+        row count and the last statement's ``lastrowid``.
+        """
+        txn = self.begin()
+        undo_mark, wal_mark = len(txn.undo), len(txn.wal_records)
+        count, lastrowid = 0, None
+        try:
+            for columns, pending in statements:
+                applied, lastrowid = self.insert_rows(table, columns, pending=pending)
+                count += len(applied)
+        except BaseException:
+            self.undo(undo_mark)
+            del txn.wal_records[wal_mark:]
+            raise
+        logged = txn.wal_records[wal_mark:]
+        if len(logged) > 1:
+            txn.wal_records[wal_mark:] = [
+                ("insert_batch", table.meta.name, [pair for rec in logged for pair in rec[2]])
+            ]
+        return count, lastrowid
+
+    def update_row(self, table: Table, rowid: int, new_row: tuple) -> None:
         meta = table.meta
-        txn = txn if txn is not None else self._txn
-        if txn is None:
-            txn = self.begin()
+        txn = self.begin()
         old_row = table.rows[rowid]
         for i, col in enumerate(meta.columns):
             if new_row[i] is None and col.not_null:
@@ -667,13 +694,9 @@ class Database:
         if self.journal is not None:
             txn.log(("update", meta.name, rowid, new_row))
 
-    def delete_row(
-        self, table: Table, rowid: int, txn: Optional[Transaction] = None
-    ) -> None:
+    def delete_row(self, table: Table, rowid: int) -> None:
         meta = table.meta
-        txn = txn if txn is not None else self._txn
-        if txn is None:
-            txn = self.begin()
+        txn = self.begin()
         try:
             old_row = table.rows.pop(rowid)
             self._unindex_row(table, rowid, old_row)

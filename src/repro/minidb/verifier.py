@@ -30,14 +30,12 @@ The second half is the **optimizer-rule soundness harness**: a logical
 :class:`Contract` is computed before any rule fires and re-checked after
 each rewrite (and against the final physical tree) by
 :func:`check_rule`.  Everything is gated behind :data:`VERIFY_PLANS`
-(``MINIDB_VERIFY_PLANS`` in the environment, forced on by the test
-suite, samplable in production via ``MINIDB_VERIFY_SAMPLE``) and
-reported through ``minidb.verifier.*`` counters.
+(set by the test suite) and reported through ``minidb.verifier.*``
+counters.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
@@ -66,7 +64,6 @@ __all__ = [
     "ColumnContract",
     "Contract",
     "VERIFY_PLANS",
-    "should_verify",
     "verify_plan",
     "verify_tree",
     "logical_contract",
@@ -74,31 +71,10 @@ __all__ = [
 ]
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "") not in ("", "0", "false", "False", "no")
-
-
 #: Master toggle: the optimizer verifies every plan it emits when true.
-#: Off by default (production pays nothing); the test suite and CI force
-#: it on, and ``MINIDB_VERIFY_PLANS=1`` enables it anywhere.
-VERIFY_PLANS: bool = _env_flag("MINIDB_VERIFY_PLANS")
-
-#: Verify every Nth plan (1 = all).  Lets production sample a fraction
-#: of traffic: ``MINIDB_VERIFY_PLANS=1 MINIDB_VERIFY_SAMPLE=100``.
-VERIFY_SAMPLE: int = int(os.environ.get("MINIDB_VERIFY_SAMPLE", "1") or "1")
-
-_tick = 0
-
-
-def should_verify() -> bool:
-    """True when the current plan should be verified (toggle + sampling)."""
-    global _tick
-    if not VERIFY_PLANS:
-        return False
-    if VERIFY_SAMPLE <= 1:
-        return True
-    _tick = (_tick + 1) % VERIFY_SAMPLE
-    return _tick == 0
+#: Off by default (production pays nothing); ``tests/conftest.py`` sets
+#: it for the whole test suite.
+VERIFY_PLANS: bool = False
 
 
 _PLANS = _metrics.counter(

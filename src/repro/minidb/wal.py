@@ -387,8 +387,8 @@ class Journal:
     """The WAL writer: one append and one fsync per commit.
 
     Transactions buffer their records as plain tuples (see
-    ``Transaction.wal_records``); :meth:`commit_records` encodes them and
-    writes records + commit marker in one append.
+    :class:`~repro.minidb.storage.Transaction`); :meth:`commit_records`
+    encodes them and writes records + commit marker in one append.
     """
 
     def __init__(self, db: Database, path: str) -> None:

@@ -3,8 +3,8 @@
 minidb has one executor.  This gate plans the differential SHAPES corpus,
 an UPDATE, a DELETE and a correlated subquery, and asserts that every
 node of every operator tree has ``BATCHED`` set — a plan that needed a
-second operator family would fail here.  The CI job that runs the
-differential suites with ``MINIDB_VERIFY_PLANS=1`` runs it too.
+second operator family would fail here.  Like the rest of the suite it
+runs with the plan verifier on (``tests/conftest.py``).
 """
 
 import random

@@ -150,29 +150,54 @@ class TestExecutemanyAtomicityProperty:
         conn.close()
 
 
+#: An ``executemany`` template with a subquery: storage inserts it one
+#: statement per parameter row, each seeing the rows of the ones before.
+SUBQUERY_INSERT = "INSERT INTO t (k, v) VALUES (?, (SELECT COUNT(*) FROM t))"
+
+
 class TestWalDurabilityProperty:
     @settings(max_examples=25, deadline=None)
     @given(
         ops=st.lists(
-            st.tuples(st.integers(0, 8), st.integers(-50, 50), st.booleans()),
+            st.tuples(
+                st.sampled_from(["upsert", "delete", "subquery_batch", "failing_subquery_batch"]),
+                st.integers(0, 8),
+                st.integers(-50, 50),
+                st.booleans(),
+            ),
             min_size=1,
             max_size=25,
         )
     )
     def test_reopen_sees_exactly_committed_state(self, tmp_path_factory, ops):
-        """Commit-marked changes survive reopen; uncommitted ones never do."""
+        """Commit-marked changes survive reopen; uncommitted ones never do,
+        nor does any row of an ``executemany`` that failed partway."""
         path = str(tmp_path_factory.mktemp("walprop") / "db.json")
         conn = minidb.connect(path)
         conn.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
         conn.commit()
         committed: dict[int, int] = {}
         pending: dict[int, int] = {}
-        for k, v, do_commit in ops:
-            if k in pending:
+        for kind, k, v, do_commit in ops:
+            if kind == "delete":
+                conn.execute("DELETE FROM t WHERE k = ?", (k,))
+                pending.pop(k, None)
+            elif kind == "subquery_batch":
+                fresh = [x for x in range(k, k + 9) if x not in pending][:2]
+                conn.executemany(SUBQUERY_INSERT, [(x,) for x in fresh])
+                for x in fresh:
+                    pending[x] = len(pending)
+            elif kind == "failing_subquery_batch":
+                # Two statements go in, the third repeats the first key:
+                # the call must leave none of them, in memory or in the WAL.
+                with pytest.raises(minidb.IntegrityError):
+                    conn.executemany(SUBQUERY_INSERT, [(100 + k,), (200 + k,), (100 + k,)])
+            elif k in pending:
                 conn.execute("UPDATE t SET v = ? WHERE k = ?", (v, k))
+                pending[k] = v
             else:
                 conn.execute("INSERT INTO t (k, v) VALUES (?, ?)", (k, v))
-            pending[k] = v
+                pending[k] = v
             if do_commit:
                 conn.commit()
                 committed = dict(pending)

@@ -295,18 +295,34 @@ def test_pln007_sabotaged_rule_caught_end_to_end(monkeypatch):
 # ------------------------------------------------------- toggle and counters
 
 
-def test_should_verify_sampling(monkeypatch):
-    monkeypatch.setattr(verifier, "VERIFY_PLANS", True)
-    monkeypatch.setattr(verifier, "VERIFY_SAMPLE", 3)
-    monkeypatch.setattr(verifier, "_tick", 0)
-    assert sum(verifier.should_verify() for _ in range(9)) == 3
-    monkeypatch.setattr(verifier, "VERIFY_SAMPLE", 1)
-    assert all(verifier.should_verify() for _ in range(5))
+def _record_verify_plan(monkeypatch) -> list:
+    """Replace ``verifier.verify_plan`` with a wrapper that records each
+    call; the returned list grows by one per verified plan."""
+    calls = []
+    real = verifier.verify_plan
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "verify_plan", recording)
+    return calls
 
 
-def test_verify_plans_off_skips(monkeypatch):
+def test_suite_runs_verified(conn, monkeypatch):
+    # tests/conftest.py turns the verifier on for the whole suite, so the
+    # differential corpus doubles as its property corpus; a suite that
+    # ran unverified would pass every property test vacuously.
+    calls = _record_verify_plan(monkeypatch)
+    plan_of(conn, "SELECT id FROM items WHERE id > 3")
+    assert len(calls) == 1
+
+
+def test_verify_plans_off_skips(conn, monkeypatch):
     monkeypatch.setattr(verifier, "VERIFY_PLANS", False)
-    assert not verifier.should_verify()
+    calls = _record_verify_plan(monkeypatch)
+    plan_of(conn, "SELECT id FROM items WHERE id > 3")
+    assert calls == []
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Tests for the repo lint harness (tools/lint): PTL001-PTL008 checkers."""
+"""Tests for the repo lint harness (tools/lint): the PTL001-PTL007 checkers."""
 
 import textwrap
 
@@ -579,92 +579,3 @@ def test_ptl007_noqa_suppresses(tmp_path):
     )
     assert violations == []
 
-
-# ------------------------------------------------------------------- PTL008
-
-
-def test_mutator_without_txn_flagged(tmp_path):
-    violations = lint_source(
-        tmp_path,
-        """\
-        def hack(conn, table, values):
-            conn.db.insert_rows(table, values)
-        """,
-    )
-    assert [v.code for v in violations] == ["PTL008"]
-    assert "insert_rows" in violations[0].message
-    assert "txn=" in violations[0].message
-
-
-def test_mutator_with_txn_clean(tmp_path):
-    violations = lint_source(
-        tmp_path,
-        """\
-        def ok(self, table, values):
-            self.db.insert_rows(table, values, txn=self.txn)
-            self.db.drop_table("emp", txn=self.txn)
-        """,
-    )
-    assert violations == []
-
-
-def test_database_constructor_receiver_flagged(tmp_path):
-    # The receiver resolves through its reaching definition to Database().
-    violations = lint_source(
-        tmp_path,
-        """\
-        def hack(table, values):
-            db = Database()
-            db.update_row(table, 7, values)
-        """,
-    )
-    assert [v.code for v in violations] == ["PTL008"]
-
-
-def test_ddl_mutators_without_txn_flagged(tmp_path):
-    violations = lint_source(
-        tmp_path,
-        """\
-        def hack(engine, meta):
-            engine.db.create_table(meta)
-            engine.db.create_index(meta)
-        """,
-    )
-    assert [v.code for v in violations] == ["PTL008", "PTL008"]
-
-
-def test_ptl008_owning_modules_exempt(tmp_path):
-    source = (
-        "def replay(db, table, row):\n"
-        "    db.insert_rows(table, row)\n"
-    )
-    for allowed in ("storage.py", "wal.py"):
-        path = tmp_path / allowed
-        path.write_text(source)
-        assert check_file(str(path)) == []
-    flagged = tmp_path / "elsewhere.py"
-    flagged.write_text(source)
-    assert [v.code for v in check_file(str(flagged))] == ["PTL008"]
-
-
-def test_non_database_receiver_not_flagged(tmp_path):
-    # `gen.insert_rows` on an arbitrary object is not the engine Database.
-    violations = lint_source(
-        tmp_path,
-        """\
-        def ok(gen, table, values):
-            gen.insert_rows(table, values)
-        """,
-    )
-    assert violations == []
-
-
-def test_ptl008_noqa_suppresses(tmp_path):
-    violations = lint_source(
-        tmp_path,
-        """\
-        def embedded_only(conn, table, values):
-            conn.db.insert_rows(table, values)  # noqa: PTL008
-        """,
-    )
-    assert violations == []

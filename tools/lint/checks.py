@@ -72,27 +72,6 @@ _PTL007_MUTATORS = frozenset(
     }
 )
 
-#: PTL008 — Database mutators that take the writing transaction.  Called
-#: without ``txn=`` they fall back to the database's implicit transaction,
-#: so which transaction journals and undoes the mutation is no longer
-#: visible at the call site.
-PTL008_MUTATORS = frozenset(
-    {
-        "insert_rows",
-        "update_row",
-        "delete_row",
-        "create_table",
-        "drop_table",
-        "create_index",
-        "drop_index",
-    }
-)
-
-#: modules that own the transaction plumbing and may use the implicit
-#: fallback: storage.py defines the mutators (and resolves the implicit
-#: transaction), wal.py replays already-committed records outside any
-#: transaction.  Additions must be justified in docs/static_analysis.md.
-PTL008_ALLOWED_MODULES = frozenset({"storage.py", "wal.py"})
 
 @dataclass(frozen=True)
 class Violation:
@@ -251,48 +230,7 @@ class _Checker(ast.NodeVisitor):
         ):
             # e.g. table.rows.clear(), db.catalog.indexes.pop(name)
             self._check_state_write(node, node.func.value, node.func.attr)
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in PTL008_MUTATORS
-            and self._is_database(node.func.value)
-            and not any(k.arg == "txn" for k in node.keywords)
-        ):
-            self._add(
-                node,
-                "PTL008",
-                f"Database.{node.func.attr}() called without txn=: it "
-                f"falls back to the implicit transaction; pass the "
-                f"transaction the mutation runs under "
-                f"(or add the module to the PTL008 allowlist with a "
-                f"justification in docs/static_analysis.md)",
-            )
         self.generic_visit(node)
-
-    def _is_database(self, expr: ast.expr, depth: int = 4) -> bool:
-        """Heuristic: does *expr* evaluate to the engine ``Database``?
-
-        True for any ``*.db`` attribute (the conventional handle on
-        connections, engines and executors), a direct ``Database(...)``
-        constructor call, or a bare name whose reaching definitions
-        resolve to either.
-        """
-        if depth <= 0:
-            return False
-        if isinstance(expr, ast.Attribute) and expr.attr == "db":
-            return True
-        if isinstance(expr, ast.Name) and expr.id in ("db", "database"):
-            return True
-        if isinstance(expr, ast.Call):
-            func = expr.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-            if name == "Database":
-                return True
-        facts = self._facts
-        if isinstance(expr, ast.Name) and facts is not None:
-            for origin in facts.origins(expr):
-                if self._is_database(origin, depth - 1):
-                    return True
-        return False
 
     # -- PTL007 ---------------------------------------------------------------
 
@@ -508,7 +446,7 @@ class _Checker(ast.NodeVisitor):
 
 
 def _is_test_path(path: str) -> bool:
-    """Paths allowlisted for PTL007/PTL008 — tests poke engine internals
+    """Paths allowlisted for PTL007 — tests poke engine internals
     legitimately."""
     parts = os.path.normpath(path).split(os.sep)
     if any(p in ("tests", "test") for p in parts[:-1]):
@@ -530,12 +468,9 @@ def check_file(path: str) -> list[Violation]:
     noqa = _noqa_lines(source)
     is_test = _is_test_path(path)
     owns_engine_state = os.path.basename(path) in PTL007_ALLOWED_MODULES
-    owns_txn_plumbing = os.path.basename(path) in PTL008_ALLOWED_MODULES
     out = []
     for v in checker.violations:
         if v.code == "PTL007" and (is_test or owns_engine_state):
-            continue
-        if v.code == "PTL008" and (is_test or owns_txn_plumbing):
             continue
         codes = noqa.get(v.line, False)
         if codes is False:
